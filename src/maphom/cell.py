@@ -31,6 +31,8 @@ from .numerics import (
     assemble_gradient_load,
     cg_solve,
     interpolate_nodal,
+    mean_diagonal,
+    spectral_preconditioner,
 )
 
 __all__ = [
@@ -82,19 +84,13 @@ def _coefficient_at_quad(coefficient, grid: UniformCellGrid, rule: QuadratureRul
     return A
 
 
-def assemble_corrector_system(
+def _corrector_system(
     coefficient: PeriodicCoefficient,
     zeta: tuple[float, float],
     grid: UniformCellGrid,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> SparseSystem:
-    """Assemble the scaled cell problem: stiffness plus both loads.
-
-    The returned system is flagged singular (constants span the kernel) and
-    carries two right-hand sides, one per coordinate direction. The load
-    for direction j is assembled as -int zeta_i a_ij dv/dy_i without
-    differentiating the coefficient.
-    """
+    rule: QuadratureRule,
+) -> tuple[SparseSystem, tuple[float, float]]:
+    """The corrector system and the quadrature means of its D11 and D22."""
     z1, z2 = float(zeta[0]), float(zeta[1])
     if not (z1 > 0 and z2 > 0):
         raise ValueError("scaling pair must be positive")
@@ -109,7 +105,49 @@ def assemble_corrector_system(
     for j in range(2):
         g = zvec[None, None, :] * A[:, :, :, j]
         system.add_rhs(assemble_gradient_load(grid, g, rule))
-    return system
+    return system, mean_diagonal(D, rule)
+
+
+def assemble_corrector_system(
+    coefficient: PeriodicCoefficient,
+    zeta: tuple[float, float],
+    grid: UniformCellGrid,
+    rule: QuadratureRule = DEFAULT_RULE,
+) -> SparseSystem:
+    """Assemble the scaled cell problem: stiffness plus both loads.
+
+    The returned system is flagged singular (constants span the kernel) and
+    carries two right-hand sides, one per coordinate direction. The load
+    for direction j is assembled as -int zeta_i a_ij dv/dy_i without
+    differentiating the coefficient.
+    """
+    return _corrector_system(coefficient, zeta, grid, rule)[0]
+
+
+def _solve_pair(
+    coefficient: PeriodicCoefficient,
+    zeta: tuple[float, float],
+    grid: UniformCellGrid,
+    tol: float,
+    rule: QuadratureRule,
+    x0_pair: Sequence[np.ndarray] | None = None,
+) -> tuple[list[np.ndarray], tuple[int, int], tuple[float, float]]:
+    """Assemble and solve both correctors with the spectral preconditioner.
+
+    Returns the zero-mean solutions, iteration counts and residuals. Both
+    the unit-cell and the rescaled-rectangle routes solve through here.
+    """
+    system, (k1, k2) = _corrector_system(coefficient, zeta, grid, rule)
+    precondition = spectral_preconditioner(grid, k1, k2, system.diagonal())
+    sols, iters, resids = [], [], []
+    for j in range(2):
+        guess = None if x0_pair is None else x0_pair[j]
+        res = cg_solve(system, system.rhs[j], tol=tol, x0=guess,
+                       preconditioner=precondition)
+        sols.append(res.x - res.x.mean())
+        iters.append(res.iterations)
+        resids.append(res.residual)
+    return sols, (iters[0], iters[1]), (resids[0], resids[1])
 
 
 def solve_corrector(
@@ -133,21 +171,10 @@ def solve_corrector(
     """
     if isinstance(grid, int):
         grid = UniformCellGrid(grid, periodic=True)
-    system = assemble_corrector_system(coefficient, zeta, grid, rule)
-    sols = []
-    iters = []
-    resids = []
-    for j in range(2):
-        guess = None if x0_pair is None else x0_pair[j]
-        res = cg_solve(system, system.rhs[j], tol=tol, x0=guess)
-        z = res.x - res.x.mean()
-        sols.append(z)
-        iters.append(res.iterations)
-        resids.append(res.residual)
+    sols, iters, resids = _solve_pair(coefficient, zeta, grid, tol, rule, x0_pair)
     return CorrectorField(
         z1=sols[0], z2=sols[1], zeta=(float(zeta[0]), float(zeta[1])),
-        grid=grid, iterations=(iters[0], iters[1]),
-        residual=(resids[0], resids[1]), x=x,
+        grid=grid, iterations=iters, residual=resids, x=x,
     )
 
 
@@ -228,17 +255,11 @@ def solve_rescaled_corrector(
         symmetric=coefficient.symmetric,
         description=f"{coefficient.description} on rescaled cell",
     )
-    system = assemble_corrector_system(system_coeff, (1.0, 1.0), grid, rule)
-    sols, iters, resids = [], [], []
-    for j in range(2):
-        res = cg_solve(system, system.rhs[j], tol=tol)
-        sols.append(res.x - res.x.mean())
-        iters.append(res.iterations)
-        resids.append(res.residual)
+    sols, iters, resids = _solve_pair(system_coeff, (1.0, 1.0), grid, tol, rule)
     return RescaledCell(
         zeta2=zeta2, grid=grid, z1=sols[0], z2=sols[1],
         coefficient_eval=stretched, symmetric=coefficient.symmetric,
-        iterations=(iters[0], iters[1]), residual=(resids[0], resids[1]),
+        iterations=iters, residual=resids,
     )
 
 

@@ -223,6 +223,7 @@ class RunManifest:
     config: dict
     runtimes: dict
     outputs: list
+    solver: dict | None = None
 
     def write(self, out_dir: Path) -> Path:
         for entry in self.outputs:
@@ -234,6 +235,7 @@ class RunManifest:
             "config": self.config,
             "runtimes_seconds": self.runtimes,
             "outputs": self.outputs,
+            "solver": self.solver,
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
@@ -265,6 +267,15 @@ def _file_entry(path: Path) -> dict:
     }
 
 
+def _solver_record(field) -> dict:
+    """The cell solves' preconditioner and CG iterations per scaling."""
+    return {
+        "preconditioner": field.metadata["preconditioner"],
+        "cg_iterations": [{"zeta2": z2, "iterations": list(its)}
+                          for z2, its in field.metadata["cg_iterations"].items()],
+    }
+
+
 class _StageClock:
     def __init__(self):
         self.times: dict = {}
@@ -287,7 +298,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out_dir: Path) -> None:
         scan = isotropy_scan(field)
         print(f"isotropy: min |b11 - b22| = {scan.gap:.6e} at x2 = {scan.x2:.6g}")
     RunManifest("homogenize", cfg.values, clock.times,
-                [_file_entry(csv_path)]).write(out_dir)
+                [_file_entry(csv_path)], _solver_record(field)).write(out_dir)
 
 
 def cmd_aud(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -337,7 +348,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
             cfg.coefficient(), cfg.map_family(), source, mesh,
             cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row))
     RunManifest("convergence", cfg.values, clock.times,
-                [_file_entry(csv_path)]).write(out_dir)
+                [_file_entry(csv_path)], _solver_record(field)).write(out_dir)
 
 
 def cmd_preview(cfg: ExperimentConfig, out_dir: Path, h: int | None = None) -> None:

@@ -216,6 +216,7 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
         "classical": job.classical,
         "unique_scalings": len(unique),
         "corrector_sup_norm": sup_norm,
+        "preconditioner": "spectral",
         "cg_iterations": iterations,
     }
     return HomogenizedTensor(x2=job.x2_samples.copy(), matrices=matrices,

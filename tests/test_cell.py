@@ -250,3 +250,37 @@ def test_corrector_csv_layout(sine_coeff):
     first = lines[1].split(",")
     assert len(first) == 4
     assert float(first[0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# iteration counts of the spectrally preconditioned solves
+# ---------------------------------------------------------------------------
+
+# measured: 10 at amplitude 0.9, 15 at amplitude 0.99 with zeta2 = 4
+CELL_ITERATION_CEILING = 16
+
+
+def test_cell_iterations_stay_flat_across_resolution(sine_coeff):
+    counts = [solve_corrector(sine_coeff, (1.0, 3.0), n).iterations
+              for n in (64, 128, 256)]
+    print(f"iterations at zeta = (1, 3), 64^2 to 256^2: {counts}")
+    worst = [max(c) for c in counts]
+    assert max(worst) <= CELL_ITERATION_CEILING
+    assert max(worst) - min(worst) <= 2
+
+
+@pytest.mark.parametrize("zeta2", [1.0, 4.0])
+def test_cell_iterations_stay_low_at_contrast_199(zeta2):
+    coeff = coefficients.sine_product(0.99)
+    field = solve_corrector(coeff, (1.0, zeta2), 256)
+    print(f"contrast 199, zeta2 = {zeta2}: iterations {field.iterations}")
+    assert max(field.iterations) <= CELL_ITERATION_CEILING
+    assert max(field.residual) <= 1e-10
+
+
+def test_rescaled_rectangle_iterations_stay_low_at_contrast_199():
+    """x2 = 2 gives a 128 x 32 rectangle of height 1/4 (zeta2 = 4)."""
+    cell = solve_rescaled_corrector(coefficients.sine_product(0.99), (1.0, 2.0))
+    assert cell.grid.ny == 32
+    assert max(cell.iterations) <= CELL_ITERATION_CEILING
+    assert max(cell.residual) <= 1e-10

@@ -142,6 +142,32 @@ def test_homogenize_writes_tensor_and_manifest(tmp_path, capsys):
     assert manifest["versions"]["maphom"]
 
 
+def test_manifest_records_the_cell_solver(tmp_path):
+    """homogenize and convergence keep the CG iterations of every scaling."""
+    code, out = run(tmp_path,
+                    "--override", "cell_resolution=16",
+                    "--override", "x2_samples=[0.3,0.5,0.7]",
+                    "homogenize")
+    assert code == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["preconditioner"] == "spectral"
+    rows = solver["cg_iterations"]
+    assert [row["zeta2"] for row in rows] == [0.6, 1.0, 1.4]
+    assert all(len(row["iterations"]) == 2 and min(row["iterations"]) > 0
+               for row in rows)
+
+    code, out = run(tmp_path,
+                    "--override", "cell_resolution=16",
+                    "--override", "domain_resolution=32",
+                    "--override", "x2_samples=4",
+                    "--override", "h_list=[1]",
+                    "convergence")
+    assert code == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["preconditioner"] == "spectral"
+    assert len(solver["cg_iterations"]) == 4
+
+
 def test_homogenize_accepts_a_thread_flag(tmp_path):
     code, out = run(
         tmp_path, "--threads", "2",

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from maphom import coefficients
+
 from maphom.finescale import (
     ConvergenceRow,
     DomainMesh,
@@ -113,6 +115,18 @@ def test_identity_oscillation_is_no_oscillation(identity_coeff):
                                     mesh, tol=1e-10)
     npt.assert_array_equal(plain.values, oscillatory.values)
     assert not oscillatory.warn_underresolved
+
+
+@pytest.mark.parametrize("amplitude,ceiling", [(0.9, 20), (0.99, 25)])
+def test_dirichlet_iterations_stay_flat_across_resolution(amplitude, ceiling):
+    """Measured: 17 at every mesh for amplitude 0.9, 20 to 22 at 0.99."""
+    coeff = coefficients.sine_product(amplitude)
+    counts = [solve_oscillatory(coeff, QuadraticStretchMap(1), ones,
+                                DomainMesh(OMEGA, n, n)).iterations
+              for n in (64, 128, 256)]
+    print(f"amplitude {amplitude}, 64^2 to 256^2: iterations {counts}")
+    assert max(counts) <= ceiling
+    assert max(counts) - min(counts) <= 2
 
 
 def test_resolution_warning_tracks_the_map(sine_coeff):

@@ -12,10 +12,13 @@ from maphom.numerics import (
     SolverError,
     SparseSystem,
     UniformCellGrid,
+    assemble_diffusion,
     assemble_source_load,
     cg_solve,
+    dst1,
     integrate_cell,
     interpolate_nodal,
+    spectral_preconditioner,
 )
 
 
@@ -211,6 +214,61 @@ def test_cg_solves_diagonal_systems_immediately(dim, seed):
     result = cg_solve(system, b, tol=1e-12)
     assert result.iterations <= 2
     npt.assert_allclose(result.x, b / diag, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the spectral preconditioner
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_dst1_matches_its_definition(rng, axis):
+    a = rng.standard_normal((5, 7))
+    n = a.shape[axis]
+    k = np.arange(1, n + 1)
+    basis = np.sin(np.pi * np.outer(k, k) / (n + 1))
+    expect = np.tensordot(basis, a, axes=(1, axis))
+    npt.assert_allclose(dst1(a, axis), np.moveaxis(expect, 0, axis), atol=1e-13)
+    npt.assert_allclose(dst1(dst1(a, axis), axis), (n + 1) / 2 * a, atol=1e-13)
+
+
+def _constant_operator(grid, k1, k2, singular):
+    D = np.zeros((grid.n_elements, len(DEFAULT_RULE.weights), 2, 2))
+    D[:, :, 0, 0] = k1
+    D[:, :, 1, 1] = k2
+    return assemble_diffusion(grid, D, singular=singular).matrix
+
+
+def test_spectral_preconditioner_inverts_constant_periodic_operators(rng):
+    """For diag(k1, k2) coefficients the preconditioner is the exact inverse."""
+    grid = UniformCellGrid(16, ny=12, lengths=(1.0, 0.5))
+    K = _constant_operator(grid, 3.0, 0.5, singular=True)
+    system = SparseSystem.from_matrix(K, singular=True)
+    precondition = spectral_preconditioner(grid, 3.0, 0.5, K.diagonal())
+    b = rng.standard_normal(grid.n_nodes)
+    result = cg_solve(system, b, tol=1e-12, preconditioner=precondition)
+    assert result.iterations <= 2
+    npt.assert_allclose(K @ result.x, b - b.mean(), atol=1e-10)
+
+
+def test_spectral_preconditioner_inverts_constant_dirichlet_operators(rng):
+    grid = UniformCellGrid(12, periodic=False, ny=20, lengths=(1.0, 0.6))
+    interior = np.flatnonzero(~grid.boundary_mask())
+    K = _constant_operator(grid, 0.25, 4.0, singular=False)[interior][:, interior]
+    precondition = spectral_preconditioner(grid, 0.25, 4.0, K.diagonal())
+    b = rng.standard_normal(interior.size)
+    result = cg_solve(SparseSystem.from_matrix(K), b, tol=1e-12,
+                      preconditioner=precondition)
+    assert result.iterations <= 2
+    npt.assert_allclose(K @ result.x, b, atol=1e-10)
+
+
+def test_spectral_preconditioner_checks_its_inputs():
+    grid = UniformCellGrid(8, periodic=False)
+    with pytest.raises(ValueError):
+        spectral_preconditioner(grid, 1.0, 1.0, np.ones(grid.n_nodes))
+    with pytest.raises(ValueError):
+        spectral_preconditioner(grid, 0.0, 1.0, np.ones(49))
 
 
 # ---------------------------------------------------------------------------
