@@ -10,6 +10,7 @@ experiment CLI.
 """
 
 from .cell import (
+    CellProblem,
     CorrectorField,
     RescaledCell,
     assemble_corrector_system,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AudReport",
     "CGResult",
+    "CellProblem",
     "CorrectorField",
     "DomainMesh",
     "HomogenizationJob",

@@ -20,6 +20,7 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coefficients import PeriodicCoefficient
 from .numerics import (
@@ -27,15 +28,15 @@ from .numerics import (
     QuadratureRule,
     SparseSystem,
     UniformCellGrid,
-    assemble_diffusion,
-    assemble_gradient_load,
     cg_solve,
     interpolate_nodal,
-    mean_diagonal,
+    periodic_stencil,
+    physical_gradients,
     spectral_preconditioner,
 )
 
 __all__ = [
+    "CellProblem",
     "CorrectorField",
     "RescaledCell",
     "assemble_corrector_system",
@@ -84,28 +85,126 @@ def _coefficient_at_quad(coefficient, grid: UniformCellGrid, rule: QuadratureRul
     return A
 
 
-def _corrector_system(
-    coefficient: PeriodicCoefficient,
-    zeta: tuple[float, float],
-    grid: UniformCellGrid,
-    rule: QuadratureRule,
-) -> tuple[SparseSystem, tuple[float, float]]:
-    """The corrector system and the quadrature means of its D11 and D22."""
+def _scaling(zeta) -> tuple[float, float]:
     z1, z2 = float(zeta[0]), float(zeta[1])
     if not (z1 > 0 and z2 > 0):
         raise ValueError("scaling pair must be positive")
-    if not grid.periodic:
-        raise ValueError("corrector problems need a periodic grid")
+    return z1, z2
 
-    A = _coefficient_at_quad(coefficient, grid, rule)
-    zvec = np.array([z1, z2])
-    D = A * zvec[None, None, :, None] * zvec[None, None, None, :]
-    symmetric = bool(getattr(coefficient, "symmetric", False))
-    system = assemble_diffusion(grid, D, rule, symmetric=symmetric, singular=True)
-    for j in range(2):
-        g = zvec[None, None, :] * A[:, :, :, j]
-        system.add_rhs(assemble_gradient_load(grid, g, rule))
-    return system, mean_diagonal(D, rule)
+
+class CellProblem:
+    """The scaled cell problem of one coefficient on one periodic grid.
+
+    With D = diag(zeta) A diag(zeta) the stiffness matrix and the loads are
+    polynomials in the scaling,
+
+        K(zeta)     = zeta_1^2 K11 + zeta_1 zeta_2 (K12 + K21) + zeta_2^2 K22,
+        rhs_j(zeta) = zeta_1 L_1j + zeta_2 L_2j,   L_ij = -int a_ij d_i phi,
+
+    where K_ik is the stiffness of the single entry a_ik. The coefficient
+    is evaluated once, and the three stiffness pieces are assembled once
+    as data arrays on one fixed nine-point CSR layout, together with the
+    four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|. A
+    scaling then costs two vector combinations and the two CG solves, and
+    the effective matrix is read off dot products:
+
+        b_ij = <a_ij> + sum_k zeta_k M_ik . z_j.
+
+    This is the quadrature of :func:`maphom.homogenize.homogenized_matrix_at`
+    summed in another order, for symmetric and non-symmetric A alike.
+    """
+
+    def __init__(
+        self,
+        coefficient: PeriodicCoefficient,
+        grid: UniformCellGrid | int,
+        rule: QuadratureRule = DEFAULT_RULE,
+    ):
+        if isinstance(grid, int):
+            grid = UniformCellGrid(grid, periodic=True)
+        if not grid.periodic:
+            raise ValueError("corrector problems need a periodic grid")
+        self.grid = grid
+        self.symmetric = bool(getattr(coefficient, "symmetric", False))
+        self._columns, slots = periodic_stencil(grid)
+        self._indptr = np.arange(0, self._columns.size + 1, 9, dtype=np.int32)
+        A = _coefficient_at_quad(coefficient, grid, rule)
+        nq = len(rule.weights)
+        self.means = np.einsum("eqik,q->ik", A, rule.weights) / grid.n_elements
+        G = physical_gradients(grid, rule)
+        w = rule.weights * (grid.hx * grid.hy)
+        nodes = grid.connectivity().ravel()
+
+        def stiffness(*entries) -> np.ndarray:
+            Ke = sum(A[:, :, i, k] @ (w[:, None, None] * G[:, :, None, i]
+                                      * G[:, None, :, k]).reshape(nq, 16)
+                     for i, k in entries)
+            return np.bincount(slots, weights=Ke.ravel(), minlength=self._columns.size)
+
+        def nodal(i, k, table) -> np.ndarray:
+            fe = A[:, :, i, k] @ table
+            return np.bincount(nodes, weights=fe.ravel(), minlength=grid.n_nodes)
+
+        self._stiffness = (stiffness((0, 0)), stiffness((0, 1), (1, 0)),
+                           stiffness((1, 1)))
+        # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik
+        self._loads = [[nodal(i, j, -w[:, None] * G[:, :, i]) for j in range(2)]
+                       for i in range(2)]
+        self._fluxes = [[nodal(i, k, w[:, None] * G[:, :, k] / grid.area)
+                         for k in range(2)] for i in range(2)]
+
+    def system(self, zeta: tuple[float, float]) -> SparseSystem:
+        """The stiffness matrix and both loads at ``zeta``."""
+        z1, z2 = _scaling(zeta)
+        d11, d12, d22 = self._stiffness
+        n = self.grid.n_nodes
+        K = sp.csr_matrix((z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22,
+                           self._columns, self._indptr), shape=(n, n))
+        system = SparseSystem.from_matrix(K, symmetric=self.symmetric, singular=True)
+        for j in range(2):
+            system.add_rhs(z1 * self._loads[0][j] + z2 * self._loads[1][j])
+        return system
+
+    def solve(
+        self,
+        zeta: tuple[float, float],
+        tol: float = 1e-10,
+        x0_pair: Sequence[np.ndarray] | None = None,
+        x: tuple[float, float] | None = None,
+    ) -> CorrectorField:
+        """Both correctors at ``zeta`` by spectrally preconditioned CG.
+
+        ``x0_pair`` optionally warm starts the two solves. The solutions
+        are made zero-mean once more after the solve.
+        """
+        z1, z2 = _scaling(zeta)
+        system = self.system(zeta)
+        precondition = spectral_preconditioner(
+            self.grid, z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1],
+            system.diagonal())
+        sols, iters, resids = [], [], []
+        for j in range(2):
+            guess = None if x0_pair is None else x0_pair[j]
+            res = cg_solve(system, system.rhs[j], tol=tol, x0=guess,
+                           preconditioner=precondition)
+            sols.append(res.x - res.x.mean())
+            iters.append(res.iterations)
+            resids.append(res.residual)
+        return CorrectorField(
+            z1=sols[0], z2=sols[1], zeta=(z1, z2), grid=self.grid,
+            iterations=(iters[0], iters[1]), residual=(resids[0], resids[1]), x=x,
+        )
+
+    def effective_matrix(self, field: CorrectorField) -> np.ndarray:
+        """The effective matrix of a corrector pair solved by this problem."""
+        if field.grid is not self.grid:
+            raise ValueError("corrector was solved on a different grid")
+        b = self.means.copy()
+        for i in range(2):
+            for j in range(2):
+                z = field.component(j + 1)
+                b[i, j] += sum(field.zeta[k] * (self._fluxes[i][k] @ z) for k in range(2))
+        return b
 
 
 def assemble_corrector_system(
@@ -118,36 +217,10 @@ def assemble_corrector_system(
 
     The returned system is flagged singular (constants span the kernel) and
     carries two right-hand sides, one per coordinate direction. The load
-    for direction j is assembled as -int zeta_i a_ij dv/dy_i without
+    for direction j is -int zeta_i a_ij dv/dy_i, assembled without
     differentiating the coefficient.
     """
-    return _corrector_system(coefficient, zeta, grid, rule)[0]
-
-
-def _solve_pair(
-    coefficient: PeriodicCoefficient,
-    zeta: tuple[float, float],
-    grid: UniformCellGrid,
-    tol: float,
-    rule: QuadratureRule,
-    x0_pair: Sequence[np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], tuple[int, int], tuple[float, float]]:
-    """Assemble and solve both correctors with the spectral preconditioner.
-
-    Returns the zero-mean solutions, iteration counts and residuals. Both
-    the unit-cell and the rescaled-rectangle routes solve through here.
-    """
-    system, (k1, k2) = _corrector_system(coefficient, zeta, grid, rule)
-    precondition = spectral_preconditioner(grid, k1, k2, system.diagonal())
-    sols, iters, resids = [], [], []
-    for j in range(2):
-        guess = None if x0_pair is None else x0_pair[j]
-        res = cg_solve(system, system.rhs[j], tol=tol, x0=guess,
-                       preconditioner=precondition)
-        sols.append(res.x - res.x.mean())
-        iters.append(res.iterations)
-        resids.append(res.residual)
-    return sols, (iters[0], iters[1]), (resids[0], resids[1])
+    return CellProblem(coefficient, grid, rule).system(zeta)
 
 
 def solve_corrector(
@@ -166,16 +239,10 @@ def solve_corrector(
         x0_pair: optional initial guesses (warm starts) for the two solves.
         x: macroscopic point to record on the field, if any.
 
-    The solution components are zero-mean to solver accuracy; the exact
-    nodal mean is subtracted once more before returning.
+    Builds a :class:`CellProblem` for this one scaling; sweeps over many
+    scalings build it once and call its ``solve``.
     """
-    if isinstance(grid, int):
-        grid = UniformCellGrid(grid, periodic=True)
-    sols, iters, resids = _solve_pair(coefficient, zeta, grid, tol, rule, x0_pair)
-    return CorrectorField(
-        z1=sols[0], z2=sols[1], zeta=(float(zeta[0]), float(zeta[1])),
-        grid=grid, iterations=iters, residual=resids, x=x,
-    )
+    return CellProblem(coefficient, grid, rule).solve(zeta, tol, x0_pair, x)
 
 
 @dataclasses.dataclass
@@ -255,11 +322,11 @@ def solve_rescaled_corrector(
         symmetric=coefficient.symmetric,
         description=f"{coefficient.description} on rescaled cell",
     )
-    sols, iters, resids = _solve_pair(system_coeff, (1.0, 1.0), grid, tol, rule)
+    field = CellProblem(system_coeff, grid, rule).solve((1.0, 1.0), tol)
     return RescaledCell(
-        zeta2=zeta2, grid=grid, z1=sols[0], z2=sols[1],
+        zeta2=zeta2, grid=grid, z1=field.z1, z2=field.z2,
         coefficient_eval=stretched, symmetric=coefficient.symmetric,
-        iterations=iters, residual=resids,
+        iterations=field.iterations, residual=field.residual,
     )
 
 

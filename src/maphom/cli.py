@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,7 +64,6 @@ DEFAULTS: dict = {
     "fem_tol": 1e-8,
     "dump_x2": 0.5,
     "preview_h": 3,
-    "threads": 1,
     "out_dir": "out",
 }
 
@@ -72,6 +72,36 @@ _RESOLUTION_KEYS = ("cell_resolution", "domain_resolution", "preview_resolution"
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` as a ``str``, ``bool``, ``int`` or finite ``float``.
+
+    Integral floats count as integers and integers as floats; anything
+    else raises ConfigError naming ``key``.
+    """
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise ConfigError(key, f"must be a {kind.__name__}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, f"must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(key, f"must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(key, f"is out of range: {value!r}")
+
+
+def _typed_list(key: str, value, kind: type) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(key, f"must be a list, got {value!r}")
+    return [_typed(key, item, kind) for item in value]
 
 
 @dataclasses.dataclass
@@ -117,57 +147,68 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check every key and replace its value by the typed one."""
         v = self.values
+        for key in ("coefficient", "scale_map", "out_dir"):
+            _typed(key, v[key], str)
+        v["classical"] = _typed("classical", v["classical"], bool)
         if v["coefficient"] not in ("sine-product", "laminate", "identity"):
             raise ConfigError("coefficient",
                               "must be one of sine-product, laminate, identity")
-        if not 0 <= float(v["amplitude"]) < 1:
+        v["amplitude"] = _typed("amplitude", v["amplitude"], float)
+        if not 0 <= v["amplitude"] < 1:
             raise ConfigError("amplitude", "must lie in [0, 1)")
-        if not float(v["delta"]) > 0:
+        v["laminate_base"] = _typed("laminate_base", v["laminate_base"], float)
+        if v["coefficient"] == "laminate" and not v["laminate_base"] > v["amplitude"]:
+            raise ConfigError("laminate_base", "must exceed amplitude")
+        v["delta"] = _typed("delta", v["delta"], float)
+        if not v["delta"] > 0:
             raise ConfigError("delta", "must be positive")
         for key in _RESOLUTION_KEYS:
-            n = v[key]
-            if int(n) != n or not _is_power_of_two(int(n)) or not 16 <= int(n) <= 1024:
+            v[key] = _typed(key, v[key], int)
+            if not (_is_power_of_two(v[key]) and 16 <= v[key] <= 1024):
                 raise ConfigError(key, "must be a power of two between 16 and 1024")
-            v[key] = int(n)
         for key in ("h_list", "aud_h_list"):
-            hs = v[key]
-            if not isinstance(hs, (list, tuple)) or not hs:
+            hs = _typed_list(key, v[key], int)
+            if not hs:
                 raise ConfigError(key, "must be a non-empty list")
-            if any(int(h) != h or h < 1 for h in hs):
+            if any(h < 1 for h in hs):
                 raise ConfigError(key, "entries must be positive integers")
             if any(b <= a for a, b in zip(hs, hs[1:])):
                 raise ConfigError(key, "must be strictly increasing")
-            v[key] = [int(h) for h in hs]
+            v[key] = hs
         if v["omega"] is not None:
-            om = v["omega"]
-            if not isinstance(om, (list, tuple)) or len(om) != 4:
+            om = _typed_list("omega", v["omega"], float)
+            if len(om) != 4:
                 raise ConfigError("omega", "must be [a1, b1, a2, b2]")
-            a1, b1, a2, b2 = map(float, om)
+            a1, b1, a2, b2 = om
             if not (0 < a1 < b1 and 0 < a2 < b2):
                 raise ConfigError("omega", "must satisfy 0 < a1 < b1 and 0 < a2 < b2")
+            v["omega"] = om
         if v["scale_map"] not in ("stretch", "linear"):
             raise ConfigError("scale_map", "must be 'stretch' or 'linear'")
-        xs = v["x2_samples"]
-        if isinstance(xs, (list, tuple)):
-            if not xs or any(not isinstance(s, (int, float)) for s in xs):
-                raise ConfigError("x2_samples", "list entries must be numbers")
-        elif int(xs) != xs or xs < 3:
-            raise ConfigError("x2_samples", "sample count must be an integer >= 3")
-        n = v["aud_subdivision"]
-        if int(n) != n or n < 1:
+        if isinstance(v["x2_samples"], (list, tuple)):
+            xs = _typed_list("x2_samples", v["x2_samples"], float)
+            if not xs:
+                raise ConfigError("x2_samples", "list must not be empty")
+        else:
+            xs = _typed("x2_samples", v["x2_samples"], int)
+            if xs < 3:
+                raise ConfigError("x2_samples", "sample count must be an integer >= 3")
+        v["x2_samples"] = xs
+        v["aud_subdivision"] = _typed("aud_subdivision", v["aud_subdivision"], int)
+        if v["aud_subdivision"] < 1:
             raise ConfigError("aud_subdivision", "must be a positive integer")
         for key in ("cg_tol", "fem_tol"):
-            if not 0 < float(v[key]) < 1:
+            v[key] = _typed(key, v[key], float)
+            if not 0 < v[key] < 1:
                 raise ConfigError(key, "must lie in (0, 1)")
-        if not float(v["dump_x2"]) > 0:
+        v["dump_x2"] = _typed("dump_x2", v["dump_x2"], float)
+        if not v["dump_x2"] > 0:
             raise ConfigError("dump_x2", "must be positive")
-        h = v["preview_h"]
-        if int(h) != h or h < 1:
+        v["preview_h"] = _typed("preview_h", v["preview_h"], int)
+        if v["preview_h"] < 1:
             raise ConfigError("preview_h", "must be a positive integer")
-        t = v["threads"]
-        if int(t) != t or t < 1:
-            raise ConfigError("threads", "must be a positive integer")
 
     # -- derived objects ----------------------------------------------------
 
@@ -207,9 +248,8 @@ class ExperimentConfig:
                 x2_samples=self.x2_sample_values(),
                 cell_resolution=self.values["cell_resolution"],
                 tol=float(self.values["cg_tol"]),
-                classical=bool(self.values["classical"])
+                classical=self.values["classical"]
                 or self.values["scale_map"] == "linear",
-                threads=int(self.values["threads"]),
             )
         except ValueError as exc:
             raise ConfigError("x2_samples", str(exc))
@@ -268,10 +308,13 @@ def _file_entry(path: Path) -> dict:
 
 
 def _solver_record(field) -> dict:
-    """The cell solves' preconditioner and CG iterations per scaling."""
+    """The cell solves' preconditioner, CG iterations and residuals per
+    scaling."""
+    residuals = field.metadata["cg_residuals"]
     return {
         "preconditioner": field.metadata["preconditioner"],
-        "cg_iterations": [{"zeta2": z2, "iterations": list(its)}
+        "cg_iterations": [{"zeta2": z2, "iterations": list(its),
+                           "residuals": list(residuals[z2])}
                           for z2, its in field.metadata["cg_iterations"].items()],
     }
 
@@ -344,11 +387,15 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
                     f"{int(row.warn_underresolved)}\n")
             f.flush()
 
+        dirichlet = []
         clock.run("solves", lambda: convergence_study(
             cfg.coefficient(), cfg.map_family(), source, mesh,
-            cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row))
+            cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
+            on_solve=lambda u: dirichlet.append(u.diagnostics())))
+    solver = _solver_record(field)
+    solver["dirichlet"] = dirichlet
     RunManifest("convergence", cfg.values, clock.times,
-                [_file_entry(csv_path)], _solver_record(field)).write(out_dir)
+                [_file_entry(csv_path)], solver).write(out_dir)
 
 
 def cmd_preview(cfg: ExperimentConfig, out_dir: Path, h: int | None = None) -> None:
@@ -405,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat JSON config file")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default: config out_dir)")
-    parser.add_argument("--threads", metavar="N", type=int, default=None,
-                        help="worker threads for independent cell solves")
     parser.add_argument("--override", metavar="KEY=VALUE", action="append",
                         default=[], help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,10 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = list(args.override)
-        if args.threads is not None:
-            overrides.append(f"threads={int(args.threads)}")
-        cfg = ExperimentConfig.load(args.config, overrides)
+        cfg = ExperimentConfig.load(args.config, args.override)
         out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "homogenize":

@@ -100,6 +100,18 @@ class SolutionField:
     def interior_values(self) -> np.ndarray:
         return self.values[self.mesh.interior_mask]
 
+    @property
+    def energy_gap(self) -> float:
+        """|energy - source_work| / |source_work|; the absolute gap when
+        no work is done."""
+        gap = abs(self.energy - self.source_work)
+        return gap / abs(self.source_work) if self.source_work else gap
+
+    def diagnostics(self) -> dict:
+        """The solve's label, CG iterations, final residual and energy gap."""
+        return {"label": self.label, "iterations": self.iterations,
+                "residual": self.residual, "energy_gap": self.energy_gap}
+
 
 def _coefficient_at_quad(mesh: DomainMesh, coeff_eval, rule: QuadratureRule) -> np.ndarray:
     pts = mesh.grid.quad_points(rule).reshape(-1, 2)
@@ -275,21 +287,28 @@ def convergence_study(
     tensor: HomogenizedTensor,
     tol: float = 1e-8,
     on_row=None,
+    on_solve=None,
 ) -> list[ConvergenceRow]:
     """Compare oscillatory solves against the effective-tensor solve.
 
     ``map_family`` is a callable h -> scale map. The homogenized reference
     is solved once; each h row records the L2 distance to it, the solve's
     energy and the resolution flag. ``on_row`` (if given) is called with
-    each completed row, letting callers persist partial tables.
+    each completed row, letting callers persist partial tables;
+    ``on_solve`` (if given) is called with every SolutionField, the
+    reference first.
     """
     h_list = [int(h) for h in h_list]
     if any(b <= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly increasing")
     reference = solve_homogenized(tensor, f, mesh, tol=tol)
+    if on_solve is not None:
+        on_solve(reference)
     rows = []
     for h in h_list:
         u_h = solve_oscillatory(coefficient, map_family(h), f, mesh, tol=tol)
+        if on_solve is not None:
+            on_solve(u_h)
         row = ConvergenceRow(
             h=h,
             l2_error=l2_error(u_h, reference),

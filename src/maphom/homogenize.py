@@ -14,12 +14,11 @@ solve.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from .cell import CorrectorField, RescaledCell, solve_corrector
+from .cell import CellProblem, CorrectorField, RescaledCell
 from .coefficients import PeriodicCoefficient
 from .numerics import (
     DEFAULT_RULE,
@@ -78,7 +77,8 @@ def homogenized_matrix_at(
     """Effective matrix from an already-solved corrector pair.
 
     The corrector must have been solved with the same scaling; mismatched
-    pairs raise ValueError.
+    pairs raise ValueError. The matrix is computed by quadrature of the
+    corrected flux, independently of :class:`CellProblem`'s dot products.
     """
     if tuple(corrector.zeta) != (float(zeta[0]), float(zeta[1])):
         raise ValueError("corrector was solved with a different scaling")
@@ -94,8 +94,8 @@ def classical_homogenized_matrix(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> np.ndarray:
     """Effective matrix of the unscaled (zeta = (1,1)) cell problem."""
-    corr = solve_corrector(coefficient, (1.0, 1.0), grid, tol=tol, rule=rule)
-    return homogenized_matrix_at(coefficient, (1.0, 1.0), corr, rule)
+    problem = CellProblem(coefficient, grid, rule)
+    return problem.effective_matrix(problem.solve((1.0, 1.0), tol))
 
 
 def rescaled_matrix(cell: RescaledCell, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
@@ -135,7 +135,6 @@ class HomogenizationJob:
     cell_resolution: int = 128
     tol: float = 1e-10
     classical: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if not (self.omega.a1 > 0 and self.omega.a2 > 0):
@@ -149,8 +148,6 @@ class HomogenizationJob:
             raise ValueError(f"x2 sample {bad} lies outside ({self.omega.a2}, {self.omega.b2})")
         if self.cell_resolution < 1:
             raise ValueError("cell resolution must be positive")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
 
 
 @dataclasses.dataclass
@@ -174,11 +171,12 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
 
     Samples are grouped by their scaling zeta_2 rounded to 12 significant
     digits; each group is solved once and shares bitwise-identical
-    matrices. With one thread the groups are solved in ascending order and
-    each solve warm starts from the previous solution; more threads solve
-    groups independently (cold starts) in a deterministic order.
+    matrices. One :class:`CellProblem` serves every group: the groups are
+    solved in ascending order, each warm started from the previous
+    solution, and each matrix is read off the problem's dot products.
     """
-    grid = UniformCellGrid(job.cell_resolution, periodic=True)
+    problem = CellProblem(job.coefficient,
+                          UniformCellGrid(job.cell_resolution, periodic=True))
     if job.classical:
         zeta2 = np.ones_like(job.x2_samples)
     else:
@@ -186,29 +184,19 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
     keys = [_round_sig(z) for z in zeta2]
     unique = sorted(set(keys))
 
-    solved: dict[float, tuple[np.ndarray, CorrectorField]] = {}
+    matrices: dict[float, np.ndarray] = {}
+    iterations: dict[float, tuple[int, int]] = {}
+    residuals: dict[float, tuple[float, float]] = {}
+    sup_norm = 0.0
+    prev: tuple[np.ndarray, np.ndarray] | None = None
+    for z2 in unique:
+        corr = problem.solve((1.0, z2), tol=job.tol, x0_pair=prev)
+        matrices[z2] = problem.effective_matrix(corr)
+        iterations[z2] = corr.iterations
+        residuals[z2] = corr.residual
+        sup_norm = max(sup_norm, corr.sup_norm())
+        prev = (corr.z1, corr.z2)
 
-    def solve_one(z2: float, x0_pair) -> tuple[np.ndarray, CorrectorField]:
-        zeta = (1.0, z2)
-        corr = solve_corrector(job.coefficient, zeta, grid, tol=job.tol,
-                               x0_pair=x0_pair)
-        return homogenized_matrix_at(job.coefficient, zeta, corr), corr
-
-    if job.threads > 1:
-        with ThreadPoolExecutor(max_workers=job.threads) as pool:
-            futures = {z2: pool.submit(solve_one, z2, None) for z2 in unique}
-        for z2 in unique:
-            solved[z2] = futures[z2].result()
-    else:
-        prev: tuple[np.ndarray, np.ndarray] | None = None
-        for z2 in unique:
-            b, corr = solve_one(z2, prev)
-            solved[z2] = (b, corr)
-            prev = (corr.z1, corr.z2)
-
-    matrices = np.stack([solved[k][0] for k in keys])
-    iterations = {z2: solved[z2][1].iterations for z2 in unique}
-    sup_norm = max(solved[z2][1].sup_norm() for z2 in unique)
     metadata = {
         "coefficient": job.coefficient.description,
         "cell_resolution": job.cell_resolution,
@@ -218,8 +206,10 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
         "corrector_sup_norm": sup_norm,
         "preconditioner": "spectral",
         "cg_iterations": iterations,
+        "cg_residuals": residuals,
     }
-    return HomogenizedTensor(x2=job.x2_samples.copy(), matrices=matrices,
+    return HomogenizedTensor(x2=job.x2_samples.copy(),
+                             matrices=np.stack([matrices[k] for k in keys]),
                              metadata=metadata)
 
 

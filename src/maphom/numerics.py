@@ -27,6 +27,7 @@ __all__ = [
     "integrate_cell",
     "interpolate_nodal",
     "mean_diagonal",
+    "periodic_stencil",
     "spectral_preconditioner",
 ]
 
@@ -211,15 +212,6 @@ class UniformCellGrid:
         mask[:, 0] = mask[:, -1] = True
         return mask.ravel()
 
-    def same_layout(self, other: "UniformCellGrid") -> bool:
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and self.periodic == other.periodic
-            and self.lengths == other.lengths
-            and self.origin == other.origin
-        )
-
 
 def q1_tables(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear shape values and reference gradients at the rule's points.
@@ -277,14 +269,15 @@ class SparseSystem:
 
     @classmethod
     def from_matrix(cls, matrix, symmetric: bool = False, singular: bool = False) -> "SparseSystem":
-        """Wrap an existing sparse matrix (already canonical) as a system."""
+        """Wrap an existing matrix as a system.
+
+        A CSR matrix is used as it is and shares its arrays: its layout,
+        explicit zeros and repeated entries included.
+        """
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("system matrix must be square")
         system = cls(m.shape[0], symmetric=symmetric, singular=singular)
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
         system._matrix = m
         return system
 
@@ -543,6 +536,13 @@ def cg_solve(
             history[-1] = res
         z = preconditioner(r)
         rz_new = float(r @ z)
+        if rz_new <= 0.0:
+            raise SolverError(
+                "conjugate gradient breakdown: the preconditioned residual is "
+                f"orthogonal to the residual (relative residual {res / bnorm:.3e})",
+                iterations,
+                res / bnorm,
+            )
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
@@ -627,6 +627,33 @@ def interpolate_nodal(grid: UniformCellGrid, values: np.ndarray, points: np.ndar
     return out if out.size > 1 else out.reshape(-1)
 
 
+def periodic_stencil(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nine-point layout of Q1 matrices on a periodic grid.
+
+    Row p of a matrix in this layout holds nine entries, one per neighbour
+    p + (dx, dy) with dx, dy in {-1, 0, 1}, in the order
+    s = 3 (dy + 1) + dx + 1. Returns ``columns``, the column indices of
+    all rows one after another (the CSR ``indices``; ``indptr`` steps by
+    nine), and ``slots``, the place 9 p + s of every entry of the
+    (n_elements, 4, 4) element matrices, so that
+    ``np.bincount(slots, weights=Ke.ravel(), minlength=columns.size)``
+    assembles the CSR data. Every row keeps its nine entries whatever
+    their values. On grids with fewer than three elements per side some
+    neighbours coincide; their entries stay separate, and CSR products
+    and diagonals sum them.
+    """
+    if not grid.periodic:
+        raise ValueError("the nine-point layout needs a periodic grid")
+    nodes = np.arange(grid.n_nodes).reshape(grid.ny, grid.nx)
+    columns = np.stack([np.roll(nodes, (-dy, -dx), axis=(0, 1))
+                        for dy in (-1, 0, 1) for dx in (-1, 0, 1)], axis=-1)
+    corner = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+    step = corner[None, :, :] - corner[:, None, :]  # [a, b]: corner b - corner a
+    offset = 3 * (step[..., 1] + 1) + step[..., 0] + 1
+    slots = 9 * grid.connectivity()[:, :, None] + offset[None, :, :]
+    return columns.ravel().astype(np.int32), slots.ravel()
+
+
 def assemble_diffusion(
     grid: UniformCellGrid,
     coeff_at_quad: np.ndarray,
@@ -657,24 +684,6 @@ def assemble_diffusion(
     system = SparseSystem(grid.n_nodes, symmetric=symmetric, singular=singular)
     system.add_entries(rows, cols, Ke)
     return system
-
-
-def assemble_gradient_load(
-    grid: UniformCellGrid,
-    vec_at_quad: np.ndarray,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
-    """Load vector f[a] = -int g . grad(phi_a) for a vector field g given
-    at quadrature points, shape (n_elements, nq, 2)."""
-    g = np.asarray(vec_at_quad, dtype=float)
-    if g.shape != (grid.n_elements, len(rule.weights), 2):
-        raise ValueError("vector field array has wrong shape")
-    G = physical_gradients(grid, rule)
-    scale = grid.hx * grid.hy
-    fe = -np.einsum("eqi,qai,q->ea", g, G, rule.weights, optimize=True) * scale
-    f = np.zeros(grid.n_nodes)
-    np.add.at(f, grid.connectivity().ravel(), fe.ravel())
-    return f
 
 
 def assemble_source_load(

@@ -9,13 +9,39 @@ from scipy.integrate import quad
 
 from maphom import coefficients
 from maphom.cell import (
+    CellProblem,
+    CorrectorField,
     assemble_corrector_system,
     solve_corrector,
     solve_rescaled_corrector,
     write_corrector_csv,
 )
 from maphom.coefficients import PeriodicCoefficient
-from maphom.numerics import DEFAULT_RULE, UniformCellGrid, assemble_source_load
+from maphom.homogenize import homogenized_matrix_at
+from maphom.numerics import (
+    DEFAULT_RULE,
+    UniformCellGrid,
+    assemble_diffusion,
+    assemble_source_load,
+    physical_gradients,
+)
+
+
+def skew_coefficient() -> PeriodicCoefficient:
+    """A non-symmetric coefficient whose symmetric part stays positive."""
+
+    def evaluate(pts):
+        s1 = np.sin(2 * np.pi * pts[:, 0])
+        s2 = np.sin(2 * np.pi * pts[:, 1])
+        out = np.empty((pts.shape[0], 2, 2))
+        out[:, 0, 0] = 1.5 + 0.5 * s1 * s2
+        out[:, 0, 1] = 0.3 + 0.2 * s1
+        out[:, 1, 0] = -0.1 + 0.3 * s2
+        out[:, 1, 1] = 1.2 + 0.4 * np.cos(2 * np.pi * pts[:, 0])
+        return out
+
+    return PeriodicCoefficient(evaluate, bound=3.0, coercivity=0.2,
+                               symmetric=False, description="skew")
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +141,77 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
     from_source = assemble_source_load(
         grid, div_g.reshape(grid.n_elements, -1))
     assert np.abs(system.rhs[0] - from_source).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the cell problem assembled once for every scaling
+# ---------------------------------------------------------------------------
+
+ZETA = (0.7, 2.6)
+
+
+def _direct_system(coeff, zeta, grid):
+    """Stiffness of diag(zeta) A diag(zeta) and the loads
+    -int zeta_i a_ij d_i phi, assembled at ``zeta`` without the pieces."""
+    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
+    A = coeff.evaluate(pts).reshape(grid.n_elements, -1, 2, 2)
+    z = np.array(zeta)
+    K = assemble_diffusion(grid, A * z[:, None] * z[None, :]).matrix
+    G = physical_gradients(grid, DEFAULT_RULE)
+    w = DEFAULT_RULE.weights * grid.hx * grid.hy
+    loads = []
+    for j in range(2):
+        fe = -np.einsum("eqi,i,qai,q->ea", A[:, :, :, j], z, G, w)
+        f = np.zeros(grid.n_nodes)
+        np.add.at(f, grid.connectivity().ravel(), fe.ravel())
+        loads.append(f)
+    return K, loads
+
+
+@pytest.mark.parametrize("name", ["sine", "skew"])
+def test_affine_system_matches_a_direct_assembly(sine_coeff, name):
+    coeff = sine_coeff if name == "sine" else skew_coefficient()
+    grid = UniformCellGrid(32)
+    system = CellProblem(coeff, grid).system(ZETA)
+    K, loads = _direct_system(coeff, ZETA, grid)
+    gap = abs(system.matrix - K).max()
+    assert gap <= 1e-12 * abs(K).max()
+    for f, g in zip(system.rhs, loads):
+        assert np.abs(f - g).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_zero_pieces_keep_the_pattern(sine_coeff):
+    """K12 + K21 vanishes for a diagonal coefficient; the pattern stays
+    the full nine-point one at every scaling."""
+    problem = CellProblem(sine_coeff, 16)
+    a, b = problem.system((1.0, 1.0)).matrix, problem.system(ZETA).matrix
+    assert a.nnz == b.nnz == 9 * 256
+    npt.assert_array_equal(a.indices, b.indices)
+    npt.assert_array_equal(a.indptr, b.indptr)
+
+
+@pytest.mark.parametrize("name", ["sine", "skew"])
+def test_dot_product_matrix_matches_the_quadrature(sine_coeff, rng, name):
+    """b_ij = <a_ij> + sum_k zeta_k M_ik . z_j is the quadrature of the
+    corrected flux for any nodal pair, solved or not."""
+    coeff = sine_coeff if name == "sine" else skew_coefficient()
+    problem = CellProblem(coeff, 32)
+    fields = [CorrectorField(z1=rng.standard_normal(1024),
+                             z2=rng.standard_normal(1024), zeta=ZETA,
+                             grid=problem.grid, iterations=(0, 0),
+                             residual=(0.0, 0.0))]
+    if name == "sine":
+        fields.append(problem.solve(ZETA))
+    for field in fields:
+        quadrature = homogenized_matrix_at(coeff, ZETA, field)
+        dot = problem.effective_matrix(field)
+        assert np.abs(dot - quadrature).max() <= 1e-12 * np.abs(quadrature).max()
+
+
+def test_effective_matrix_needs_the_problem_grid(sine_coeff):
+    field = solve_corrector(sine_coeff, ZETA, 16)
+    with pytest.raises(ValueError):
+        CellProblem(sine_coeff, 16).effective_matrix(field)
 
 
 # ---------------------------------------------------------------------------

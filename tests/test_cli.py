@@ -1,13 +1,15 @@
 """Experiment runner: config validation, outputs, manifests, exit codes."""
 
+import copy
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maphom.cli import ExperimentConfig, ConfigError, main
+from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
 
 
 def run(tmp_path, *argv):
@@ -57,13 +59,44 @@ def test_defaults_validate():
     ("cg_tol=0", "cg_tol"),
     ("cg_tol=1.5", "cg_tol"),
     ("amplitude=1.0", "amplitude"),
-    ("threads=0", "threads"),
     ("preview_h=0", "preview_h"),
 ])
 def test_bad_values_are_rejected_with_the_offending_key(override, key):
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.load(None, [override])
     assert info.value.key == key
+
+
+@pytest.mark.parametrize("override,key", [
+    ("cell_resolution=abc", "cell_resolution"),
+    ("amplitude=null", "amplitude"),
+    ('h_list=[1,"a"]', "h_list"),
+    ('omega=[1,2,"x",3]', "omega"),
+])
+def test_wrongly_typed_overrides_exit_2(tmp_path, capsys, override, key):
+    code, _ = run(tmp_path, "--override", override, "convergence")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                     st.integers(-10 ** 20, 10 ** 20), st.floats())
+_WRONG = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=5),
+                   st.lists(st.lists(_SCALARS, max_size=2), max_size=3))
+
+
+@settings(max_examples=400)
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=_WRONG)
+def test_any_value_passes_or_names_its_key(key, value):
+    """Validation never fails with anything but a ConfigError for the key."""
+    values = copy.deepcopy(DEFAULTS)
+    values[key] = value
+    try:
+        ExperimentConfig(values).validate()
+    except ConfigError as exc:
+        assert exc.key == key
 
 
 def test_unknown_keys_and_nested_objects_are_rejected(tmp_path):
@@ -155,6 +188,8 @@ def test_manifest_records_the_cell_solver(tmp_path):
     assert [row["zeta2"] for row in rows] == [0.6, 1.0, 1.4]
     assert all(len(row["iterations"]) == 2 and min(row["iterations"]) > 0
                for row in rows)
+    assert all(len(row["residuals"]) == 2 and max(row["residuals"]) <= 1e-10
+               for row in rows)
 
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",
@@ -166,17 +201,12 @@ def test_manifest_records_the_cell_solver(tmp_path):
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["preconditioner"] == "spectral"
     assert len(solver["cg_iterations"]) == 4
-
-
-def test_homogenize_accepts_a_thread_flag(tmp_path):
-    code, out = run(
-        tmp_path, "--threads", "2",
-        "--override", "cell_resolution=32",
-        "--override", "x2_samples=[0.3,0.5,0.7]",
-        "homogenize")
-    assert code == 0
-    _, rows = read_csv(out / "tensor.csv")
-    assert len(rows) == 3
+    dirichlet = solver["dirichlet"]
+    assert [d["label"] for d in dirichlet] == ["homogenized", "oscillatory h=1"]
+    for d in dirichlet:
+        assert d["iterations"] > 0
+        assert d["residual"] <= 1e-8
+        assert d["energy_gap"] <= 1e-8
 
 
 def test_aud_reports_per_scale_index(tmp_path, capsys):

@@ -175,13 +175,26 @@ def test_field_crosses_isotropy_midway(sine_coeff):
     assert 0.0 < field.metadata["corrector_sup_norm"] < 1.0
 
 
-def test_threaded_sweep_matches_the_serial_one(sine_coeff):
-    samples = default_x2_samples(OMEGA, 6)
-    serial = tensor_field(small_job(sine_coeff, x2_samples=samples,
-                                    cell_resolution=32))
-    threaded = tensor_field(small_job(sine_coeff, x2_samples=samples,
-                                      cell_resolution=32, threads=2))
-    npt.assert_allclose(threaded.matrices, serial.matrices, atol=1e-8)
+def test_sweep_evaluates_the_coefficient_once(sine_coeff):
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return sine_coeff.evaluate(pts)
+
+    coeff = coefficients.PeriodicCoefficient(counted, sine_coeff.bound,
+                                             sine_coeff.coercivity)
+    field = tensor_field(small_job(coeff, x2_samples=default_x2_samples(OMEGA, 5),
+                                   cell_resolution=16))
+    assert field.metadata["unique_scalings"] == 5
+    assert calls == [16 * 16 * 4]
+
+
+def test_repeated_sweeps_are_bytewise_identical(sine_coeff):
+    job = small_job(sine_coeff, x2_samples=default_x2_samples(OMEGA, 6),
+                    cell_resolution=32)
+    first, second = tensor_field(job), tensor_field(job)
+    assert first.matrices.tobytes() == second.matrices.tobytes()
 
 
 def test_job_validation_names_the_offending_sample(sine_coeff):
@@ -189,10 +202,6 @@ def test_job_validation_names_the_offending_sample(sine_coeff):
         small_job(sine_coeff, x2_samples=np.array([0.5, 2.5]))
     with pytest.raises(ValueError):
         small_job(sine_coeff, x2_samples=np.array([]))
-    with pytest.raises(ValueError):
-        HomogenizationJob(coefficient=sine_coeff,
-                          omega=Rectangle(0.1, 1.0, 0.1, 1.0),
-                          x2_samples=np.array([0.5]), threads=0)
 
 
 def test_default_samples_stay_strictly_inside():

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from maphom.numerics import (
@@ -18,6 +19,7 @@ from maphom.numerics import (
     dst1,
     integrate_cell,
     interpolate_nodal,
+    periodic_stencil,
     spectral_preconditioner,
 )
 
@@ -125,6 +127,26 @@ def test_duplicate_entries_are_summed():
     assert system.matrix[1, 2] == 1.0
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (3, 2), (5, 4)])
+def test_periodic_stencil_assembles_like_triplets(rng, nx, ny):
+    """Summing element matrices into the nine-point layout gives the
+    matrix of the summed triplets, also where neighbours coincide."""
+    grid = UniformCellGrid(nx, ny=ny)
+    columns, slots = periodic_stencil(grid)
+    Ke = rng.standard_normal((grid.n_elements, 4, 4))
+    n = grid.n_nodes
+    data = np.bincount(slots, weights=Ke.ravel(), minlength=columns.size)
+    stencil = sp.csr_matrix((data, columns, np.arange(0, 9 * n + 1, 9)), shape=(n, n))
+    triplets = SparseSystem(n)
+    conn = grid.connectivity()
+    triplets.add_entries(np.repeat(conn, 4, axis=1), np.tile(conn, (1, 4)), Ke)
+    x = rng.standard_normal(n)
+    npt.assert_allclose(stencil @ x, triplets.matvec(x), rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(stencil.diagonal(), triplets.diagonal(), rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        periodic_stencil(UniformCellGrid(nx, periodic=False))
+
+
 def test_out_of_range_indices_raise():
     system = SparseSystem(3)
     with pytest.raises(ValueError):
@@ -200,6 +222,21 @@ def test_cg_raises_when_starved_of_iterations(rng):
         cg_solve(system, b, tol=1e-14, max_iter=2)
     assert info.value.iterations == 2
     assert info.value.residual > 0
+
+
+def test_cg_raises_when_the_preconditioned_residual_is_orthogonal():
+    """A stalled iteration ends in SolverError, not a division by zero."""
+    system = SparseSystem(2, symmetric=True)
+    system.add_entries([0, 1], [0, 1], [1.0, 3.0])
+    calls = []
+
+    def rotating(r):
+        calls.append(1)
+        return r.copy() if len(calls) == 1 else np.array([-r[1], r[0]])
+
+    with pytest.raises(SolverError) as info:
+        cg_solve(system, np.array([1.0, 1.0]), tol=1e-12, preconditioner=rotating)
+    assert info.value.residual > 1e-12
 
 
 @settings(max_examples=40, deadline=None)
