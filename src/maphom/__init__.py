@@ -19,6 +19,7 @@ from .cell import (
 )
 from .coefficients import PeriodicCoefficient
 from .finescale import (
+    DirichletProblem,
     DomainMesh,
     SolutionField,
     convergence_study,
@@ -63,6 +64,7 @@ __all__ = [
     "CGResult",
     "CellProblem",
     "CorrectorField",
+    "DirichletProblem",
     "DomainMesh",
     "HomogenizationJob",
     "HomogenizedTensor",

@@ -30,7 +30,7 @@ from .numerics import (
     UniformCellGrid,
     cg_solve,
     interpolate_nodal,
-    periodic_stencil,
+    nine_point_layout,
     physical_gradients,
     spectral_preconditioner,
 )
@@ -125,8 +125,7 @@ class CellProblem:
         if not grid.periodic:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
-        self.symmetric = bool(getattr(coefficient, "symmetric", False))
-        self._columns, slots = periodic_stencil(grid)
+        self._columns, slots = nine_point_layout(grid)
         self._indptr = np.arange(0, self._columns.size + 1, 9, dtype=np.int32)
         A = _coefficient_at_quad(coefficient, grid, rule)
         nq = len(rule.weights)
@@ -160,7 +159,7 @@ class CellProblem:
         n = self.grid.n_nodes
         K = sp.csr_matrix((z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22,
                            self._columns, self._indptr), shape=(n, n))
-        system = SparseSystem.from_matrix(K, symmetric=self.symmetric, singular=True)
+        system = SparseSystem(K, singular=True)
         for j in range(2):
             system.add_rhs(z1 * self._loads[0][j] + z2 * self._loads[1][j])
         return system

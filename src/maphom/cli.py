@@ -161,9 +161,6 @@ class ExperimentConfig:
         v["laminate_base"] = _typed("laminate_base", v["laminate_base"], float)
         if v["coefficient"] == "laminate" and not v["laminate_base"] > v["amplitude"]:
             raise ConfigError("laminate_base", "must exceed amplitude")
-        v["delta"] = _typed("delta", v["delta"], float)
-        if not v["delta"] > 0:
-            raise ConfigError("delta", "must be positive")
         for key in _RESOLUTION_KEYS:
             v[key] = _typed(key, v[key], int)
             if not (_is_power_of_two(v[key]) and 16 <= v[key] <= 1024):
@@ -185,6 +182,11 @@ class ExperimentConfig:
             if not (0 < a1 < b1 and 0 < a2 < b2):
                 raise ConfigError("omega", "must satisfy 0 < a1 < b1 and 0 < a2 < b2")
             v["omega"] = om
+        v["delta"] = _typed("delta", v["delta"], float)
+        if not v["delta"] > 0:
+            raise ConfigError("delta", "must be positive")
+        if v["omega"] is None and not v["delta"] < 2:
+            raise ConfigError("delta", "must be below 2 when omega is unset")
         if v["scale_map"] not in ("stretch", "linear"):
             raise ConfigError("scale_map", "must be 'stretch' or 'linear'")
         if isinstance(v["x2_samples"], (list, tuple)):
@@ -241,10 +243,13 @@ class ExperimentConfig:
         return default_x2_samples(self.omega(), int(xs))
 
     def job(self) -> HomogenizationJob:
+        """The tensor-field job. ``validate`` has checked every other key
+        the job reads, so a job that cannot be built blames the samples."""
+        coefficient, omega = self.coefficient(), self.omega()
         try:
             return HomogenizationJob(
-                coefficient=self.coefficient(),
-                omega=self.omega(),
+                coefficient=coefficient,
+                omega=omega,
                 x2_samples=self.x2_sample_values(),
                 cell_resolution=self.values["cell_resolution"],
                 tol=float(self.values["cg_tol"]),

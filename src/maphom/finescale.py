@@ -9,9 +9,11 @@ values, stored on the full node set with exact zeros on the boundary.
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .homogenize import HomogenizedTensor
 from .numerics import (
@@ -20,17 +22,19 @@ from .numerics import (
     Rectangle,
     SparseSystem,
     UniformCellGrid,
-    assemble_diffusion,
     assemble_source_load,
     cg_solve,
     mean_diagonal,
+    nine_point_layout,
     nodal_gradient_at_quad,
+    physical_gradients,
     q1_tables,
     spectral_preconditioner,
 )
 
 __all__ = [
     "ConvergenceRow",
+    "DirichletProblem",
     "DomainMesh",
     "SolutionField",
     "convergence_study",
@@ -85,7 +89,9 @@ class SolutionField:
     ``values`` covers every node; boundary entries are exactly zero.
     ``energy`` is the quadratic form int D grad(u).grad(u) and
     ``source_work`` the load functional int f u; the two agree to solver
-    accuracy by the Galerkin identity.
+    accuracy by the Galerkin identity. ``assemble_s`` is the wall time
+    from the coefficient evaluation to the built preconditioner and
+    ``solve_s`` that of the CG solve.
     """
 
     values: np.ndarray
@@ -96,6 +102,8 @@ class SolutionField:
     residual: float
     energy: float
     source_work: float
+    assemble_s: float = 0.0
+    solve_s: float = 0.0
 
     def interior_values(self) -> np.ndarray:
         return self.values[self.mesh.interior_mask]
@@ -108,59 +116,89 @@ class SolutionField:
         return gap / abs(self.source_work) if self.source_work else gap
 
     def diagnostics(self) -> dict:
-        """The solve's label, CG iterations, final residual and energy gap."""
+        """The solve's label, CG iterations, final residual, energy gap and
+        its assembly and solve times."""
         return {"label": self.label, "iterations": self.iterations,
-                "residual": self.residual, "energy_gap": self.energy_gap}
+                "residual": self.residual, "energy_gap": self.energy_gap,
+                "assemble_s": round(self.assemble_s, 6),
+                "solve_s": round(self.solve_s, 6)}
 
 
-def _coefficient_at_quad(mesh: DomainMesh, coeff_eval, rule: QuadratureRule) -> np.ndarray:
-    pts = mesh.grid.quad_points(rule).reshape(-1, 2)
-    D = np.asarray(coeff_eval(pts), dtype=float)
-    nq = len(rule.weights)
-    return D.reshape(mesh.grid.n_elements, nq, 2, 2)
+class DirichletProblem:
+    """The Dirichlet problem of one source on one mesh, for any coefficient.
 
-
-def _source_at_quad(mesh: DomainMesh, f, rule: QuadratureRule) -> np.ndarray:
-    pts = mesh.grid.quad_points(rule).reshape(-1, 2)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError("source must return one value per point")
-    return vals.reshape(mesh.grid.n_elements, len(rule.weights))
-
-
-def _solve_dirichlet_core(
-    mesh: DomainMesh,
-    coeff_eval,
-    f,
-    tol: float,
-    rule: QuadratureRule,
-) -> tuple[np.ndarray, int, float, float, float]:
-    """Assemble and solve on interior nodes; returns full nodal values.
-
-    The interior system is solved by conjugate gradients with the DST-I
-    spectral preconditioner of the mean diagonal coefficient, scaled by
-    the system's diagonal. Also returns the iteration count, the relative
-    residual, the energy u.K u and the load work b.u.
+    Built once per mesh: the quadrature points, the Q1 element tables
+    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b`` of the single entries
+    a_ik, the interior nine-point CSR layout and the interior load of
+    ``f``. A solve then evaluates its coefficient once at the quadrature
+    points, forms the element matrices as ``sum_ik D_ik T_ik`` (four
+    matrix products), sums them into the CSR data with one
+    ``np.bincount`` and solves the interior system by conjugate gradients
+    with the DST-I spectral preconditioner of the mean diagonal
+    coefficient, scaled by the system's diagonal.
     """
-    D = _coefficient_at_quad(mesh, coeff_eval, rule)
-    system = assemble_diffusion(mesh.grid, D, rule, symmetric=True)
-    k1, k2 = mean_diagonal(D, rule)
-    del D  # the solve needs only the two means, not the quadrature array
-    load = assemble_source_load(mesh.grid, _source_at_quad(mesh, f, rule), rule)
 
-    interior = np.flatnonzero(mesh.interior_mask)
-    K = system.matrix[interior][:, interior].tocsr()
-    b = load[interior]
+    def __init__(self, mesh: DomainMesh, f, rule: QuadratureRule = DEFAULT_RULE):
+        grid = mesh.grid
+        self.mesh = mesh
+        self.rule = rule
+        self._points = grid.quad_points(rule).reshape(-1, 2)
+        nq = len(rule.weights)
+        G = physical_gradients(grid, rule)
+        w = rule.weights * (grid.hx * grid.hy)
+        self._tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
+                         .reshape(nq, 16) for k in range(2)] for i in range(2)]
+        self._columns, self._slots = nine_point_layout(grid)
+        self._indptr = np.arange(0, self._columns.size + 1, 9, dtype=np.int32)
+        source = np.asarray(f(self._points), dtype=float)
+        if source.shape != (self._points.shape[0],):
+            raise ValueError("source must return one value per point")
+        load = assemble_source_load(grid, source.reshape(grid.n_elements, nq), rule)
+        self.load = load[mesh.interior_mask]
 
-    reduced = SparseSystem.from_matrix(K, symmetric=True)
-    precondition = spectral_preconditioner(mesh.grid, k1, k2, K.diagonal())
-    res = cg_solve(reduced, b, tol=tol, preconditioner=precondition)
+    def oscillatory(self, coefficient, scale_map, tol: float = 1e-8) -> SolutionField:
+        """The solve for A(alpha_h(x)); see :func:`solve_oscillatory`."""
+        mesh = self.mesh
+        need1, need2 = scale_map.required_mesh_density(mesh.omega)
+        warn = mesh.n1 / mesh.omega.width < need1 or mesh.n2 / mesh.omega.height < need2
+        eval_fn = coefficient.evaluate if hasattr(coefficient, "evaluate") else coefficient
+        return self._solve(lambda pts: eval_fn(scale_map(pts)), tol,
+                           f"oscillatory h={scale_map.h}", warn)
 
-    values = np.zeros(mesh.grid.n_nodes)
-    values[interior] = res.x
-    energy = float(res.x @ (K @ res.x))
-    work = float(b @ res.x)
-    return values, res.iterations, res.residual, energy, work
+    def homogenized(self, field: HomogenizedTensor, tol: float = 1e-8) -> SolutionField:
+        """The solve for the sampled effective tensor."""
+        return self._solve(tensor_evaluator(field), tol, "homogenized", False)
+
+    def stiffness(self, coeff_eval) -> tuple[sp.csr_matrix, tuple[float, float]]:
+        """The interior stiffness matrix of a coefficient callable on (m, 2)
+        points, and the quadrature means of its D11 and D22."""
+        grid = self.mesh.grid
+        D = np.asarray(coeff_eval(self._points), dtype=float)
+        D = D.reshape(grid.n_elements, len(self.rule.weights), 2, 2)
+        if not np.all(np.isfinite(D)):
+            raise ValueError("coefficient evaluated to a non-finite value")
+        Ke = sum(D[:, :, i, k] @ self._tables[i][k] for i in range(2) for k in range(2))
+        data = np.bincount(self._slots, weights=Ke.ravel(),
+                           minlength=self._columns.size + 1)[:-1]
+        n = self.mesh.n_interior
+        K = sp.csr_matrix((data, self._columns, self._indptr), shape=(n, n))
+        return K, mean_diagonal(D, self.rule)
+
+    def _solve(self, coeff_eval, tol: float, label: str, warn: bool) -> SolutionField:
+        start = time.perf_counter()
+        mesh = self.mesh
+        K, (k1, k2) = self.stiffness(coeff_eval)
+        precondition = spectral_preconditioner(mesh.grid, k1, k2, K.diagonal())
+        assembled = time.perf_counter()
+        res = cg_solve(SparseSystem(K), self.load, tol=tol, preconditioner=precondition)
+        solved = time.perf_counter()
+        values = np.zeros(mesh.grid.n_nodes)
+        values[mesh.interior_mask] = res.x
+        return SolutionField(values=values, mesh=mesh, label=label,
+                             warn_underresolved=warn, iterations=res.iterations,
+                             residual=res.residual, energy=float(res.x @ (K @ res.x)),
+                             source_work=float(self.load @ res.x),
+                             assemble_s=assembled - start, solve_s=solved - assembled)
 
 
 def solve_oscillatory(
@@ -177,22 +215,11 @@ def solve_oscillatory(
     mesh supplies fewer than 8 elements per local oscillation period
     (checked against the map's requirement at the top edge) the solution is
     flagged under-resolved but still returned.
+
+    Builds a :class:`DirichletProblem` for this one solve; studies that
+    solve many coefficients on one mesh build it once.
     """
-    need1, need2 = scale_map.required_mesh_density(mesh.omega)
-    have1 = mesh.n1 / mesh.omega.width
-    have2 = mesh.n2 / mesh.omega.height
-    warn = have1 < need1 or have2 < need2
-
-    eval_fn = coefficient.evaluate if hasattr(coefficient, "evaluate") else coefficient
-
-    def composed(pts):
-        return eval_fn(scale_map(pts))
-
-    values, iters, resid, energy, work = _solve_dirichlet_core(
-        mesh, composed, f, tol, rule)
-    return SolutionField(values=values, mesh=mesh, label=f"oscillatory h={scale_map.h}",
-                         warn_underresolved=warn, iterations=iters, residual=resid,
-                         energy=energy, source_work=work)
+    return DirichletProblem(mesh, f, rule).oscillatory(coefficient, scale_map, tol)
 
 
 def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndarray]:
@@ -224,11 +251,7 @@ def solve_homogenized(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> SolutionField:
     """Solve -div(B(x) grad u) = f for the sampled effective tensor."""
-    values, iters, resid, energy, work = _solve_dirichlet_core(
-        mesh, tensor_evaluator(field), f, tol, rule)
-    return SolutionField(values=values, mesh=mesh, label="homogenized",
-                         warn_underresolved=False, iterations=iters, residual=resid,
-                         energy=energy, source_work=work)
+    return DirichletProblem(mesh, f, rule).homogenized(field, tol)
 
 
 def l2_error(u: SolutionField, v: SolutionField, rule: QuadratureRule = DEFAULT_RULE) -> float:
@@ -296,17 +319,19 @@ def convergence_study(
     energy and the resolution flag. ``on_row`` (if given) is called with
     each completed row, letting callers persist partial tables;
     ``on_solve`` (if given) is called with every SolutionField, the
-    reference first.
+    reference first. One :class:`DirichletProblem` serves every solve, so
+    ``f`` is evaluated once.
     """
     h_list = [int(h) for h in h_list]
     if any(b <= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly increasing")
-    reference = solve_homogenized(tensor, f, mesh, tol=tol)
+    problem = DirichletProblem(mesh, f)
+    reference = problem.homogenized(tensor, tol)
     if on_solve is not None:
         on_solve(reference)
     rows = []
     for h in h_list:
-        u_h = solve_oscillatory(coefficient, map_family(h), f, mesh, tol=tol)
+        u_h = problem.oscillatory(coefficient, map_family(h), tol)
         if on_solve is not None:
             on_solve(u_h)
         row = ConvergenceRow(

@@ -1,6 +1,6 @@
 """Shared numerical substrate: uniform quadrilateral grids, tensor Gauss
-quadrature, triplet-assembled sparse systems, a projected conjugate
-gradient solver and its spectral preconditioner.
+quadrature, the nine-point CSR layout of Q1 matrices, a projected
+conjugate gradient solver and its spectral preconditioner.
 
 Every other module sits on the bilinear (Q1) element tables defined here,
 both for periodic cell problems and for Dirichlet problems on macroscopic
@@ -10,7 +10,7 @@ rectangles.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,11 +23,10 @@ __all__ = [
     "SparseSystem",
     "UniformCellGrid",
     "cg_solve",
-    "dst1",
     "integrate_cell",
     "interpolate_nodal",
     "mean_diagonal",
-    "periodic_stencil",
+    "nine_point_layout",
     "spectral_preconditioner",
 ]
 
@@ -246,56 +245,22 @@ def physical_gradients(grid: UniformCellGrid, rule: QuadratureRule) -> np.ndarra
 
 
 class SparseSystem:
-    """Triplet-assembled sparse linear system with attached right-hand sides.
+    """A square CSR matrix with attached right-hand sides.
 
-    Entries accumulate as (row, col, value) triplets; finalization converts
-    them to compressed sparse row form, summing duplicates, sorting indices
-    and dropping explicit zeros. A system flagged ``singular`` has the
-    constant vector in its kernel (periodic diffusion operators) and is
-    solved on the zero-mean subspace.
+    The matrix is used as it is and shares its arrays: its layout,
+    explicit zeros and repeated entries included. A system flagged
+    ``singular`` has the constant vector in its kernel (periodic diffusion
+    operators) and is solved on the zero-mean subspace.
     """
 
-    def __init__(self, dimension: int, symmetric: bool = False, singular: bool = False):
-        if dimension < 1:
-            raise ValueError("system dimension must be positive")
-        self.dimension = int(dimension)
-        self.symmetric = bool(symmetric)
-        self.singular = bool(singular)
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._matrix: sp.csr_matrix | None = None
-        self.rhs: list[np.ndarray] = []
-
-    @classmethod
-    def from_matrix(cls, matrix, symmetric: bool = False, singular: bool = False) -> "SparseSystem":
-        """Wrap an existing matrix as a system.
-
-        A CSR matrix is used as it is and shares its arrays: its layout,
-        explicit zeros and repeated entries included.
-        """
+    def __init__(self, matrix, singular: bool = False):
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("system matrix must be square")
-        system = cls(m.shape[0], symmetric=symmetric, singular=singular)
-        system._matrix = m
-        return system
-
-    def add_entries(self, rows, cols, values) -> None:
-        if self._matrix is not None:
-            raise ValueError("system already finalized")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if not (rows.size == cols.size == values.size):
-            raise ValueError("triplet arrays must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.dimension):
-            raise ValueError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.dimension):
-            raise ValueError("column index out of range")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(values)
+        self.matrix = m
+        self.dimension = m.shape[0]
+        self.singular = bool(singular)
+        self.rhs: list[np.ndarray] = []
 
     def add_rhs(self, b) -> int:
         b = np.asarray(b, dtype=float).ravel()
@@ -303,25 +268,6 @@ class SparseSystem:
             raise ValueError("right-hand side length does not match system dimension")
         self.rhs.append(b)
         return len(self.rhs) - 1
-
-    def finalize(self) -> None:
-        if self._matrix is not None:
-            return
-        rows = np.concatenate(self._rows) if self._rows else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(self._cols) if self._cols else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(self._vals) if self._vals else np.empty(0)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(self.dimension, self.dimension))
-        m = m.tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
-        self._matrix = m
-        self._rows, self._cols, self._vals = [], [], []
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        self.finalize()
-        return self._matrix
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
@@ -341,22 +287,6 @@ class CGResult:
     iterations: int
     residual: float
     residual_history: np.ndarray
-
-
-def dst1(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized type-I discrete sine transform along ``axis``.
-
-    ``y[k] = sum_j a[j] sin(pi (j + 1) (k + 1) / (n + 1))`` for an axis of
-    length n, computed from the real FFT of the odd extension of length
-    2 (n + 1). Applying it twice multiplies by (n + 1) / 2.
-    """
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    n = a.shape[-1]
-    ext = np.zeros(a.shape[:-1] + (2 * (n + 1),))
-    ext[..., 1:n + 1] = a
-    ext[..., n + 2:] = -a[..., ::-1]
-    y = -0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag
-    return np.moveaxis(y, -1, axis)
 
 
 def mean_diagonal(
@@ -391,7 +321,10 @@ def spectral_preconditioner(
     diagonal of ``K0``; this keeps the iteration count low at high
     coefficient contrast.
 
-    Only the inverse symbol and the nodal scale are kept.
+    The preconditioner keeps the inverse symbol and the nodal scale; on
+    Dirichlet grids also one odd-extension and one spectrum buffer per
+    axis, which every apply reuses, so one preconditioner must not be
+    applied from two threads at once.
     """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     if grid.periodic:
@@ -419,19 +352,41 @@ def spectral_preconditioner(
     inverse = np.zeros_like(symbol)
     positive = symbol > 0.0
     inverse[positive] = 1.0 / symbol[positive]
-    if not grid.periodic:
-        # two unnormalized DST-I passes per axis multiply by nx ny / 4
-        inverse *= 4.0 / (nx * ny)
     # diag(K0) combines the centre weights 2/h of S and 4h/6 of M
     scale = np.sqrt(4.0 / 3.0 * (k1 * hy / hx + k2 * hx / hy) / diagonal)
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        u = (scale * r).reshape(shape)
-        if grid.periodic:
+    if grid.periodic:
+        def apply(r: np.ndarray) -> np.ndarray:
+            u = (scale * r).reshape(shape)
             u = np.fft.irfft2(np.fft.rfft2(u) * inverse, s=shape)
-        else:
-            u = dst1(dst1(dst1(dst1(u, 1), 0) * inverse, 1), 0)
-        return scale * u.ravel()
+            return scale * u.ravel()
+
+        return apply
+
+    # DST-I of a length-n axis is -1/2 the imaginary part of the rfft of
+    # its odd extension [0, a, 0, -reversed a]; the extension buffers'
+    # two zero columns are never written. A pass below keeps the
+    # imaginary part, which is -2 DST-I, and two DST-I per axis multiply
+    # by nx ny / 4, so the four passes multiply by 4 nx ny; the transposed
+    # inverse symbol divides that out.
+    my, mx = shape
+    inverse_t = (inverse / (4.0 * nx * ny)).T.copy()
+    scale = scale.reshape(shape)
+    ext_x, spec_x = np.zeros((my, 2 * mx + 2)), np.empty((my, mx + 2), dtype=complex)
+    ext_y, spec_y = np.zeros((mx, 2 * my + 2)), np.empty((mx, my + 2), dtype=complex)
+
+    def sine_pass(ext: np.ndarray, spec: np.ndarray) -> np.ndarray:
+        n = spec.shape[1] - 2
+        np.negative(ext[:, n:0:-1], out=ext[:, n + 2:])
+        np.fft.rfft(ext, out=spec)
+        return spec.imag[:, 1:n + 1]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
+        np.copyto(ext_y[:, 1:my + 1], sine_pass(ext_x, spec_x).T)
+        np.multiply(sine_pass(ext_y, spec_y), inverse_t, out=ext_y[:, 1:my + 1])
+        np.copyto(ext_x[:, 1:mx + 1], sine_pass(ext_y, spec_y).T)
+        return (scale * sine_pass(ext_x, spec_x)).ravel()
 
     return apply
 
@@ -627,63 +582,49 @@ def interpolate_nodal(grid: UniformCellGrid, values: np.ndarray, points: np.ndar
     return out if out.size > 1 else out.reshape(-1)
 
 
-def periodic_stencil(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The nine-point layout of Q1 matrices on a periodic grid.
+def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nine-point CSR layout of Q1 matrices on a grid's unknowns.
 
-    Row p of a matrix in this layout holds nine entries, one per neighbour
-    p + (dx, dy) with dx, dy in {-1, 0, 1}, in the order
-    s = 3 (dy + 1) + dx + 1. Returns ``columns``, the column indices of
-    all rows one after another (the CSR ``indices``; ``indptr`` steps by
-    nine), and ``slots``, the place 9 p + s of every entry of the
-    (n_elements, 4, 4) element matrices, so that
-    ``np.bincount(slots, weights=Ke.ravel(), minlength=columns.size)``
-    assembles the CSR data. Every row keeps its nine entries whatever
-    their values. On grids with fewer than three elements per side some
+    The unknowns are all nodes of a periodic grid and the interior nodes
+    of any other grid, numbered row-major in (j, i). Row p of a matrix in
+    this layout holds nine entries, one per neighbour p + (dx, dy) with
+    dx, dy in {-1, 0, 1}, in the order s = 3 (dy + 1) + dx + 1. Returns
+    ``columns``, the column indices of all rows one after another (the
+    CSR ``indices``; ``indptr`` steps by nine), and ``slots``, the place
+    9 p + s of every entry of the (n_elements, 4, 4) element matrices, so
+    that ``np.bincount(slots, weights=Ke.ravel(), minlength=columns.size
+    + 1)[:-1]`` assembles the CSR data. Entries whose row or column is a
+    boundary node have the slot ``columns.size``, one past the end, and
+    drop out.
+
+    Every row keeps its nine entries whatever their values: a boundary
+    neighbour becomes an explicit zero in the row's own column. On
+    periodic grids with fewer than three elements per side some
     neighbours coincide; their entries stay separate, and CSR products
     and diagonals sum them.
     """
-    if not grid.periodic:
-        raise ValueError("the nine-point layout needs a periodic grid")
-    nodes = np.arange(grid.n_nodes).reshape(grid.ny, grid.nx)
-    columns = np.stack([np.roll(nodes, (-dy, -dx), axis=(0, 1))
-                        for dy in (-1, 0, 1) for dx in (-1, 0, 1)], axis=-1)
+    nx, ny = grid.nx, grid.ny
+    shifts = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    if grid.periodic:
+        nodes = np.arange(grid.n_nodes).reshape(ny, nx)
+        columns = np.stack([np.roll(nodes, (-dy, -dx), axis=(0, 1))
+                            for dx, dy in shifts], axis=-1)
+        conn = grid.connectivity()
+    else:
+        # interior numbering of all nodes, -1 on the boundary
+        number = np.full((ny + 1, nx + 1), -1)
+        number[1:-1, 1:-1] = np.arange((nx - 1) * (ny - 1)).reshape(ny - 1, nx - 1)
+        columns = np.stack([number[1 + dy:ny + dy, 1 + dx:nx + dx]
+                            for dx, dy in shifts], axis=-1)
+        columns = np.where(columns < 0, number[1:-1, 1:-1, None], columns)
+        conn = number.ravel()[grid.connectivity()]
     corner = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
     step = corner[None, :, :] - corner[:, None, :]  # [a, b]: corner b - corner a
     offset = 3 * (step[..., 1] + 1) + step[..., 0] + 1
-    slots = 9 * grid.connectivity()[:, :, None] + offset[None, :, :]
+    slots = 9 * conn[:, :, None] + offset[None, :, :]
+    if not grid.periodic:
+        slots[(conn[:, :, None] < 0) | (conn[:, None, :] < 0)] = columns.size
     return columns.ravel().astype(np.int32), slots.ravel()
-
-
-def assemble_diffusion(
-    grid: UniformCellGrid,
-    coeff_at_quad: np.ndarray,
-    rule: QuadratureRule = DEFAULT_RULE,
-    symmetric: bool = False,
-    singular: bool = False,
-) -> SparseSystem:
-    """Assemble the stiffness matrix for -div(D grad u) with Q1 elements.
-
-    Args:
-        coeff_at_quad: (n_elements, nq, 2, 2) coefficient values at the
-            grid's quadrature points; row index contracts with the test
-            gradient, column index with the trial gradient.
-    """
-    n_el = grid.n_elements
-    nq = len(rule.weights)
-    D = np.asarray(coeff_at_quad, dtype=float)
-    if D.shape != (n_el, nq, 2, 2):
-        raise ValueError("coefficient array has wrong shape")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("coefficient evaluated to a non-finite value")
-    G = physical_gradients(grid, rule)
-    scale = grid.hx * grid.hy
-    Ke = np.einsum("qai,eqik,qbk,q->eab", G, D, G, rule.weights, optimize=True) * scale
-    conn = grid.connectivity()
-    rows = np.broadcast_to(conn[:, :, None], (n_el, 4, 4))
-    cols = np.broadcast_to(conn[:, None, :], (n_el, 4, 4))
-    system = SparseSystem(grid.n_nodes, symmetric=symmetric, singular=singular)
-    system.add_entries(rows, cols, Ke)
-    return system
 
 
 def assemble_source_load(

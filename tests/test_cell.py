@@ -21,7 +21,6 @@ from maphom.homogenize import homogenized_matrix_at
 from maphom.numerics import (
     DEFAULT_RULE,
     UniformCellGrid,
-    assemble_diffusion,
     assemble_source_load,
     physical_gradients,
 )
@@ -107,7 +106,6 @@ def test_sine_product_range(sine_coeff):
 def test_assembled_system_shape_and_symmetry(sine_coeff):
     grid = UniformCellGrid(16)
     system = assemble_corrector_system(sine_coeff, (1.0, 2.0), grid)
-    system.finalize()
     K = system.matrix
     assert K.shape == (256, 256)
     assert len(system.rhs) == 2
@@ -150,13 +148,13 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
 ZETA = (0.7, 2.6)
 
 
-def _direct_system(coeff, zeta, grid):
+def _direct_system(coeff, zeta, grid, coo_stiffness):
     """Stiffness of diag(zeta) A diag(zeta) and the loads
     -int zeta_i a_ij d_i phi, assembled at ``zeta`` without the pieces."""
     pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
     A = coeff.evaluate(pts).reshape(grid.n_elements, -1, 2, 2)
     z = np.array(zeta)
-    K = assemble_diffusion(grid, A * z[:, None] * z[None, :]).matrix
+    K = coo_stiffness(grid, A * z[:, None] * z[None, :])
     G = physical_gradients(grid, DEFAULT_RULE)
     w = DEFAULT_RULE.weights * grid.hx * grid.hy
     loads = []
@@ -169,11 +167,11 @@ def _direct_system(coeff, zeta, grid):
 
 
 @pytest.mark.parametrize("name", ["sine", "skew"])
-def test_affine_system_matches_a_direct_assembly(sine_coeff, name):
+def test_affine_system_matches_a_direct_assembly(sine_coeff, coo_stiffness, name):
     coeff = sine_coeff if name == "sine" else skew_coefficient()
     grid = UniformCellGrid(32)
     system = CellProblem(coeff, grid).system(ZETA)
-    K, loads = _direct_system(coeff, ZETA, grid)
+    K, loads = _direct_system(coeff, ZETA, grid, coo_stiffness)
     gap = abs(system.matrix - K).max()
     assert gap <= 1e-12 * abs(K).max()
     for f, g in zip(system.rhs, loads):

@@ -1,13 +1,15 @@
 """Experiment runner: config validation, outputs, manifests, exit codes."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
 
@@ -298,3 +300,92 @@ def test_data_files_are_byte_stable_across_runs(tmp_path):
     code_b, out_b = main(["--out", str(tmp_path / "b"), *args]), tmp_path / "b"
     assert code_a == code_b == 0
     assert (out_a / "tensor.csv").read_bytes() == (out_b / "tensor.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, end to end
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["aud", "preview", "homogenize", "convergence"])
+def test_delta_without_room_below_2_exits_2_naming_delta(tmp_path, capsys, command):
+    """With omega unset the domain is [delta, 2]^2, so delta >= 2 leaves none."""
+    code, _ = run(tmp_path, "--override", "delta=2.5", command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'delta'" in err and "x2_samples" not in err
+    assert "Traceback" not in err
+    assert ExperimentConfig.load(None, ["delta=2.5", "omega=[0.5,1,0.5,1]"])["delta"] == 2.5
+
+
+_SMALL_OMEGA = st.builds(lambda a1, w1, a2, w2: [a1, a1 + w1, a2, a2 + w2],
+                         st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.25, 1.0]),
+                         st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.25, 1.0]))
+_SCALES = st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted)
+# accepted values, extreme ones included; at most one key gets a rejected one
+_VALID = {
+    "coefficient": st.sampled_from(["sine-product", "laminate", "identity"]),
+    "amplitude": st.sampled_from([0.0, 0.5, 0.99]),
+    "laminate_base": st.sampled_from([1.5, 1e300]),
+    "delta": st.sampled_from([0.05, 1.5, 1.99]),
+    "omega": st.one_of(st.none(), _SMALL_OMEGA),
+    "scale_map": st.sampled_from(["stretch", "linear"]),
+    "classical": st.booleans(),
+    "x2_samples": st.one_of(st.integers(3, 4),
+                            st.lists(st.floats(0.5, 1.2), min_size=1, max_size=3)),
+    "h_list": _SCALES,
+    "aud_h_list": _SCALES.map(lambda hs: [4 * h for h in hs]),
+    "aud_subdivision": st.integers(1, 4),
+    "cg_tol": st.sampled_from([1e-10, 1e-6, 1e-300]),
+    "fem_tol": st.sampled_from([1e-8, 1e-300]),
+    "dump_x2": st.sampled_from([0.5, 0.01, 50.0]),
+    "preview_h": st.integers(1, 5),
+}
+_REJECTED = {
+    "coefficient": st.just("checkerboard"),
+    "amplitude": st.sampled_from([1.0, -0.1, "x"]),
+    "delta": st.sampled_from([2.0, 3.0, 0.0]),
+    "omega": st.lists(st.floats(-1.0, 3.0), min_size=3, max_size=5),
+    "scale_map": st.just("moebius"),
+    "cell_resolution": st.sampled_from([8, 24, 2048]),
+    "domain_resolution": st.sampled_from([8, 24]),
+    "preview_resolution": st.just(2048),
+    "x2_samples": st.one_of(st.just(2), st.lists(st.floats(-0.5, 3.0), max_size=2)),
+    "h_list": st.sampled_from([[], [0], [2, 1]]),
+    "aud_h_list": st.sampled_from([[], [4, 4]]),
+    "aud_subdivision": st.just(0),
+    "cg_tol": st.sampled_from([0.0, 1.0]),
+    "dump_x2": st.sampled_from([0.0, -1.0]),
+    "preview_h": st.just(0),
+}
+_SMALL_SIZES = {"cell_resolution": 16, "domain_resolution": 16,
+                "preview_resolution": 16, "x2_samples": 3, "h_list": [1, 2],
+                "aud_h_list": [1, 4]}
+
+
+@settings(max_examples=400)
+@given(command=st.sampled_from(["homogenize", "aud", "convergence", "preview",
+                                "corrector-dump"]),
+       overrides=st.fixed_dictionaries({}, optional=_VALID),
+       rejected=st.one_of(st.none(), st.sampled_from(sorted(_REJECTED))),
+       data=st.data(),
+       preview_h=st.one_of(st.none(), st.integers(-1, 4)))
+def test_every_subcommand_exits_0_2_or_3(tmp_path_factory, command, overrides,
+                                         rejected, data, preview_h):
+    """Mixes of accepted values and at most one rejected one, at 16^2
+    sizes, end in a documented exit code and never in an exception."""
+    values = {**_SMALL_SIZES, **overrides}
+    if rejected is not None:
+        values[rejected] = data.draw(_REJECTED[rejected], label=rejected)
+    argv = ["--out", str(tmp_path_factory.mktemp("run"))]
+    for key, value in values.items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    argv.append(command)
+    if command == "preview" and preview_h is not None:
+        argv += ["--h", str(preview_h)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

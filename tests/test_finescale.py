@@ -4,11 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from maphom import coefficients
 
 from maphom.finescale import (
     ConvergenceRow,
+    DirichletProblem,
     DomainMesh,
     SolutionField,
     convergence_study,
@@ -25,7 +27,7 @@ from maphom.homogenize import (
     default_x2_samples,
     tensor_field,
 )
-from maphom.numerics import DEFAULT_RULE, Rectangle, interpolate_nodal
+from maphom.numerics import DEFAULT_RULE, Rectangle, assemble_source_load, interpolate_nodal
 from maphom.structure import LinearScaleMap, QuadraticStretchMap
 
 OMEGA = Rectangle(0.5, 1.5, 0.5, 1.5)
@@ -85,6 +87,93 @@ def test_energy_identity_holds_at_solver_accuracy():
     u = solve_homogenized(constant_field(np.eye(2)), ones, mesh, tol=1e-10)
     assert u.energy == pytest.approx(u.source_work, rel=1e-8)
     assert u.energy > 0
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet problem built once per mesh
+# ---------------------------------------------------------------------------
+
+
+def skew_field(pts):
+    """A smooth non-symmetric coefficient whose symmetric part stays positive."""
+    out = np.empty((pts.shape[0], 2, 2))
+    out[:, 0, 0] = 1.5 + 0.5 * np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 1])
+    out[:, 0, 1] = 0.3 + 0.2 * pts[:, 1]
+    out[:, 1, 0] = -0.1 + 0.3 * pts[:, 0]
+    out[:, 1, 1] = 0.8 + 0.4 * np.cos(5 * pts[:, 0] * pts[:, 1])
+    return out
+
+
+def _restricted_coo(mesh, coeff_eval, coo_stiffness):
+    grid = mesh.grid
+    D = coeff_eval(grid.quad_points(DEFAULT_RULE).reshape(-1, 2))
+    K = coo_stiffness(grid, D.reshape(grid.n_elements, -1, 2, 2))
+    interior = np.flatnonzero(mesh.interior_mask)
+    return K[interior][:, interior].tocsr()
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3), (7, 4), (16, 24)])
+def test_interior_matrix_matches_a_restricted_coo_assembly(coo_stiffness, n1, n2):
+    """Element sizes differ (hx != hy) on every mesh, and the coefficient
+    is not symmetric."""
+    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), n1, n2)
+    K, (k1, k2) = DirichletProblem(mesh, ones).stiffness(skew_field)
+    expect = _restricted_coo(mesh, skew_field, coo_stiffness)
+    assert K.shape == expect.shape == (mesh.n_interior,) * 2
+    assert K.nnz == 9 * mesh.n_interior
+    assert abs(K - expect).max() <= 1e-12 * abs(expect).max()
+    npt.assert_allclose(K.diagonal(), expect.diagonal(), rtol=1e-12)
+    assert abs(K - K.T).max() > 1e-3 * abs(K).max() or mesh.n_interior == 1
+    assert 1.0 < k1 < 2.0 and 0.4 < k2 < 1.2
+
+
+def test_dirichlet_solve_matches_a_direct_solve_of_the_coo_system(coo_stiffness):
+    """A full tensor varying in x2, on a mesh with hx != hy."""
+    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), 24, 40)
+    field = HomogenizedTensor(np.array([0.25, 1.0, 2.0]), np.array(
+        [[[1.0, 0.3], [0.3, 0.5]], [[2.0, -0.4], [-0.4, 1.5]], [[0.7, 0.0], [0.0, 3.0]]]), {})
+
+    def source(pts):
+        return pts[:, 0] - pts[:, 1] ** 2
+
+    problem = DirichletProblem(mesh, source)
+    u = problem.homogenized(field, tol=1e-12)
+    grid = mesh.grid
+    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
+    b = assemble_source_load(grid, source(pts).reshape(grid.n_elements, -1))
+    b = b[mesh.interior_mask]
+    npt.assert_allclose(problem.load, b, rtol=1e-14, atol=1e-16)
+    K = _restricted_coo(mesh, tensor_evaluator(field), coo_stiffness)
+    expect = spsolve(K.tocsc(), b)
+    npt.assert_allclose(u.interior_values(), expect, rtol=1e-9,
+                        atol=1e-9 * np.abs(expect).max())
+    assert u.assemble_s > 0 and u.solve_s > 0
+
+
+def test_a_study_evaluates_the_source_once(identity_coeff):
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return np.ones(pts.shape[0])
+
+    mesh = DomainMesh(OMEGA, 16, 16)
+    sols = []
+    convergence_study(identity_coeff, LinearScaleMap, counted, mesh, [1, 2, 4],
+                      constant_field(np.eye(2)), on_solve=sols.append)
+    assert calls == [mesh.grid.n_elements * len(DEFAULT_RULE.weights)]
+    assert len(sols) == 4
+    for u in sols:
+        record = u.diagnostics()
+        assert record["assemble_s"] > 0 and record["solve_s"] > 0
+
+
+def test_non_finite_coefficients_are_refused():
+    problem = DirichletProblem(DomainMesh(OMEGA, 8, 8), ones)
+    field = constant_field(np.eye(2))
+    field.matrices[0, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        problem.homogenized(field)
 
 
 # ---------------------------------------------------------------------------

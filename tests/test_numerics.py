@@ -1,4 +1,5 @@
-"""Quadrature, grids, sparse assembly and the projected CG solver."""
+"""Quadrature, grids, the nine-point layout, the projected CG solver and
+its spectral preconditioner."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,13 +14,11 @@ from maphom.numerics import (
     SolverError,
     SparseSystem,
     UniformCellGrid,
-    assemble_diffusion,
     assemble_source_load,
     cg_solve,
-    dst1,
     integrate_cell,
     interpolate_nodal,
-    periodic_stencil,
+    nine_point_layout,
     spectral_preconditioner,
 )
 
@@ -119,47 +118,51 @@ def test_rectangle_validation_and_area():
 # ---------------------------------------------------------------------------
 
 
-def test_duplicate_entries_are_summed():
-    system = SparseSystem(3)
-    system.add_entries([0, 0, 1], [1, 1, 2], [2.0, 3.0, 1.0])
-    system.finalize()
-    assert system.matrix[0, 1] == 5.0
-    assert system.matrix[1, 2] == 1.0
+def _layout_matrix(grid, Ke):
+    columns, slots = nine_point_layout(grid)
+    n = columns.size // 9
+    data = np.bincount(slots, weights=Ke.ravel(), minlength=columns.size + 1)[:-1]
+    return sp.csr_matrix((data, columns, np.arange(0, columns.size + 1, 9)), shape=(n, n))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (3, 2), (5, 4)])
-def test_periodic_stencil_assembles_like_triplets(rng, nx, ny):
+def test_periodic_stencil_assembles_like_triplets(rng, coo_stiffness, nx, ny):
     """Summing element matrices into the nine-point layout gives the
     matrix of the summed triplets, also where neighbours coincide."""
     grid = UniformCellGrid(nx, ny=ny)
-    columns, slots = periodic_stencil(grid)
     Ke = rng.standard_normal((grid.n_elements, 4, 4))
-    n = grid.n_nodes
-    data = np.bincount(slots, weights=Ke.ravel(), minlength=columns.size)
-    stencil = sp.csr_matrix((data, columns, np.arange(0, 9 * n + 1, 9)), shape=(n, n))
-    triplets = SparseSystem(n)
-    conn = grid.connectivity()
-    triplets.add_entries(np.repeat(conn, 4, axis=1), np.tile(conn, (1, 4)), Ke)
-    x = rng.standard_normal(n)
-    npt.assert_allclose(stencil @ x, triplets.matvec(x), rtol=1e-12, atol=1e-12)
+    stencil = _layout_matrix(grid, Ke)
+    triplets = coo_stiffness(grid, Ke=Ke)
+    x = rng.standard_normal(grid.n_nodes)
+    npt.assert_allclose(stencil @ x, triplets @ x, rtol=1e-12, atol=1e-12)
     npt.assert_allclose(stencil.diagonal(), triplets.diagonal(), rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):
-        periodic_stencil(UniformCellGrid(nx, periodic=False))
 
 
-def test_out_of_range_indices_raise():
-    system = SparseSystem(3)
-    with pytest.raises(ValueError):
-        system.add_entries([0], [3], [1.0])
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3), (3, 2), (5, 4)])
+def test_nine_point_layout_keeps_the_interior_of_dirichlet_grids(rng, coo_stiffness,
+                                                                  nx, ny):
+    """On a clamped grid the layout holds the interior block of the full
+    matrix, nine entries per row, boundary neighbours as explicit zeros."""
+    grid = UniformCellGrid(nx, periodic=False, ny=ny, lengths=(1.0, 0.3))
+    Ke = rng.standard_normal((grid.n_elements, 4, 4))
+    stencil = _layout_matrix(grid, Ke)
+    interior = np.flatnonzero(~grid.boundary_mask())
+    expect = coo_stiffness(grid, Ke=Ke)[interior][:, interior]
+    assert stencil.nnz == 9 * interior.size
+    gap = abs(stencil - expect).max()
+    assert gap <= 1e-12 * abs(expect).max()
+    npt.assert_allclose(stencil.diagonal(), expect.diagonal(), rtol=1e-12)
 
 
 def test_from_matrix_round_trip(rng):
     dense = rng.standard_normal((5, 5))
     dense = dense @ dense.T + 5 * np.eye(5)
-    system = SparseSystem.from_matrix(dense, symmetric=True)
+    system = SparseSystem(dense)
     x = rng.standard_normal(5)
     npt.assert_allclose(system.matvec(x), dense @ x, rtol=1e-14)
     npt.assert_allclose(system.diagonal(), np.diag(dense), rtol=1e-14)
+    with pytest.raises(ValueError):
+        SparseSystem(dense[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +171,11 @@ def test_from_matrix_round_trip(rng):
 
 
 def _periodic_laplacian_1d(n):
-    system = SparseSystem(n, symmetric=True, singular=True)
-    for i in range(n):
-        system.add_entries([i, i, i], [i, (i + 1) % n, (i - 1) % n],
-                           [2.0, -1.0, -1.0])
-    return system
+    ring = np.arange(n)
+    rows = np.repeat(ring, 3)
+    cols = np.column_stack([ring, (ring + 1) % n, (ring - 1) % n]).ravel()
+    values = np.tile([2.0, -1.0, -1.0], n)
+    return SparseSystem(sp.coo_matrix((values, (rows, cols)), shape=(n, n)), singular=True)
 
 
 def test_cg_matches_pseudoinverse_on_singular_ring(rng):
@@ -226,8 +229,7 @@ def test_cg_raises_when_starved_of_iterations(rng):
 
 def test_cg_raises_when_the_preconditioned_residual_is_orthogonal():
     """A stalled iteration ends in SolverError, not a division by zero."""
-    system = SparseSystem(2, symmetric=True)
-    system.add_entries([0, 1], [0, 1], [1.0, 3.0])
+    system = SparseSystem(sp.diags([1.0, 3.0]))
     calls = []
 
     def rotating(r):
@@ -245,8 +247,7 @@ def test_cg_solves_diagonal_systems_immediately(dim, seed):
     """Jacobi preconditioning makes a diagonal system a one-step solve."""
     gen = np.random.default_rng(seed)
     diag = np.exp(gen.uniform(-3, 3, dim))
-    system = SparseSystem(dim, symmetric=True)
-    system.add_entries(range(dim), range(dim), diag)
+    system = SparseSystem(sp.diags(diag))
     b = gen.standard_normal(dim)
     result = cg_solve(system, b, tol=1e-12)
     assert result.iterations <= 2
@@ -258,29 +259,18 @@ def test_cg_solves_diagonal_systems_immediately(dim, seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_dst1_matches_its_definition(rng, axis):
-    a = rng.standard_normal((5, 7))
-    n = a.shape[axis]
-    k = np.arange(1, n + 1)
-    basis = np.sin(np.pi * np.outer(k, k) / (n + 1))
-    expect = np.tensordot(basis, a, axes=(1, axis))
-    npt.assert_allclose(dst1(a, axis), np.moveaxis(expect, 0, axis), atol=1e-13)
-    npt.assert_allclose(dst1(dst1(a, axis), axis), (n + 1) / 2 * a, atol=1e-13)
-
-
-def _constant_operator(grid, k1, k2, singular):
+def _constant_operator(grid, k1, k2, assemble):
     D = np.zeros((grid.n_elements, len(DEFAULT_RULE.weights), 2, 2))
     D[:, :, 0, 0] = k1
     D[:, :, 1, 1] = k2
-    return assemble_diffusion(grid, D, singular=singular).matrix
+    return assemble(grid, D)
 
 
-def test_spectral_preconditioner_inverts_constant_periodic_operators(rng):
+def test_spectral_preconditioner_inverts_constant_periodic_operators(rng, coo_stiffness):
     """For diag(k1, k2) coefficients the preconditioner is the exact inverse."""
     grid = UniformCellGrid(16, ny=12, lengths=(1.0, 0.5))
-    K = _constant_operator(grid, 3.0, 0.5, singular=True)
-    system = SparseSystem.from_matrix(K, singular=True)
+    K = _constant_operator(grid, 3.0, 0.5, coo_stiffness)
+    system = SparseSystem(K, singular=True)
     precondition = spectral_preconditioner(grid, 3.0, 0.5, K.diagonal())
     b = rng.standard_normal(grid.n_nodes)
     result = cg_solve(system, b, tol=1e-12, preconditioner=precondition)
@@ -288,16 +278,59 @@ def test_spectral_preconditioner_inverts_constant_periodic_operators(rng):
     npt.assert_allclose(K @ result.x, b - b.mean(), atol=1e-10)
 
 
-def test_spectral_preconditioner_inverts_constant_dirichlet_operators(rng):
+def test_spectral_preconditioner_inverts_constant_dirichlet_operators(rng, coo_stiffness):
     grid = UniformCellGrid(12, periodic=False, ny=20, lengths=(1.0, 0.6))
     interior = np.flatnonzero(~grid.boundary_mask())
-    K = _constant_operator(grid, 0.25, 4.0, singular=False)[interior][:, interior]
+    K = _constant_operator(grid, 0.25, 4.0, coo_stiffness)[interior][:, interior]
     precondition = spectral_preconditioner(grid, 0.25, 4.0, K.diagonal())
     b = rng.standard_normal(interior.size)
-    result = cg_solve(SparseSystem.from_matrix(K), b, tol=1e-12,
-                      preconditioner=precondition)
+    result = cg_solve(SparseSystem(K), b, tol=1e-12, preconditioner=precondition)
     assert result.iterations <= 2
     npt.assert_allclose(K @ result.x, b, atol=1e-10)
+
+
+def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
+    """s K0^-1 s with K0 = k1 S_x (x) M_y + k2 M_x (x) S_y built densely
+    from the 1-D interior stiffness S and mass M, nodes row-major in (j, i)."""
+
+    def tridiagonal(n, centre, side):
+        return centre * np.eye(n) + side * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+    mx, my = grid.nx - 1, grid.ny - 1
+    S = [tridiagonal(m, 2.0, -1.0) / h for m, h in ((mx, grid.hx), (my, grid.hy))]
+    M = [tridiagonal(m, 4.0, 1.0) * h / 6.0 for m, h in ((mx, grid.hx), (my, grid.hy))]
+    K0 = k1 * np.kron(M[1], S[0]) + k2 * np.kron(S[1], M[0])
+    s = np.sqrt(np.diag(K0) / diagonal)
+    return s[:, None] * np.linalg.inv(K0) * s[None, :]
+
+
+@pytest.mark.parametrize("nx,ny", [(9, 6), (5, 12)])
+def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
+    grid = UniformCellGrid(nx, periodic=False, ny=ny, lengths=(1.0, 0.7))
+    diagonal = rng.uniform(0.5, 2.0, (nx - 1) * (ny - 1))
+    precondition = spectral_preconditioner(grid, 0.3, 2.5, diagonal)
+    dense = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, diagonal)
+    for r in rng.standard_normal((3, diagonal.size)):
+        npt.assert_allclose(precondition(r), dense @ r, rtol=1e-12,
+                            atol=1e-12 * np.abs(dense @ r).max())
+
+
+def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
+    """Repeated and interleaved applies of preconditioners on two grids
+    give what fresh preconditioners give."""
+    grids = [UniformCellGrid(9, periodic=False, ny=6, lengths=(1.0, 0.7)),
+             UniformCellGrid(6, periodic=False, ny=9)]
+    diagonals = [rng.uniform(0.5, 2.0, 40) for _ in grids]
+    vectors = [rng.standard_normal(40) for _ in grids]
+    fresh = [spectral_preconditioner(g, 1.5, 0.5, d)(v)
+             for g, d, v in zip(grids, diagonals, vectors)]
+    shared = [spectral_preconditioner(g, 1.5, 0.5, d) for g, d in zip(grids, diagonals)]
+    for _ in range(2):
+        for apply, v, expect in zip(shared, vectors, fresh):
+            out = apply(v)
+            npt.assert_array_equal(out, expect)
+            out[:] = np.nan  # a caller may overwrite what it got back
+    npt.assert_array_equal(shared[0](np.zeros(40)), np.zeros(40))
 
 
 def test_spectral_preconditioner_checks_its_inputs():
