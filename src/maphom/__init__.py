@@ -13,7 +13,6 @@ from .cell import (
     CellProblem,
     CorrectorField,
     RescaledCell,
-    assemble_corrector_system,
     solve_corrector,
     solve_rescaled_corrector,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "SparseSystem",
     "UniformCellGrid",
     "ZetaField",
-    "assemble_corrector_system",
     "aud_ratio",
     "aud_verify",
     "cg_solve",

@@ -20,18 +20,15 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .coefficients import PeriodicCoefficient
 from .numerics import (
     DEFAULT_RULE,
+    Q1Assembly,
     QuadratureRule,
     SparseSystem,
     UniformCellGrid,
     cg_solve,
     interpolate_nodal,
-    nine_point_layout,
-    physical_gradients,
     spectral_preconditioner,
 )
 
@@ -39,7 +36,6 @@ __all__ = [
     "CellProblem",
     "CorrectorField",
     "RescaledCell",
-    "assemble_corrector_system",
     "solve_corrector",
     "solve_rescaled_corrector",
     "write_corrector_csv",
@@ -76,15 +72,6 @@ class CorrectorField:
         return float(max(np.abs(self.z1).max(), np.abs(self.z2).max()))
 
 
-def _coefficient_at_quad(coefficient, grid: UniformCellGrid, rule: QuadratureRule) -> np.ndarray:
-    pts = grid.quad_points(rule).reshape(-1, 2)
-    A = coefficient.evaluate(pts) if hasattr(coefficient, "evaluate") else coefficient(pts)
-    A = np.asarray(A, dtype=float).reshape(grid.n_elements, len(rule.weights), 2, 2)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("coefficient evaluated to a non-finite value")
-    return A
-
-
 def _scaling(zeta) -> tuple[float, float]:
     z1, z2 = float(zeta[0]), float(zeta[1])
     if not (z1 > 0 and z2 > 0):
@@ -103,8 +90,9 @@ class CellProblem:
 
     where K_ik is the stiffness of the single entry a_ik. The coefficient
     is evaluated once, and the three stiffness pieces are assembled once
-    as data arrays on one fixed nine-point CSR layout, together with the
-    four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|. A
+    by one :class:`~maphom.numerics.Q1Assembly` as data arrays on its
+    nine-point CSR layout, together with the four loads and the four flux
+    vectors M_ik = int a_ik d_k phi / |Y|. A
     scaling then costs two vector combinations and the two CG solves, and
     the effective matrix is read off dot products:
 
@@ -116,7 +104,7 @@ class CellProblem:
 
     def __init__(
         self,
-        coefficient: PeriodicCoefficient,
+        coefficient,
         grid: UniformCellGrid | int,
         rule: QuadratureRule = DEFAULT_RULE,
     ):
@@ -125,27 +113,18 @@ class CellProblem:
         if not grid.periodic:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
-        self._columns, slots = nine_point_layout(grid)
-        self._indptr = np.arange(0, self._columns.size + 1, 9, dtype=np.int32)
-        A = _coefficient_at_quad(coefficient, grid, rule)
-        nq = len(rule.weights)
-        self.means = np.einsum("eqik,q->ik", A, rule.weights) / grid.n_elements
-        G = physical_gradients(grid, rule)
-        w = rule.weights * (grid.hx * grid.hy)
+        self.assembly = assembly = Q1Assembly(grid, rule)
+        A = assembly.coefficient(coefficient)
+        self.means = assembly.mean(A)
+        G, w = assembly.gradients, assembly.weights
         nodes = grid.connectivity().ravel()
-
-        def stiffness(*entries) -> np.ndarray:
-            Ke = sum(A[:, :, i, k] @ (w[:, None, None] * G[:, :, None, i]
-                                      * G[:, None, :, k]).reshape(nq, 16)
-                     for i, k in entries)
-            return np.bincount(slots, weights=Ke.ravel(), minlength=self._columns.size)
 
         def nodal(i, k, table) -> np.ndarray:
             fe = A[:, :, i, k] @ table
             return np.bincount(nodes, weights=fe.ravel(), minlength=grid.n_nodes)
 
-        self._stiffness = (stiffness((0, 0)), stiffness((0, 1), (1, 0)),
-                           stiffness((1, 1)))
+        self._stiffness = tuple(assembly.stiffness_data(A, entries) for entries in
+                                ([(0, 0)], [(0, 1), (1, 0)], [(1, 1)]))
         # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik
         self._loads = [[nodal(i, j, -w[:, None] * G[:, :, i]) for j in range(2)]
                        for i in range(2)]
@@ -156,9 +135,7 @@ class CellProblem:
         """The stiffness matrix and both loads at ``zeta``."""
         z1, z2 = _scaling(zeta)
         d11, d12, d22 = self._stiffness
-        n = self.grid.n_nodes
-        K = sp.csr_matrix((z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22,
-                           self._columns, self._indptr), shape=(n, n))
+        K = self.assembly.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
         system = SparseSystem(K, singular=True)
         for j in range(2):
             system.add_rhs(z1 * self._loads[0][j] + z2 * self._loads[1][j])
@@ -206,24 +183,8 @@ class CellProblem:
         return b
 
 
-def assemble_corrector_system(
-    coefficient: PeriodicCoefficient,
-    zeta: tuple[float, float],
-    grid: UniformCellGrid,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> SparseSystem:
-    """Assemble the scaled cell problem: stiffness plus both loads.
-
-    The returned system is flagged singular (constants span the kernel) and
-    carries two right-hand sides, one per coordinate direction. The load
-    for direction j is -int zeta_i a_ij dv/dy_i, assembled without
-    differentiating the coefficient.
-    """
-    return CellProblem(coefficient, grid, rule).system(zeta)
-
-
 def solve_corrector(
-    coefficient: PeriodicCoefficient,
+    coefficient,
     zeta: tuple[float, float],
     grid: UniformCellGrid | int = 128,
     tol: float = 1e-10,
@@ -258,7 +219,6 @@ class RescaledCell:
     z1: np.ndarray
     z2: np.ndarray
     coefficient_eval: object
-    symmetric: bool
     iterations: tuple[int, int]
     residual: tuple[float, float]
 
@@ -277,7 +237,7 @@ class RescaledCell:
 
 
 def solve_rescaled_corrector(
-    coefficient: PeriodicCoefficient,
+    coefficient,
     x: tuple[float, float],
     resolution: tuple[int, int] | None = None,
     tol: float = 1e-10,
@@ -312,19 +272,12 @@ def solve_rescaled_corrector(
     def stretched(pts):
         q = np.array(pts, dtype=float, copy=True)
         q[:, 1] *= zeta2
-        return coefficient.evaluate(q)
+        return coefficient(q)
 
-    system_coeff = PeriodicCoefficient(
-        stretched,
-        bound=coefficient.bound,
-        coercivity=coefficient.coercivity,
-        symmetric=coefficient.symmetric,
-        description=f"{coefficient.description} on rescaled cell",
-    )
-    field = CellProblem(system_coeff, grid, rule).solve((1.0, 1.0), tol)
+    field = CellProblem(stretched, grid, rule).solve((1.0, 1.0), tol)
     return RescaledCell(
         zeta2=zeta2, grid=grid, z1=field.z1, z2=field.z2,
-        coefficient_eval=stretched, symmetric=coefficient.symmetric,
+        coefficient_eval=stretched,
         iterations=field.iterations, residual=field.residual,
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import coefficients
 from .cell import solve_corrector, write_corrector_csv
-from .finescale import DomainMesh, convergence_study, write_convergence_csv
+from .finescale import ConvergenceRow, DomainMesh, convergence_study
 from .homogenize import (
     HomogenizationJob,
     default_x2_samples,
@@ -68,6 +68,12 @@ DEFAULTS: dict = {
 }
 
 _RESOLUTION_KEYS = ("cell_resolution", "domain_resolution", "preview_resolution")
+
+# caps on accepted values that would make a run huge; the audit scans
+# max(aud_h_list) (b2^2 - a2^2) aud_subdivision values
+MAX_X2_SAMPLES = 4096
+MAX_AUD_SUBDIVISION = 64
+MAX_AUD_SCAN = 10 ** 8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -193,14 +199,18 @@ class ExperimentConfig:
             xs = _typed_list("x2_samples", v["x2_samples"], float)
             if not xs:
                 raise ConfigError("x2_samples", "list must not be empty")
+            count = len(xs)
         else:
-            xs = _typed("x2_samples", v["x2_samples"], int)
+            xs = count = _typed("x2_samples", v["x2_samples"], int)
             if xs < 3:
                 raise ConfigError("x2_samples", "sample count must be an integer >= 3")
+        if count > MAX_X2_SAMPLES:
+            raise ConfigError("x2_samples", f"at most {MAX_X2_SAMPLES} samples")
         v["x2_samples"] = xs
         v["aud_subdivision"] = _typed("aud_subdivision", v["aud_subdivision"], int)
-        if v["aud_subdivision"] < 1:
-            raise ConfigError("aud_subdivision", "must be a positive integer")
+        if not 1 <= v["aud_subdivision"] <= MAX_AUD_SUBDIVISION:
+            raise ConfigError("aud_subdivision",
+                              f"must be an integer from 1 to {MAX_AUD_SUBDIVISION}")
         for key in ("cg_tol", "fem_tol"):
             v[key] = _typed(key, v[key], float)
             if not 0 < v[key] < 1:
@@ -351,9 +361,15 @@ def cmd_homogenize(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def cmd_aud(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Uniform-distribution diagnostics for the configured scale indices."""
+    omega, n = cfg.omega(), cfg["aud_subdivision"]
+    # products overflow to inf and differences of infs give nan, so a
+    # domain too large for floats is refused as well
+    per_h = (omega.b2 * omega.b2 - omega.a2 * omega.a2) * n
+    if not per_h <= MAX_AUD_SCAN / max(cfg["aud_h_list"]):
+        raise ConfigError("aud_h_list", "the audit would scan max(aud_h_list) "
+                          f"(b2^2 - a2^2) aud_subdivision > {MAX_AUD_SCAN:.0e} values")
     clock = _StageClock()
-    reports = clock.run("aud_verify", lambda: aud_verify(
-        cfg["aud_h_list"], int(cfg["aud_subdivision"]), cfg.omega()))
+    reports = clock.run("aud_verify", lambda: aud_verify(cfg["aud_h_list"], n, omega))
     csv_path = out_dir / "aud.csv"
     with open(csv_path, "w", newline="") as f:
         write_aud_csv(reports, f)
@@ -384,12 +400,11 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
 
     csv_path = out_dir / "convergence.csv"
     with open(csv_path, "w", newline="") as f:
-        f.write("h,l2_error,energy,warn_underresolved\n")
+        f.write(ConvergenceRow.CSV_HEADER)
         f.flush()
 
         def on_row(row):
-            f.write(f"{row.h},{row.l2_error:.17g},{row.energy:.17g},"
-                    f"{int(row.warn_underresolved)}\n")
+            f.write(row.csv_line())
             f.flush()
 
         dirichlet = []

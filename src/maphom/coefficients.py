@@ -1,4 +1,8 @@
-"""Built-in periodic coefficient fields on the unit cell."""
+"""Built-in periodic coefficient fields on the unit cell.
+
+A coefficient is any callable from (m, 2) points to (m, 2, 2) values;
+:class:`PeriodicCoefficient` is one, with declared bounds.
+"""
 
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,16 +18,15 @@ import scipy.sparse as sp
 from .homogenize import HomogenizedTensor
 from .numerics import (
     DEFAULT_RULE,
+    Q1Assembly,
     QuadratureRule,
     Rectangle,
     SparseSystem,
     UniformCellGrid,
     assemble_source_load,
     cg_solve,
-    mean_diagonal,
-    nine_point_layout,
+    evaluate_coefficient,
     nodal_gradient_at_quad,
-    physical_gradients,
     q1_tables,
     spectral_preconditioner,
 )
@@ -127,33 +126,24 @@ class SolutionField:
 class DirichletProblem:
     """The Dirichlet problem of one source on one mesh, for any coefficient.
 
-    Built once per mesh: the quadrature points, the Q1 element tables
-    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b`` of the single entries
-    a_ik, the interior nine-point CSR layout and the interior load of
-    ``f``. A solve then evaluates its coefficient once at the quadrature
-    points, forms the element matrices as ``sum_ik D_ik T_ik`` (four
-    matrix products), sums them into the CSR data with one
-    ``np.bincount`` and solves the interior system by conjugate gradients
-    with the DST-I spectral preconditioner of the mean diagonal
-    coefficient, scaled by the system's diagonal.
+    Built once per mesh: the :class:`~maphom.numerics.Q1Assembly` of the
+    mesh grid, whose nine-point layout covers the interior nodes, and the
+    interior load of ``f``. A solve then evaluates its coefficient once
+    at the quadrature points, assembles the interior stiffness through
+    the assembly and solves it by conjugate gradients with the DST-I
+    spectral preconditioner of the mean diagonal coefficient, scaled by
+    the system's diagonal.
     """
 
     def __init__(self, mesh: DomainMesh, f, rule: QuadratureRule = DEFAULT_RULE):
         grid = mesh.grid
         self.mesh = mesh
-        self.rule = rule
-        self._points = grid.quad_points(rule).reshape(-1, 2)
-        nq = len(rule.weights)
-        G = physical_gradients(grid, rule)
-        w = rule.weights * (grid.hx * grid.hy)
-        self._tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
-                         .reshape(nq, 16) for k in range(2)] for i in range(2)]
-        self._columns, self._slots = nine_point_layout(grid)
-        self._indptr = np.arange(0, self._columns.size + 1, 9, dtype=np.int32)
-        source = np.asarray(f(self._points), dtype=float)
-        if source.shape != (self._points.shape[0],):
+        self.assembly = Q1Assembly(grid, rule)
+        points = self.assembly.points
+        source = np.asarray(f(points), dtype=float)
+        if source.shape != (points.shape[0],):
             raise ValueError("source must return one value per point")
-        load = assemble_source_load(grid, source.reshape(grid.n_elements, nq), rule)
+        load = assemble_source_load(grid, source.reshape(grid.n_elements, -1), rule)
         self.load = load[mesh.interior_mask]
 
     def oscillatory(self, coefficient, scale_map, tol: float = 1e-8) -> SolutionField:
@@ -161,28 +151,20 @@ class DirichletProblem:
         mesh = self.mesh
         need1, need2 = scale_map.required_mesh_density(mesh.omega)
         warn = mesh.n1 / mesh.omega.width < need1 or mesh.n2 / mesh.omega.height < need2
-        eval_fn = coefficient.evaluate if hasattr(coefficient, "evaluate") else coefficient
-        return self._solve(lambda pts: eval_fn(scale_map(pts)), tol,
+        return self._solve(lambda pts: coefficient(scale_map(pts)), tol,
                            f"oscillatory h={scale_map.h}", warn)
 
     def homogenized(self, field: HomogenizedTensor, tol: float = 1e-8) -> SolutionField:
         """The solve for the sampled effective tensor."""
         return self._solve(tensor_evaluator(field), tol, "homogenized", False)
 
-    def stiffness(self, coeff_eval) -> tuple[sp.csr_matrix, tuple[float, float]]:
-        """The interior stiffness matrix of a coefficient callable on (m, 2)
-        points, and the quadrature means of its D11 and D22."""
-        grid = self.mesh.grid
-        D = np.asarray(coeff_eval(self._points), dtype=float)
-        D = D.reshape(grid.n_elements, len(self.rule.weights), 2, 2)
-        if not np.all(np.isfinite(D)):
-            raise ValueError("coefficient evaluated to a non-finite value")
-        Ke = sum(D[:, :, i, k] @ self._tables[i][k] for i in range(2) for k in range(2))
-        data = np.bincount(self._slots, weights=Ke.ravel(),
-                           minlength=self._columns.size + 1)[:-1]
-        n = self.mesh.n_interior
-        K = sp.csr_matrix((data, self._columns, self._indptr), shape=(n, n))
-        return K, mean_diagonal(D, self.rule)
+    def stiffness(self, coefficient) -> tuple[sp.spmatrix, tuple[float, float]]:
+        """The interior stiffness matrix of a coefficient, and the
+        quadrature means of its D11 and D22."""
+        D = self.assembly.coefficient(coefficient)
+        mean = self.assembly.mean(D)
+        K = self.assembly.matrix(self.assembly.stiffness_data(D))
+        return K, (float(mean[0, 0]), float(mean[1, 1]))
 
     def _solve(self, coeff_eval, tol: float, label: str, warn: bool) -> SolutionField:
         start = time.perf_counter()
@@ -283,7 +265,7 @@ def flux_moment(
     """
     grid = u.mesh.grid
     pts = grid.quad_points(rule).reshape(-1, 2)
-    D = np.asarray(coeff_eval(pts), dtype=float).reshape(
+    D = evaluate_coefficient(coeff_eval, pts).reshape(
         grid.n_elements, len(rule.weights), 2, 2)
     grad = nodal_gradient_at_quad(grid, u.values, rule)
     sigma = np.einsum("eqik,eqk->eqi", D, grad, optimize=True)
@@ -295,10 +277,16 @@ def flux_moment(
 
 @dataclasses.dataclass
 class ConvergenceRow:
+    CSV_HEADER: ClassVar[str] = "h,l2_error,energy,warn_underresolved\n"
+
     h: int
     l2_error: float
     energy: float
     warn_underresolved: bool
+
+    def csv_line(self) -> str:
+        return (f"{self.h},{self.l2_error:.17g},{self.energy:.17g},"
+                f"{int(self.warn_underresolved)}\n")
 
 
 def convergence_study(
@@ -348,9 +336,6 @@ def convergence_study(
 
 def write_convergence_csv(rows: Sequence[ConvergenceRow], stream) -> None:
     """Write one row per scale index: h,l2_error,energy,warn_underresolved."""
-    stream.write("h,l2_error,energy,warn_underresolved\n")
+    stream.write(ConvergenceRow.CSV_HEADER)
     for row in rows:
-        stream.write(
-            f"{row.h},{row.l2_error:.17g},{row.energy:.17g},"
-            f"{int(row.warn_underresolved)}\n"
-        )
+        stream.write(row.csv_line())

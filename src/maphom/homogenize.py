@@ -25,6 +25,7 @@ from .numerics import (
     QuadratureRule,
     Rectangle,
     UniformCellGrid,
+    evaluate_coefficient,
     nodal_gradient_at_quad,
 )
 
@@ -44,7 +45,7 @@ __all__ = [
 
 
 def _effective_matrix(
-    coefficient_eval,
+    coefficient,
     zeta: tuple[float, float],
     z_pair: Sequence[np.ndarray],
     grid: UniformCellGrid,
@@ -53,8 +54,8 @@ def _effective_matrix(
     """Quadrature of the effective-matrix integrand, normalized by the
     cell measure so the same path serves unit and rescaled cells."""
     pts = grid.quad_points(rule).reshape(-1, 2)
-    A = np.asarray(coefficient_eval(pts), dtype=float)
-    A = A.reshape(grid.n_elements, len(rule.weights), 2, 2)
+    A = evaluate_coefficient(coefficient, pts).reshape(
+        grid.n_elements, len(rule.weights), 2, 2)
     zvec = np.array([float(zeta[0]), float(zeta[1])])
     b = np.empty((2, 2))
     w = rule.weights * (grid.hx * grid.hy)
@@ -69,7 +70,7 @@ def _effective_matrix(
 
 
 def homogenized_matrix_at(
-    coefficient: PeriodicCoefficient,
+    coefficient,
     zeta: tuple[float, float],
     corrector: CorrectorField,
     rule: QuadratureRule = DEFAULT_RULE,
@@ -82,13 +83,12 @@ def homogenized_matrix_at(
     """
     if tuple(corrector.zeta) != (float(zeta[0]), float(zeta[1])):
         raise ValueError("corrector was solved with a different scaling")
-    eval_fn = coefficient.evaluate if hasattr(coefficient, "evaluate") else coefficient
-    return _effective_matrix(eval_fn, zeta, (corrector.z1, corrector.z2),
+    return _effective_matrix(coefficient, zeta, (corrector.z1, corrector.z2),
                              corrector.grid, rule)
 
 
 def classical_homogenized_matrix(
-    coefficient: PeriodicCoefficient,
+    coefficient,
     grid: UniformCellGrid | int = 128,
     tol: float = 1e-10,
     rule: QuadratureRule = DEFAULT_RULE,

@@ -1,31 +1,33 @@
 """Shared numerical substrate: uniform quadrilateral grids, tensor Gauss
-quadrature, the nine-point CSR layout of Q1 matrices, a projected
-conjugate gradient solver and its spectral preconditioner.
+quadrature, the checked evaluation of coefficients, the Q1 assembly on
+the nine-point CSR layout, a projected conjugate gradient solver and its
+spectral preconditioner.
 
-Every other module sits on the bilinear (Q1) element tables defined here,
-both for periodic cell problems and for Dirichlet problems on macroscopic
-rectangles.
+Periodic cell problems and Dirichlet problems on macroscopic rectangles
+both assemble through :class:`Q1Assembly` and solve through
+:func:`cg_solve` with :func:`spectral_preconditioner`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "CGResult",
+    "Q1Assembly",
     "QuadratureRule",
     "Rectangle",
     "SolverError",
     "SparseSystem",
     "UniformCellGrid",
     "cg_solve",
+    "evaluate_coefficient",
     "integrate_cell",
     "interpolate_nodal",
-    "mean_diagonal",
     "nine_point_layout",
     "spectral_preconditioner",
 ]
@@ -289,18 +291,6 @@ class CGResult:
     residual_history: np.ndarray
 
 
-def mean_diagonal(
-    coeff_at_quad: np.ndarray,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> tuple[float, float]:
-    """Quadrature means of the D11 and D22 entries of an (n_elements, nq,
-    2, 2) coefficient array on a uniform grid."""
-    D = np.asarray(coeff_at_quad, dtype=float)
-    w = rule.weights / D.shape[0]
-    return (float(np.einsum("eq,q->", D[:, :, 0, 0], w)),
-            float(np.einsum("eq,q->", D[:, :, 1, 1], w)))
-
-
 def spectral_preconditioner(
     grid: UniformCellGrid,
     k1: float,
@@ -510,18 +500,6 @@ def cg_solve(
     )
 
 
-def _evaluate_field(field, points: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field callable at (m, 2) points, tolerating
-    non-vectorized callables."""
-    try:
-        vals = np.asarray(field(points), dtype=float)
-        if vals.shape == (points.shape[0],):
-            return vals
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([float(field(p)) for p in points])
-
-
 def integrate_cell(
     field,
     grid: UniformCellGrid,
@@ -529,13 +507,17 @@ def integrate_cell(
 ) -> float:
     """Integrate a scalar field over the grid's rectangle.
 
-    ``field`` is either a callable taking an (m, 2) array of points (a
-    pointwise fallback is attempted for scalar-only callables) or an array
-    of nodal values, in which case the bilinear interpolant is integrated.
+    ``field`` is either a callable taking an (m, 2) array of points to
+    (m,) values or an array of nodal values, in which case the bilinear
+    interpolant is integrated. Raises ValueError when either has another
+    shape.
     """
     if callable(field):
         pts = grid.quad_points(rule).reshape(-1, 2)
-        vals = _evaluate_field(field, pts).reshape(grid.n_elements, -1)
+        vals = np.asarray(field(pts), dtype=float)
+        if vals.shape != (pts.shape[0],):
+            raise ValueError("field must return one value per point")
+        vals = vals.reshape(grid.n_elements, -1)
     else:
         vals = np.asarray(field, dtype=float).ravel()
         if vals.size != grid.n_nodes:
@@ -625,6 +607,66 @@ def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
     if not grid.periodic:
         slots[(conn[:, :, None] < 0) | (conn[:, None, :] < 0)] = columns.size
     return columns.ravel().astype(np.int32), slots.ravel()
+
+
+def evaluate_coefficient(coefficient, points: np.ndarray) -> np.ndarray:
+    """Values of ``coefficient`` at (m, 2) points. A coefficient is any
+    callable returning (m, 2, 2) values; values of another shape and
+    non-finite values raise ValueError."""
+    values = np.asarray(coefficient(points), dtype=float)
+    if values.shape != (points.shape[0], 2, 2):
+        raise ValueError(f"coefficient values have shape {values.shape}, not (m, 2, 2)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coefficient evaluated to a non-finite value")
+    return values
+
+
+class Q1Assembly:
+    """Q1 stiffness assembly of any coefficient on one grid and rule.
+
+    Keeps the quadrature points, the physical shape gradients (nq, 4, 2),
+    the weights ``w_q |element|``, the element tables
+    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b`` and the
+    :func:`nine_point_layout`. The element matrices of a coefficient D are
+    ``sum_ik D_ik T_ik``; one ``np.bincount`` sums them into CSR data.
+    """
+
+    def __init__(self, grid: UniformCellGrid, rule: QuadratureRule = DEFAULT_RULE):
+        self.grid = grid
+        self.rule = rule
+        self.points = grid.quad_points(rule).reshape(-1, 2)
+        self.gradients = physical_gradients(grid, rule)
+        self.weights = rule.weights * (grid.hx * grid.hy)
+        G, w, nq = self.gradients, self.weights, len(rule.weights)
+        self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
+                        .reshape(nq, 16) for k in range(2)] for i in range(2)]
+        self.columns, self.slots = nine_point_layout(grid)
+        self.indptr = np.arange(0, self.columns.size + 1, 9, dtype=np.int32)
+
+    def coefficient(self, coefficient) -> np.ndarray:
+        """(n_elements, nq, 2, 2) checked values at the quadrature points."""
+        return evaluate_coefficient(coefficient, self.points).reshape(
+            self.grid.n_elements, len(self.rule.weights), 2, 2)
+
+    def mean(self, D: np.ndarray) -> np.ndarray:
+        """The 2x2 quadrature mean of coefficient values at the points."""
+        return np.einsum("eqik,q->ik", D, self.rule.weights) / self.grid.n_elements
+
+    def stiffness_data(
+        self,
+        D: np.ndarray,
+        entries: Sequence[tuple[int, int]] = ((0, 0), (0, 1), (1, 0), (1, 1)),
+    ) -> np.ndarray:
+        """CSR data of the stiffness of the entries (i, k) of D, summed in
+        the given order."""
+        Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
+        return np.bincount(self.slots, weights=Ke.ravel(),
+                           minlength=self.columns.size + 1)[:-1]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with the given data on the nine-point layout."""
+        n = self.indptr.size - 1
+        return sp.csr_matrix((data, self.columns, self.indptr), shape=(n, n))
 
 
 def assemble_source_load(

@@ -1,5 +1,7 @@
-"""Coefficient structure checks and the periodic corrector solves."""
+"""Coefficient structure checks, the coefficient contract and the
+periodic corrector solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,35 +13,36 @@ from maphom import coefficients
 from maphom.cell import (
     CellProblem,
     CorrectorField,
-    assemble_corrector_system,
     solve_corrector,
     solve_rescaled_corrector,
     write_corrector_csv,
 )
 from maphom.coefficients import PeriodicCoefficient
-from maphom.homogenize import homogenized_matrix_at
+from maphom.finescale import DirichletProblem, DomainMesh, SolutionField, flux_moment
+from maphom.homogenize import homogenized_matrix_at, rescaled_matrix
 from maphom.numerics import (
     DEFAULT_RULE,
+    Rectangle,
     UniformCellGrid,
     assemble_source_load,
     physical_gradients,
 )
 
 
-def skew_coefficient() -> PeriodicCoefficient:
+def skew_values(pts):
     """A non-symmetric coefficient whose symmetric part stays positive."""
+    s1 = np.sin(2 * np.pi * pts[:, 0])
+    s2 = np.sin(2 * np.pi * pts[:, 1])
+    out = np.empty((pts.shape[0], 2, 2))
+    out[:, 0, 0] = 1.5 + 0.5 * s1 * s2
+    out[:, 0, 1] = 0.3 + 0.2 * s1
+    out[:, 1, 0] = -0.1 + 0.3 * s2
+    out[:, 1, 1] = 1.2 + 0.4 * np.cos(2 * np.pi * pts[:, 0])
+    return out
 
-    def evaluate(pts):
-        s1 = np.sin(2 * np.pi * pts[:, 0])
-        s2 = np.sin(2 * np.pi * pts[:, 1])
-        out = np.empty((pts.shape[0], 2, 2))
-        out[:, 0, 0] = 1.5 + 0.5 * s1 * s2
-        out[:, 0, 1] = 0.3 + 0.2 * s1
-        out[:, 1, 0] = -0.1 + 0.3 * s2
-        out[:, 1, 1] = 1.2 + 0.4 * np.cos(2 * np.pi * pts[:, 0])
-        return out
 
-    return PeriodicCoefficient(evaluate, bound=3.0, coercivity=0.2,
+def skew_coefficient() -> PeriodicCoefficient:
+    return PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2,
                                symmetric=False, description="skew")
 
 
@@ -99,13 +102,77 @@ def test_sine_product_range(sine_coeff):
 
 
 # ---------------------------------------------------------------------------
+# the coefficient contract: any callable from (m, 2) points to (m, 2, 2)
+# finite values
+# ---------------------------------------------------------------------------
+
+
+def test_a_bare_callable_assembles_like_its_periodic_wrapper():
+    wrapped = skew_coefficient()
+    bare_system = CellProblem(skew_values, 16).system(ZETA)
+    wrapped_system = CellProblem(wrapped, 16).system(ZETA)
+    npt.assert_array_equal(bare_system.matrix.data, wrapped_system.matrix.data)
+    npt.assert_array_equal(bare_system.matrix.indices, wrapped_system.matrix.indices)
+    for f, g in zip(bare_system.rhs, wrapped_system.rhs):
+        npt.assert_array_equal(f, g)
+    problem = DirichletProblem(DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), 7, 4),
+                               lambda pts: np.ones(pts.shape[0]))
+    (K_bare, means_bare), (K_wrapped, means_wrapped) = (
+        problem.stiffness(skew_values), problem.stiffness(wrapped))
+    npt.assert_array_equal(K_bare.data, K_wrapped.data)
+    npt.assert_array_equal(K_bare.indices, K_wrapped.indices)
+    assert means_bare == means_wrapped
+
+
+def _non_finite(pts):
+    out = np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy()
+    out[pts.shape[0] // 2, 0, 0] = np.nan
+    return out
+
+
+def _flat(pts):
+    """Four values per point, which reshape to (m, 2, 2) but are not."""
+    return np.tile([1.0, 0.0, 0.0, 1.0], (pts.shape[0], 1))
+
+
+@pytest.fixture(scope="module")
+def coefficient_uses(sine_coeff):
+    """Every entry point that evaluates a coefficient, as a callable of
+    the coefficient."""
+    corrector = solve_corrector(sine_coeff, (1.0, 1.0), 8)
+    cell = solve_rescaled_corrector(sine_coeff, (0.0, 1.0), resolution=(8, 4))
+    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 8, 8)
+    problem = DirichletProblem(mesh, lambda pts: np.ones(pts.shape[0]))
+    u = SolutionField(values=np.ones(mesh.grid.n_nodes), mesh=mesh, label="",
+                      warn_underresolved=False, iterations=0, residual=0.0,
+                      energy=0.0, source_work=0.0)
+    return {
+        "CellProblem": lambda c: CellProblem(c, 8),
+        "DirichletProblem.stiffness": problem.stiffness,
+        "homogenized_matrix_at": lambda c: homogenized_matrix_at(c, (1.0, 1.0), corrector),
+        "rescaled_matrix": lambda c: rescaled_matrix(
+            dataclasses.replace(cell, coefficient_eval=c)),
+        "flux_moment": lambda c: flux_moment(c, u, lambda pts: np.ones((pts.shape[0], 2))),
+    }
+
+
+@pytest.mark.parametrize("use", ["CellProblem", "DirichletProblem.stiffness",
+                                 "homogenized_matrix_at", "rescaled_matrix",
+                                 "flux_moment"])
+@pytest.mark.parametrize("bad", [_non_finite, _flat], ids=["non-finite", "m-by-4"])
+def test_bad_coefficient_values_raise(coefficient_uses, use, bad):
+    with pytest.raises(ValueError):
+        coefficient_uses[use](bad)
+
+
+# ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
 
 def test_assembled_system_shape_and_symmetry(sine_coeff):
     grid = UniformCellGrid(16)
-    system = assemble_corrector_system(sine_coeff, (1.0, 2.0), grid)
+    system = CellProblem(sine_coeff, grid).system((1.0, 2.0))
     K = system.matrix
     assert K.shape == (256, 256)
     assert len(system.rhs) == 2
@@ -118,10 +185,9 @@ def test_assembled_system_shape_and_symmetry(sine_coeff):
 
 def test_assembly_requires_a_periodic_grid(sine_coeff):
     with pytest.raises(ValueError):
-        assemble_corrector_system(sine_coeff, (1.0, 1.0),
-                                  UniformCellGrid(8, periodic=False))
+        CellProblem(sine_coeff, UniformCellGrid(8, periodic=False))
     with pytest.raises(ValueError):
-        assemble_corrector_system(sine_coeff, (1.0, -2.0), UniformCellGrid(8))
+        CellProblem(sine_coeff, UniformCellGrid(8)).system((1.0, -2.0))
 
 
 def test_gradient_load_agrees_with_divergence_form(sine_coeff):
@@ -132,7 +198,7 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
     d/dy1 a = (9/5) pi cos(2 pi y1) sin(2 pi y2).
     """
     grid = UniformCellGrid(64)
-    system = assemble_corrector_system(sine_coeff, (1.0, 1.0), grid)
+    system = CellProblem(sine_coeff, grid).system((1.0, 1.0))
     pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
     div_g = (1.8 * np.pi * np.cos(2 * np.pi * pts[:, 0])
              * np.sin(2 * np.pi * pts[:, 1]))
@@ -242,7 +308,7 @@ def test_corrector_components_are_zero_mean(sine_coeff):
 def test_residual_orthogonality_against_random_test_vectors(sine_coeff, rng):
     """Twenty random directions see no component of the defect."""
     grid = UniformCellGrid(32)
-    system = assemble_corrector_system(sine_coeff, (1.0, 1.0), grid)
+    system = CellProblem(sine_coeff, grid).system((1.0, 1.0))
     field = solve_corrector(sine_coeff, (1.0, 1.0), grid, tol=1e-10)
     for j, z in ((0, field.z1), (1, field.z2)):
         defect = system.matvec(z) - system.rhs[j]

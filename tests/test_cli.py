@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from maphom import cli
 from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
+from maphom.finescale import convergence_study, write_convergence_csv
 
 
 def run(tmp_path, *argv):
@@ -58,6 +60,10 @@ def test_defaults_validate():
     ("omega=[2,1,0.5,1]", "omega"),
     ("scale_map=moebius", "scale_map"),
     ("x2_samples=2", "x2_samples"),
+    ("x2_samples=4097", "x2_samples"),
+    pytest.param("x2_samples=" + json.dumps([0.5] * 4097), "x2_samples",
+                 id="x2_samples=list of 4097-x2_samples"),
+    ("aud_subdivision=65", "aud_subdivision"),
     ("cg_tol=0", "cg_tol"),
     ("cg_tol=1.5", "cg_tol"),
     ("amplitude=1.0", "amplitude"),
@@ -67,6 +73,27 @@ def test_bad_values_are_rejected_with_the_offending_key(override, key):
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.load(None, [override])
     assert info.value.key == key
+
+
+def test_caps_are_inclusive():
+    cfg = ExperimentConfig.load(None, ["x2_samples=4096", "aud_subdivision=64"])
+    assert (cfg["x2_samples"], cfg["aud_subdivision"]) == (4096, 64)
+
+
+def test_the_audit_scan_is_capped_before_it_starts(tmp_path, capsys, monkeypatch):
+    """On (1, 2) x (1, 3) at one subcell per direction the audit scans 8 h
+    values, so h = 12,500,000 reaches the cap of 10^8 and one more passes it."""
+    calls = []
+    monkeypatch.setattr(cli, "aud_verify", lambda *args: calls.append(args) or [])
+    base = ["--override", "omega=[1,2,1,3]", "--override", "aud_subdivision=1"]
+    code, _ = run(tmp_path, *base, "--override", "aud_h_list=[4,12500001]", "aud")
+    assert code == 2 and not calls
+    assert "'aud_h_list'" in capsys.readouterr().err
+    code, _ = run(tmp_path, *base, "--override", "aud_h_list=[4,12500000]", "aud")
+    assert code == 0 and len(calls) == 1
+    for omega in ("[1,2,1,1e200]", "[1,2,1e200,1e201]"):  # b2^2 overflows
+        code, _ = run(tmp_path, "--override", f"omega={omega}", "aud")
+        assert code == 2 and len(calls) == 1
 
 
 @pytest.mark.parametrize("override,key", [
@@ -232,7 +259,16 @@ def test_aud_flags_domains_without_interior_cells(tmp_path, capsys):
     assert "no interior cells" in capsys.readouterr().out
 
 
-def test_convergence_writes_rows_for_each_scale(tmp_path):
+def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
+    """The rows flushed one by one read as write_convergence_csv of the
+    study's rows."""
+    studies = []
+
+    def recorded(*args, **kwargs):
+        studies.append(convergence_study(*args, **kwargs))
+        return studies[-1]
+
+    monkeypatch.setattr(cli, "convergence_study", recorded)
     code, out = run(
         tmp_path,
         "--override", "coefficient=identity",
@@ -248,6 +284,9 @@ def test_convergence_writes_rows_for_each_scale(tmp_path):
     for row in rows:
         assert float(row[1]) <= 1e-12  # no oscillation, no gap
         assert float(row[2]) > 0
+    expect = io.StringIO()
+    write_convergence_csv(studies[0], expect)
+    assert (out / "convergence.csv").read_text() == expect.getvalue()
 
 
 def test_preview_respects_the_composed_periodicity(tmp_path):
@@ -350,10 +389,12 @@ _REJECTED = {
     "cell_resolution": st.sampled_from([8, 24, 2048]),
     "domain_resolution": st.sampled_from([8, 24]),
     "preview_resolution": st.just(2048),
-    "x2_samples": st.one_of(st.just(2), st.lists(st.floats(-0.5, 3.0), max_size=2)),
+    "x2_samples": st.one_of(st.sampled_from([2, 4097]),
+                            st.lists(st.floats(-0.5, 3.0), max_size=2)),
     "h_list": st.sampled_from([[], [0], [2, 1]]),
-    "aud_h_list": st.sampled_from([[], [4, 4]]),
-    "aud_subdivision": st.just(0),
+    # past the audit's scan cap on every domain drawn here (aud only)
+    "aud_h_list": st.sampled_from([[], [4, 4], [10 ** 10]]),
+    "aud_subdivision": st.sampled_from([0, 65]),
     "cg_tol": st.sampled_from([0.0, 1.0]),
     "dump_x2": st.sampled_from([0.0, -1.0]),
     "preview_h": st.just(0),

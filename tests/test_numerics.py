@@ -71,6 +71,18 @@ def test_nodal_integration_of_bilinear_field():
     assert value == pytest.approx(0.25, abs=1e-15)
 
 
+def test_integrands_of_the_wrong_shape_are_refused():
+    """A callable field must return one value per point; it is not run
+    again point by point."""
+    grid = UniformCellGrid(4)
+    with pytest.raises(ValueError):
+        integrate_cell(lambda pts: pts, grid)
+    with pytest.raises(ValueError):
+        integrate_cell(lambda pts: np.ones(pts.shape[0] + 1), grid)
+    with pytest.raises(ValueError):
+        integrate_cell(np.ones(grid.n_nodes + 1), grid)
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
