@@ -50,7 +50,6 @@ from .structure import (
     AudReport,
     LinearScaleMap,
     QuadraticStretchMap,
-    ZetaField,
     aud_ratio,
     aud_verify,
     oscillatory_mean_integral,
@@ -77,7 +76,6 @@ __all__ = [
     "SolverError",
     "SparseSystem",
     "UniformCellGrid",
-    "ZetaField",
     "aud_ratio",
     "aud_verify",
     "cg_solve",

@@ -131,15 +131,13 @@ class CellProblem:
         self._fluxes = [[nodal(i, k, w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
 
-    def system(self, zeta: tuple[float, float]) -> SparseSystem:
+    def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
         """The stiffness matrix and both loads at ``zeta``."""
         z1, z2 = _scaling(zeta)
         d11, d12, d22 = self._stiffness
         K = self.assembly.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
-        system = SparseSystem(K, singular=True)
-        for j in range(2):
-            system.add_rhs(z1 * self._loads[0][j] + z2 * self._loads[1][j])
-        return system
+        loads = [z1 * self._loads[0][j] + z2 * self._loads[1][j] for j in range(2)]
+        return SparseSystem(K, singular=True), loads
 
     def solve(
         self,
@@ -154,15 +152,14 @@ class CellProblem:
         are made zero-mean once more after the solve.
         """
         z1, z2 = _scaling(zeta)
-        system = self.system(zeta)
+        system, loads = self.system(zeta)
         precondition = spectral_preconditioner(
             self.grid, z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1],
-            system.diagonal())
+            system.matrix.diagonal())
         sols, iters, resids = [], [], []
         for j in range(2):
             guess = None if x0_pair is None else x0_pair[j]
-            res = cg_solve(system, system.rhs[j], tol=tol, x0=guess,
-                           preconditioner=precondition)
+            res = cg_solve(system, loads[j], precondition, tol=tol, x0=guess)
             sols.append(res.x - res.x.mean())
             iters.append(res.iterations)
             resids.append(res.residual)

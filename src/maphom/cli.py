@@ -70,8 +70,11 @@ DEFAULTS: dict = {
 _RESOLUTION_KEYS = ("cell_resolution", "domain_resolution", "preview_resolution")
 
 # caps on accepted values that would make a run huge; the audit scans
-# max(aud_h_list) (b2^2 - a2^2) aud_subdivision values
+# max(aud_h_list) (b2^2 - a2^2) aud_subdivision values. Meshes stop at
+# 1024 elements per side, so past h = 1024 a unit-size window has less
+# than one element per period.
 MAX_X2_SAMPLES = 4096
+MAX_SCALE_INDEX = 1024
 MAX_AUD_SUBDIVISION = 64
 MAX_AUD_SCAN = 10 ** 8
 
@@ -102,6 +105,12 @@ def _typed(key: str, value, kind: type):
         return float(value)
     except OverflowError:
         raise ConfigError(key, f"is out of range: {value!r}")
+
+
+def _check_preview_h(h: int) -> int:
+    if not 1 <= h <= MAX_SCALE_INDEX:
+        raise ConfigError("preview_h", f"must be an integer from 1 to {MAX_SCALE_INDEX}")
+    return h
 
 
 def _typed_list(key: str, value, kind: type) -> list:
@@ -180,6 +189,8 @@ class ExperimentConfig:
             if any(b <= a for a, b in zip(hs, hs[1:])):
                 raise ConfigError(key, "must be strictly increasing")
             v[key] = hs
+        if max(v["h_list"]) > MAX_SCALE_INDEX:
+            raise ConfigError("h_list", f"entries must be at most {MAX_SCALE_INDEX}")
         if v["omega"] is not None:
             om = _typed_list("omega", v["omega"], float)
             if len(om) != 4:
@@ -218,9 +229,7 @@ class ExperimentConfig:
         v["dump_x2"] = _typed("dump_x2", v["dump_x2"], float)
         if not v["dump_x2"] > 0:
             raise ConfigError("dump_x2", "must be positive")
-        v["preview_h"] = _typed("preview_h", v["preview_h"], int)
-        if v["preview_h"] < 1:
-            raise ConfigError("preview_h", "must be a positive integer")
+        v["preview_h"] = _check_preview_h(_typed("preview_h", v["preview_h"], int))
 
     # -- derived objects ----------------------------------------------------
 
@@ -421,9 +430,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
 def cmd_preview(cfg: ExperimentConfig, out_dir: Path, h: int | None = None) -> None:
     """Sample the composed coefficient's (1,1) entry on a grid over omega."""
     clock = _StageClock()
-    h = int(cfg["preview_h"]) if h is None else int(h)
-    if h < 1:
-        raise ConfigError("preview_h", "must be a positive integer")
+    h = cfg["preview_h"] if h is None else _check_preview_h(h)
     omega = cfg.omega()
     scale_map = cfg.map_family()(h)
     coeff = cfg.coefficient()

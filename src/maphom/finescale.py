@@ -172,7 +172,7 @@ class DirichletProblem:
         K, (k1, k2) = self.stiffness(coeff_eval)
         precondition = spectral_preconditioner(mesh.grid, k1, k2, K.diagonal())
         assembled = time.perf_counter()
-        res = cg_solve(SparseSystem(K), self.load, tol=tol, preconditioner=precondition)
+        res = cg_solve(SparseSystem(K), self.load, precondition, tol=tol)
         solved = time.perf_counter()
         values = np.zeros(mesh.grid.n_nodes)
         values[mesh.interior_mask] = res.x

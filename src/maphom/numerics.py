@@ -246,39 +246,19 @@ def physical_gradients(grid: UniformCellGrid, rule: QuadratureRule) -> np.ndarra
     return dphi / np.array([grid.hx, grid.hy])
 
 
+@dataclasses.dataclass(frozen=True)
 class SparseSystem:
-    """A square CSR matrix with attached right-hand sides.
+    """A square CSR matrix, used as it is: its layout, explicit zeros and
+    repeated entries included. A system flagged ``singular`` has the
+    constant vector in its kernel (periodic diffusion operators) and is
+    solved on the zero-mean subspace."""
 
-    The matrix is used as it is and shares its arrays: its layout,
-    explicit zeros and repeated entries included. A system flagged
-    ``singular`` has the constant vector in its kernel (periodic diffusion
-    operators) and is solved on the zero-mean subspace.
-    """
+    matrix: sp.csr_matrix
+    singular: bool = False
 
-    def __init__(self, matrix, singular: bool = False):
-        m = sp.csr_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("system matrix must be square")
-        self.matrix = m
-        self.dimension = m.shape[0]
-        self.singular = bool(singular)
-        self.rhs: list[np.ndarray] = []
-
-    def add_rhs(self, b) -> int:
-        b = np.asarray(b, dtype=float).ravel()
-        if b.size != self.dimension:
-            raise ValueError("right-hand side length does not match system dimension")
-        self.rhs.append(b)
-        return len(self.rhs) - 1
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dimension:
-            raise ValueError("vector length does not match system dimension")
-        return self.matrix @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclasses.dataclass
@@ -288,7 +268,6 @@ class CGResult:
     x: np.ndarray
     iterations: int
     residual: float
-    residual_history: np.ndarray
 
 
 def spectral_preconditioner(
@@ -384,10 +363,11 @@ def spectral_preconditioner(
 def cg_solve(
     system: SparseSystem,
     rhs: np.ndarray,
+    preconditioner: Callable[[np.ndarray], np.ndarray],
+    *,
     tol: float = 1e-10,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
-    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
     """Preconditioned conjugate gradients.
 
@@ -398,13 +378,13 @@ def cg_solve(
     zero-mean representative of the solution family.
 
     ``preconditioner`` maps a residual to a search direction; the cell and
-    Dirichlet solvers pass :func:`spectral_preconditioner`. Without one,
-    the system is Jacobi (diagonally) preconditioned.
+    Dirichlet solvers pass :func:`spectral_preconditioner`.
 
     Raises:
-        SolverError: no convergence within ``max_iter`` iterations
-            (default 10 * dimension); the exception carries the final
-            relative residual.
+        SolverError: a non-finite residual, a breakdown, or no convergence
+            within ``max_iter`` iterations (default 10 * dimension); the
+            exception carries the iteration count and the relative
+            residual.
         ValueError: dimension mismatch between system and vectors.
     """
     A = system.matrix
@@ -419,14 +399,7 @@ def cg_solve(
         b -= b.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return CGResult(np.zeros(n), 0, 0.0, np.zeros(1))
-
-    if preconditioner is None:
-        diag = A.diagonal()
-        inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
-        def preconditioner(r):
-            return inv_diag * r
+        return CGResult(np.zeros(n), 0, 0.0)
 
     if x0 is None:
         x = np.zeros(n)
@@ -441,63 +414,47 @@ def cg_solve(
     if system.singular:
         r -= r.mean()
 
-    history = [float(np.linalg.norm(r))]
-    if history[0] <= tol * bnorm:
-        return CGResult(x, 0, history[0] / bnorm, np.array(history))
-
-    z = preconditioner(r)
-    p = z.copy()
-    rz = float(r @ z)
     iterations = 0
-
-    while iterations < max_iter:
-        iterations += 1
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverError(
-                "conjugate gradient breakdown: operator is not positive definite "
-                "on the search space",
-                iterations,
-                history[-1] / bnorm,
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        if system.singular:
-            x -= x.mean()
-        r -= alpha * Ap
+    while True:
         res = float(np.linalg.norm(r))
-        history.append(res)
-        if res <= tol * bnorm:
+        if not np.isfinite(res):
+            raise SolverError(
+                f"conjugate gradient residual is not finite after {iterations} "
+                f"iterations (relative residual {res / bnorm:.3e})",
+                iterations, res / bnorm)
+        if res <= tol * bnorm and iterations > 0:
             # guard against recurrence drift before declaring victory
-            r_true = b - A @ x
+            r = b - A @ x
             if system.singular:
-                r_true -= r_true.mean()
-            res_true = float(np.linalg.norm(r_true))
-            if res_true <= tol * bnorm:
-                return CGResult(x, iterations, res_true / bnorm, np.array(history))
-            r = r_true
-            res = res_true
-            history[-1] = res
+                r -= r.mean()
+            res = float(np.linalg.norm(r))
+        if res <= tol * bnorm:
+            return CGResult(x, iterations, res / bnorm)
+        if iterations == max_iter:
+            raise SolverError(
+                f"conjugate gradient did not converge in {max_iter} iterations "
+                f"(relative residual {res / bnorm:.3e})", iterations, res / bnorm)
         z = preconditioner(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             raise SolverError(
                 "conjugate gradient breakdown: the preconditioned residual is "
                 f"orthogonal to the residual (relative residual {res / bnorm:.3e})",
-                iterations,
-                res / bnorm,
-            )
-        beta = rz_new / rz
+                iterations, res / bnorm)
+        p = z.copy() if iterations == 0 else z + (rz_new / rz) * p
         rz = rz_new
-        p = z + beta * p
-
-    raise SolverError(
-        f"conjugate gradient did not converge in {max_iter} iterations "
-        f"(relative residual {history[-1] / bnorm:.3e})",
-        iterations,
-        history[-1] / bnorm,
-    )
+        iterations += 1
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            raise SolverError(
+                "conjugate gradient breakdown: operator is not positive definite "
+                "on the search space", iterations, res / bnorm)
+        alpha = rz / pAp
+        x += alpha * p
+        if system.singular:
+            x -= x.mean()
+        r -= alpha * Ap
 
 
 def integrate_cell(

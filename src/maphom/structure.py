@@ -26,7 +26,6 @@ __all__ = [
     "LinearScaleMap",
     "OscillatoryIntegral",
     "QuadraticStretchMap",
-    "ZetaField",
     "aud_ratio",
     "aud_verify",
     "cell_measure",
@@ -45,24 +44,6 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     if pts.ndim == 1:
         return pts[None, :], True
     return pts, False
-
-
-class ZetaField:
-    """The diagonal limit scaling zeta(x) = (1, 2 x2) of the quadratic
-    stretch family, defined for x2 > 0."""
-
-    def __call__(self, x) -> tuple[float, float]:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != 2:
-            raise ValueError("expected a single point (x1, x2)")
-        if not x[1] > 0.0:
-            raise ValueError("zeta is defined for x2 > 0 only")
-        return (1.0, 2.0 * float(x[1]))
-
-    def matrix(self, x) -> np.ndarray:
-        """Diagonal matrix diag(zeta_1, zeta_2) at x."""
-        z1, z2 = self(x)
-        return np.diag([z1, z2])
 
 
 class QuadraticStretchMap:
@@ -101,13 +82,11 @@ class QuadraticStretchMap:
     def zeta_at(self, x) -> tuple[float, float]:
         """jacobian_diag / h with the h cancelled symbolically: (1, 2 x2)."""
         x = np.asarray(x, dtype=float).ravel()
+        if x.size != 2:
+            raise ValueError("expected a single point (x1, x2)")
         if not x[1] > 0.0:
             raise ValueError("zeta is defined for x2 > 0 only")
         return (1.0, 2.0 * float(x[1]))
-
-    @property
-    def zeta(self) -> ZetaField:
-        return ZetaField()
 
     def required_mesh_density(self, omega: Rectangle) -> tuple[float, float]:
         """Elements per unit length needed for 8 elements per local period.

@@ -109,11 +109,11 @@ def test_sine_product_range(sine_coeff):
 
 def test_a_bare_callable_assembles_like_its_periodic_wrapper():
     wrapped = skew_coefficient()
-    bare_system = CellProblem(skew_values, 16).system(ZETA)
-    wrapped_system = CellProblem(wrapped, 16).system(ZETA)
+    bare_system, bare_loads = CellProblem(skew_values, 16).system(ZETA)
+    wrapped_system, wrapped_loads = CellProblem(wrapped, 16).system(ZETA)
     npt.assert_array_equal(bare_system.matrix.data, wrapped_system.matrix.data)
     npt.assert_array_equal(bare_system.matrix.indices, wrapped_system.matrix.indices)
-    for f, g in zip(bare_system.rhs, wrapped_system.rhs):
+    for f, g in zip(bare_loads, wrapped_loads):
         npt.assert_array_equal(f, g)
     problem = DirichletProblem(DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), 7, 4),
                                lambda pts: np.ones(pts.shape[0]))
@@ -172,14 +172,14 @@ def test_bad_coefficient_values_raise(coefficient_uses, use, bad):
 
 def test_assembled_system_shape_and_symmetry(sine_coeff):
     grid = UniformCellGrid(16)
-    system = CellProblem(sine_coeff, grid).system((1.0, 2.0))
+    system, loads = CellProblem(sine_coeff, grid).system((1.0, 2.0))
     K = system.matrix
     assert K.shape == (256, 256)
-    assert len(system.rhs) == 2
+    assert len(loads) == 2
     assert abs(K - K.T).max() <= 1e-13
     # constants span the kernel
     assert np.abs(K @ np.ones(256)).max() <= 1e-12
-    for f in system.rhs:
+    for f in loads:
         assert abs(f.sum()) <= 1e-12
 
 
@@ -198,13 +198,13 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
     d/dy1 a = (9/5) pi cos(2 pi y1) sin(2 pi y2).
     """
     grid = UniformCellGrid(64)
-    system = CellProblem(sine_coeff, grid).system((1.0, 1.0))
+    _, loads = CellProblem(sine_coeff, grid).system((1.0, 1.0))
     pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
     div_g = (1.8 * np.pi * np.cos(2 * np.pi * pts[:, 0])
              * np.sin(2 * np.pi * pts[:, 1]))
     from_source = assemble_source_load(
         grid, div_g.reshape(grid.n_elements, -1))
-    assert np.abs(system.rhs[0] - from_source).max() <= 1e-8
+    assert np.abs(loads[0] - from_source).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,11 @@ def _direct_system(coeff, zeta, grid, coo_stiffness):
 def test_affine_system_matches_a_direct_assembly(sine_coeff, coo_stiffness, name):
     coeff = sine_coeff if name == "sine" else skew_coefficient()
     grid = UniformCellGrid(32)
-    system = CellProblem(coeff, grid).system(ZETA)
-    K, loads = _direct_system(coeff, ZETA, grid, coo_stiffness)
+    system, loads = CellProblem(coeff, grid).system(ZETA)
+    K, direct_loads = _direct_system(coeff, ZETA, grid, coo_stiffness)
     gap = abs(system.matrix - K).max()
     assert gap <= 1e-12 * abs(K).max()
-    for f, g in zip(system.rhs, loads):
+    for f, g in zip(loads, direct_loads):
         assert np.abs(f - g).max() <= 1e-12 * np.abs(g).max()
 
 
@@ -248,7 +248,7 @@ def test_zero_pieces_keep_the_pattern(sine_coeff):
     """K12 + K21 vanishes for a diagonal coefficient; the pattern stays
     the full nine-point one at every scaling."""
     problem = CellProblem(sine_coeff, 16)
-    a, b = problem.system((1.0, 1.0)).matrix, problem.system(ZETA).matrix
+    a, b = problem.system((1.0, 1.0))[0].matrix, problem.system(ZETA)[0].matrix
     assert a.nnz == b.nnz == 9 * 256
     npt.assert_array_equal(a.indices, b.indices)
     npt.assert_array_equal(a.indptr, b.indptr)
@@ -308,10 +308,10 @@ def test_corrector_components_are_zero_mean(sine_coeff):
 def test_residual_orthogonality_against_random_test_vectors(sine_coeff, rng):
     """Twenty random directions see no component of the defect."""
     grid = UniformCellGrid(32)
-    system = CellProblem(sine_coeff, grid).system((1.0, 1.0))
+    system, loads = CellProblem(sine_coeff, grid).system((1.0, 1.0))
     field = solve_corrector(sine_coeff, (1.0, 1.0), grid, tol=1e-10)
     for j, z in ((0, field.z1), (1, field.z2)):
-        defect = system.matvec(z) - system.rhs[j]
+        defect = system.matrix @ z - loads[j]
         for _ in range(20):
             v = rng.standard_normal(grid.n_nodes)
             assert abs(v @ defect) <= 1e-8 * np.linalg.norm(v)

@@ -68,6 +68,8 @@ def test_defaults_validate():
     ("cg_tol=1.5", "cg_tol"),
     ("amplitude=1.0", "amplitude"),
     ("preview_h=0", "preview_h"),
+    ("h_list=[1,1025]", "h_list"),
+    ("preview_h=1025", "preview_h"),
 ])
 def test_bad_values_are_rejected_with_the_offending_key(override, key):
     with pytest.raises(ConfigError) as info:
@@ -76,8 +78,16 @@ def test_bad_values_are_rejected_with_the_offending_key(override, key):
 
 
 def test_caps_are_inclusive():
-    cfg = ExperimentConfig.load(None, ["x2_samples=4096", "aud_subdivision=64"])
+    cfg = ExperimentConfig.load(None, ["x2_samples=4096", "aud_subdivision=64",
+                                       "h_list=[1,1024]", "preview_h=1024"])
     assert (cfg["x2_samples"], cfg["aud_subdivision"]) == (4096, 64)
+    assert (cfg["h_list"], cfg["preview_h"]) == ([1, 1024], 1024)
+
+
+def test_the_preview_flag_obeys_the_scale_cap(tmp_path, capsys):
+    code, _ = run(tmp_path, "preview", "--h", "1025")
+    assert code == 2
+    assert "'preview_h'" in capsys.readouterr().err
 
 
 def test_the_audit_scan_is_capped_before_it_starts(tmp_path, capsys, monkeypatch):
@@ -168,6 +178,18 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys):
                   "--override", "cell_resolution=16", "corrector-dump")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_non_finite_residual_exits_3_at_once(tmp_path, capsys):
+    """At x2 near 1e200 the scaled stiffness overflows; the first CG solve
+    stops on its non-finite residual instead of iterating to max_iter."""
+    code, _ = run(tmp_path, "--override", "omega=[1,2,1e200,1e201]",
+                    "--override", "cell_resolution=16", "--override", "x2_samples=3",
+                    "homogenize")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "residual is not finite after" in err
+    assert int(err.split("after ")[1].split()[0]) <= 1
 
 
 # ---------------------------------------------------------------------------

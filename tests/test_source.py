@@ -7,9 +7,9 @@ import pytest
 
 import maphom
 
+PACKAGE = sorted(Path(maphom.__file__).parent.glob("*.py"))
 # __init__.py imports names to re-export them
-MODULES = sorted(p for p in Path(maphom.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +36,36 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stale_exports(source: str) -> list[str]:
+    """The names in a module's ``__all__`` that no module-level def,
+    class, assignment or import binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+def test_the_scan_finds_stale_exports():
+    source = ("import os\nfrom .numerics import SparseSystem as System\n"
+              "LIMIT = 3\nlimit: int = 4\n"
+              "def f():\n    inner = 1\n"
+              "class C:\n    attr = 2\n"
+              "__all__ = ['C', 'LIMIT', 'System', 'Removed', 'attr', 'f',\n"
+              "           'inner', 'limit', 'os']\n")
+    assert stale_exports(source) == ["Removed", "attr", "inner"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    assert stale_exports(path.read_text()) == []

@@ -12,7 +12,6 @@ from maphom.structure import (
     AudReport,
     LinearScaleMap,
     QuadraticStretchMap,
-    ZetaField,
     aud_ratio,
     aud_verify,
     cell_measure,
@@ -64,13 +63,14 @@ def test_jacobian_is_h_times_zeta():
 
 
 def test_zeta_requires_positive_second_coordinate():
-    field = ZetaField()
-    assert field([1.0, 0.5]) == (1.0, 1.0)
-    npt.assert_allclose(field.matrix([1.0, 0.75]), np.diag([1.0, 1.5]))
+    m = QuadraticStretchMap(2)
+    assert m.zeta_at([1.0, 0.5]) == (1.0, 1.0)
     with pytest.raises(ValueError):
-        field([1.0, 0.0])
+        m.zeta_at([1.0, 0.0])
     with pytest.raises(ValueError):
-        QuadraticStretchMap(2).zeta_at([1.0, -0.1])
+        m.zeta_at([1.0, -0.1])
+    with pytest.raises(ValueError):
+        m.zeta_at([[1.0, 0.5], [1.0, 0.75]])
 
 
 def test_linear_map_is_the_uniform_baseline():
