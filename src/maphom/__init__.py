@@ -44,7 +44,6 @@ from .numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
-    integrate_cell,
 )
 from .structure import (
     AudReport,
@@ -83,7 +82,6 @@ __all__ = [
     "convergence_study",
     "flux_moment",
     "homogenized_matrix_at",
-    "integrate_cell",
     "isotropy_scan",
     "l2_error",
     "oscillatory_mean_integral",

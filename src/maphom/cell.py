@@ -117,18 +117,12 @@ class CellProblem:
         A = assembly.coefficient(coefficient)
         self.means = assembly.mean(A)
         G, w = assembly.gradients, assembly.weights
-        nodes = grid.connectivity().ravel()
-
-        def nodal(i, k, table) -> np.ndarray:
-            fe = A[:, :, i, k] @ table
-            return np.bincount(nodes, weights=fe.ravel(), minlength=grid.n_nodes)
-
         self._stiffness = tuple(assembly.stiffness_data(A, entries) for entries in
                                 ([(0, 0)], [(0, 1), (1, 0)], [(1, 1)]))
         # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik
-        self._loads = [[nodal(i, j, -w[:, None] * G[:, :, i]) for j in range(2)]
-                       for i in range(2)]
-        self._fluxes = [[nodal(i, k, w[:, None] * G[:, :, k] / grid.area)
+        self._loads = [[assembly.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
+                        for j in range(2)] for i in range(2)]
+        self._fluxes = [[assembly.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:

@@ -23,11 +23,7 @@ from .numerics import (
     Rectangle,
     SparseSystem,
     UniformCellGrid,
-    assemble_source_load,
     cg_solve,
-    evaluate_coefficient,
-    nodal_gradient_at_quad,
-    q1_tables,
     spectral_preconditioner,
 )
 
@@ -136,14 +132,15 @@ class DirichletProblem:
     """
 
     def __init__(self, mesh: DomainMesh, f, rule: QuadratureRule = DEFAULT_RULE):
-        grid = mesh.grid
         self.mesh = mesh
-        self.assembly = Q1Assembly(grid, rule)
-        points = self.assembly.points
-        source = np.asarray(f(points), dtype=float)
-        if source.shape != (points.shape[0],):
+        self.assembly = assembly = Q1Assembly(mesh.grid, rule)
+        source = np.asarray(f(assembly.points), dtype=float)
+        if source.shape != (assembly.points.shape[0],):
             raise ValueError("source must return one value per point")
-        load = assemble_source_load(grid, source.reshape(grid.n_elements, -1), rule)
+        if not np.all(np.isfinite(source)):
+            raise ValueError("source evaluated to a non-finite value")
+        load = assembly.load(source.reshape(mesh.grid.n_elements, -1),
+                             assembly.weights[:, None] * assembly.phi)
         self.load = load[mesh.interior_mask]
 
     def oscillatory(self, coefficient, scale_map, tol: float = 1e-8) -> SolutionField:
@@ -244,12 +241,8 @@ def l2_error(u: SolutionField, v: SolutionField, rule: QuadratureRule = DEFAULT_
     """
     if not u.mesh.matches(v.mesh):
         raise ValueError("solution fields live on different meshes")
-    grid = u.mesh.grid
-    d = u.values - v.values
-    phi, _ = q1_tables(rule)
-    at_quad = np.einsum("qa,ea->eq", phi, d[grid.connectivity()])
-    total = np.einsum("eq,q->", at_quad ** 2, rule.weights) * (grid.hx * grid.hy)
-    return float(np.sqrt(total))
+    assembly = Q1Assembly(u.mesh.grid, rule)
+    return float(np.sqrt(assembly.integral(assembly.values(u.values - v.values) ** 2)))
 
 
 def flux_moment(
@@ -263,16 +256,11 @@ def flux_moment(
     ``phi`` is a smooth vector test field, callable on (m, 2) points with
     (m, 2) values.
     """
-    grid = u.mesh.grid
-    pts = grid.quad_points(rule).reshape(-1, 2)
-    D = evaluate_coefficient(coeff_eval, pts).reshape(
-        grid.n_elements, len(rule.weights), 2, 2)
-    grad = nodal_gradient_at_quad(grid, u.values, rule)
-    sigma = np.einsum("eqik,eqk->eqi", D, grad, optimize=True)
-    test = np.asarray(phi(pts), dtype=float).reshape(
-        grid.n_elements, len(rule.weights), 2)
-    total = np.einsum("eqi,eqi,q->", sigma, test, rule.weights, optimize=True)
-    return float(total * grid.hx * grid.hy)
+    assembly = Q1Assembly(u.mesh.grid, rule)
+    D = assembly.coefficient(coeff_eval)
+    sigma = np.einsum("eqik,eqk->eqi", D, assembly.gradient(u.values), optimize=True)
+    test = np.asarray(phi(assembly.points), dtype=float).reshape(sigma.shape)
+    return float(assembly.integral(np.einsum("eqi,eqi->eq", sigma, test)))
 
 
 @dataclasses.dataclass

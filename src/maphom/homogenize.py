@@ -22,11 +22,10 @@ from .cell import CellProblem, CorrectorField, RescaledCell
 from .coefficients import PeriodicCoefficient
 from .numerics import (
     DEFAULT_RULE,
+    Q1Assembly,
     QuadratureRule,
     Rectangle,
     UniformCellGrid,
-    evaluate_coefficient,
-    nodal_gradient_at_quad,
 )
 
 __all__ = [
@@ -53,19 +52,16 @@ def _effective_matrix(
 ) -> np.ndarray:
     """Quadrature of the effective-matrix integrand, normalized by the
     cell measure so the same path serves unit and rescaled cells."""
-    pts = grid.quad_points(rule).reshape(-1, 2)
-    A = evaluate_coefficient(coefficient, pts).reshape(
-        grid.n_elements, len(rule.weights), 2, 2)
+    assembly = Q1Assembly(grid, rule)
+    A = assembly.coefficient(coefficient)
     zvec = np.array([float(zeta[0]), float(zeta[1])])
     b = np.empty((2, 2))
-    w = rule.weights * (grid.hx * grid.hy)
     for j in range(2):
-        gradz = nodal_gradient_at_quad(grid, z_pair[j], rule)
         # integrand_i = a_ij + sum_k a_ik zeta_k dz_j/dy_k
         col = A[:, :, :, j] + np.einsum(
-            "eqik,k,eqk->eqi", A, zvec, gradz, optimize=True
+            "eqik,k,eqk->eqi", A, zvec, assembly.gradient(z_pair[j]), optimize=True
         )
-        b[:, j] = np.einsum("eqi,q->i", col, w)
+        b[:, j] = assembly.integral(col)
     return b / grid.area
 
 

@@ -1,16 +1,19 @@
 """Shared numerical substrate: uniform quadrilateral grids, tensor Gauss
-quadrature, the checked evaluation of coefficients, the Q1 assembly on
-the nine-point CSR layout, a projected conjugate gradient solver and its
-spectral preconditioner.
+quadrature, the checked evaluation of coefficients, the Q1 quadrature
+and assembly on the nine-point CSR layout, a projected conjugate gradient
+solver and its spectral preconditioner.
 
-Periodic cell problems and Dirichlet problems on macroscopic rectangles
-both assemble through :class:`Q1Assembly` and solve through
-:func:`cg_solve` with :func:`spectral_preconditioner`.
+Every integral over a grid goes through :class:`Q1Assembly`: the cell and
+Dirichlet matrices, loads and fluxes, the effective-matrix oracle and the
+error norms. Periodic cell problems and Dirichlet problems on macroscopic
+rectangles solve through :func:`cg_solve` with
+:func:`spectral_preconditioner`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +29,6 @@ __all__ = [
     "UniformCellGrid",
     "cg_solve",
     "evaluate_coefficient",
-    "integrate_cell",
     "interpolate_nodal",
     "nine_point_layout",
     "spectral_preconditioner",
@@ -193,17 +195,6 @@ class UniformCellGrid:
             ]).astype(np.int64)
         return self._conn
 
-    def element_origins(self) -> np.ndarray:
-        ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
-        x = self.origin[0] + ii.ravel() * self.hx
-        y = self.origin[1] + jj.ravel() * self.hy
-        return np.column_stack([x, y])
-
-    def quad_points(self, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
-        """(n_elements, nq, 2) physical quadrature point coordinates."""
-        offs = rule.points * np.array([self.hx, self.hy])
-        return self.element_origins()[:, None, :] + offs[None, :, :]
-
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of boundary nodes; all-False for periodic grids."""
         if self.periodic:
@@ -238,12 +229,6 @@ def q1_tables(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     dphi[:, 2, 1] = xi
     dphi[:, 3, 1] = 1 - xi
     return phi, dphi
-
-
-def physical_gradients(grid: UniformCellGrid, rule: QuadratureRule) -> np.ndarray:
-    """(nq, 4, 2) shape gradients in physical coordinates (uniform grid)."""
-    _, dphi = q1_tables(rule)
-    return dphi / np.array([grid.hx, grid.hy])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,6 +279,11 @@ def spectral_preconditioner(
     Dirichlet grids also one odd-extension and one spectrum buffer per
     axis, which every apply reuses, so one preconditioner must not be
     applied from two threads at once.
+
+    Raises:
+        SolverError: ``k1``, ``k2`` or a diagonal entry is not finite, as
+            when a scaled stiffness overflows (0 iterations, residual nan).
+        ValueError: a non-positive one, or a diagonal of the wrong size.
     """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     if grid.periodic:
@@ -307,6 +297,13 @@ def spectral_preconditioner(
     diagonal = np.asarray(diagonal, dtype=float).ravel()
     if diagonal.size != shape[0] * shape[1]:
         raise ValueError("matrix diagonal does not match the grid's unknowns")
+    bad = [f"{name} = {value}" for name, value in (("k1", k1), ("k2", k2))
+           if not np.isfinite(value)]
+    bad += [f"diagonal[{p}] = {diagonal[p]}"
+            for p in np.flatnonzero(~np.isfinite(diagonal))[:1]]
+    if bad:
+        raise SolverError("preconditioner input is not finite: " + ", ".join(bad),
+                          0, float("nan"))
     if not (k1 > 0 and k2 > 0 and np.all(diagonal > 0)):
         raise ValueError("preconditioner needs positive coefficient means and diagonal")
 
@@ -457,35 +454,6 @@ def cg_solve(
         r -= alpha * Ap
 
 
-def integrate_cell(
-    field,
-    grid: UniformCellGrid,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
-    """Integrate a scalar field over the grid's rectangle.
-
-    ``field`` is either a callable taking an (m, 2) array of points to
-    (m,) values or an array of nodal values, in which case the bilinear
-    interpolant is integrated. Raises ValueError when either has another
-    shape.
-    """
-    if callable(field):
-        pts = grid.quad_points(rule).reshape(-1, 2)
-        vals = np.asarray(field(pts), dtype=float)
-        if vals.shape != (pts.shape[0],):
-            raise ValueError("field must return one value per point")
-        vals = vals.reshape(grid.n_elements, -1)
-    else:
-        vals = np.asarray(field, dtype=float).ravel()
-        if vals.size != grid.n_nodes:
-            raise ValueError("nodal array length does not match grid")
-        phi, _ = q1_tables(rule)
-        conn = grid.connectivity()
-        vals = np.einsum("qa,ea->eq", phi, vals[conn])
-    cell_area = grid.hx * grid.hy
-    return float(np.einsum("eq,q->", vals, rule.weights) * cell_area)
-
-
 def interpolate_nodal(grid: UniformCellGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the bilinear interpolant of nodal ``values`` at ``points``.
 
@@ -579,31 +547,74 @@ def evaluate_coefficient(coefficient, points: np.ndarray) -> np.ndarray:
 
 
 class Q1Assembly:
-    """Q1 stiffness assembly of any coefficient on one grid and rule.
+    """Q1 quadrature on one grid and rule: every integral over the grid.
 
-    Keeps the quadrature points, the physical shape gradients (nq, 4, 2),
-    the weights ``w_q |element|``, the element tables
-    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b`` and the
-    :func:`nine_point_layout`. The element matrices of a coefficient D are
-    ``sum_ik D_ik T_ik``; one ``np.bincount`` sums them into CSR data.
+    Keeps the quadrature points (n_elements * nq, 2), the shape values
+    ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the weights
+    ``w_q |element|`` and the element tables
+    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b``. Nodal fields are read at
+    the points through ``values`` and ``gradient``, fields at the points
+    are integrated by ``integral`` and tested against the shape functions
+    by ``load``. The element matrices of a coefficient D are
+    ``sum_ik D_ik T_ik``; one ``np.bincount`` sums them into CSR data on
+    the :func:`nine_point_layout`, which is built on first use, so
+    quadratures that assemble no matrix never pay for it.
     """
 
     def __init__(self, grid: UniformCellGrid, rule: QuadratureRule = DEFAULT_RULE):
         self.grid = grid
         self.rule = rule
-        self.points = grid.quad_points(rule).reshape(-1, 2)
-        self.gradients = physical_gradients(grid, rule)
+        self._conn = grid.connectivity()
+        offsets = rule.points * np.array([grid.hx, grid.hy])
+        # each element's first corner is its lower-left node
+        self.points = (grid.node_coords()[self._conn[:, 0], None, :]
+                       + offsets[None, :, :]).reshape(-1, 2)
+        self.phi, dphi = q1_tables(rule)
+        self.gradients = dphi / np.array([grid.hx, grid.hy])
         self.weights = rule.weights * (grid.hx * grid.hy)
         G, w, nq = self.gradients, self.weights, len(rule.weights)
         self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
                         .reshape(nq, 16) for k in range(2)] for i in range(2)]
-        self.columns, self.slots = nine_point_layout(grid)
-        self.indptr = np.arange(0, self.columns.size + 1, 9, dtype=np.int32)
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nine-point ``columns`` and ``slots`` and the CSR ``indptr``."""
+        columns, slots = nine_point_layout(self.grid)
+        return columns, slots, np.arange(0, columns.size + 1, 9, dtype=np.int32)
 
     def coefficient(self, coefficient) -> np.ndarray:
         """(n_elements, nq, 2, 2) checked values at the quadrature points."""
         return evaluate_coefficient(coefficient, self.points).reshape(
             self.grid.n_elements, len(self.rule.weights), 2, 2)
+
+    def _corners(self, nodal: np.ndarray) -> np.ndarray:
+        nodal = np.asarray(nodal, dtype=float).ravel()
+        if nodal.size != self.grid.n_nodes:
+            raise ValueError("nodal array length does not match grid")
+        return nodal[self._conn]
+
+    def values(self, nodal: np.ndarray) -> np.ndarray:
+        """(n_elements, nq) values of the bilinear interpolant of nodal
+        values at the quadrature points."""
+        return np.einsum("qa,ea->eq", self.phi, self._corners(nodal))
+
+    def gradient(self, nodal: np.ndarray) -> np.ndarray:
+        """(n_elements, nq, 2) gradient of the bilinear interpolant of
+        nodal values at the quadrature points."""
+        return np.einsum("qad,ea->eqd", self.gradients, self._corners(nodal),
+                         optimize=True)
+
+    def integral(self, values: np.ndarray) -> np.ndarray:
+        """The integral over the grid of (n_elements, nq, ...) values at the
+        quadrature points."""
+        return np.einsum("eq...,q->...", values, self.weights)
+
+    def load(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Nodal vector of the element vectors ``values @ table``, for
+        (n_elements, nq) values and an (nq, 4) table: ``weights[:, None] *
+        phi`` gives the load ``int s phi_a`` of values s."""
+        return np.bincount(self._conn.ravel(), weights=(values @ table).ravel(),
+                           minlength=self.grid.n_nodes)
 
     def mean(self, D: np.ndarray) -> np.ndarray:
         """The 2x2 quadrature mean of coefficient values at the points."""
@@ -616,45 +627,12 @@ class Q1Assembly:
     ) -> np.ndarray:
         """CSR data of the stiffness of the entries (i, k) of D, summed in
         the given order."""
+        columns, slots, _ = self.layout
         Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
-        return np.bincount(self.slots, weights=Ke.ravel(),
-                           minlength=self.columns.size + 1)[:-1]
+        return np.bincount(slots, weights=Ke.ravel(), minlength=columns.size + 1)[:-1]
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix with the given data on the nine-point layout."""
-        n = self.indptr.size - 1
-        return sp.csr_matrix((data, self.columns, self.indptr), shape=(n, n))
-
-
-def assemble_source_load(
-    grid: UniformCellGrid,
-    src_at_quad: np.ndarray,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
-    """Load vector f[a] = int s phi_a for a scalar source given at
-    quadrature points, shape (n_elements, nq)."""
-    s = np.asarray(src_at_quad, dtype=float)
-    if s.shape != (grid.n_elements, len(rule.weights)):
-        raise ValueError("source array has wrong shape")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("source evaluated to a non-finite value")
-    phi, _ = q1_tables(rule)
-    scale = grid.hx * grid.hy
-    fe = np.einsum("eq,qa,q->ea", s, phi, rule.weights, optimize=True) * scale
-    f = np.zeros(grid.n_nodes)
-    np.add.at(f, grid.connectivity().ravel(), fe.ravel())
-    return f
-
-
-def nodal_gradient_at_quad(
-    grid: UniformCellGrid,
-    values: np.ndarray,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
-    """(n_elements, nq, 2) gradient of the bilinear interpolant of nodal
-    values at the quadrature points."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != grid.n_nodes:
-        raise ValueError("nodal array length does not match grid")
-    G = physical_gradients(grid, rule)
-    return np.einsum("qad,ea->eqd", G, values[grid.connectivity()], optimize=True)
+        columns, _, indptr = self.layout
+        n = indptr.size - 1
+        return sp.csr_matrix((data, columns, indptr), shape=(n, n))

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
 
-from maphom import coefficients
+from maphom import coefficients, numerics
 from maphom.cell import (
     CellProblem,
     CorrectorField,
@@ -18,14 +18,20 @@ from maphom.cell import (
     write_corrector_csv,
 )
 from maphom.coefficients import PeriodicCoefficient
-from maphom.finescale import DirichletProblem, DomainMesh, SolutionField, flux_moment
+from maphom.finescale import (
+    DirichletProblem,
+    DomainMesh,
+    SolutionField,
+    flux_moment,
+    l2_error,
+)
 from maphom.homogenize import homogenized_matrix_at, rescaled_matrix
 from maphom.numerics import (
     DEFAULT_RULE,
     Rectangle,
+    Q1Assembly,
     UniformCellGrid,
-    assemble_source_load,
-    physical_gradients,
+    q1_tables,
 )
 
 
@@ -165,6 +171,24 @@ def test_bad_coefficient_values_raise(coefficient_uses, use, bad):
         coefficient_uses[use](bad)
 
 
+def test_oracles_and_error_norms_build_no_matrix_layout(coefficient_uses, sine_coeff,
+                                                       monkeypatch):
+    """The quadratures that assemble no matrix never pay for the
+    nine-point layout of their grid's assembly."""
+    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 8, 8)
+    u = SolutionField(values=np.ones(mesh.grid.n_nodes), mesh=mesh, label="",
+                      warn_underresolved=False, iterations=0, residual=0.0,
+                      energy=0.0, source_work=0.0)
+
+    def refuse(grid):
+        raise AssertionError("the nine-point layout was built")
+
+    monkeypatch.setattr(numerics, "nine_point_layout", refuse)
+    for use in ("homogenized_matrix_at", "rescaled_matrix", "flux_moment"):
+        assert np.all(np.isfinite(coefficient_uses[use](sine_coeff)))
+    assert l2_error(u, u) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -199,11 +223,12 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
     """
     grid = UniformCellGrid(64)
     _, loads = CellProblem(sine_coeff, grid).system((1.0, 1.0))
-    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
+    assembly = Q1Assembly(grid)
+    pts = assembly.points
     div_g = (1.8 * np.pi * np.cos(2 * np.pi * pts[:, 0])
              * np.sin(2 * np.pi * pts[:, 1]))
-    from_source = assemble_source_load(
-        grid, div_g.reshape(grid.n_elements, -1))
+    from_source = assembly.load(div_g.reshape(grid.n_elements, -1),
+                                assembly.weights[:, None] * assembly.phi)
     assert np.abs(loads[0] - from_source).max() <= 1e-8
 
 
@@ -217,11 +242,10 @@ ZETA = (0.7, 2.6)
 def _direct_system(coeff, zeta, grid, coo_stiffness):
     """Stiffness of diag(zeta) A diag(zeta) and the loads
     -int zeta_i a_ij d_i phi, assembled at ``zeta`` without the pieces."""
-    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
-    A = coeff.evaluate(pts).reshape(grid.n_elements, -1, 2, 2)
+    A = coeff.evaluate(Q1Assembly(grid).points).reshape(grid.n_elements, -1, 2, 2)
     z = np.array(zeta)
     K = coo_stiffness(grid, A * z[:, None] * z[None, :])
-    G = physical_gradients(grid, DEFAULT_RULE)
+    G = q1_tables(DEFAULT_RULE)[1] / np.array([grid.hx, grid.hy])
     w = DEFAULT_RULE.weights * grid.hx * grid.hy
     loads = []
     for j in range(2):

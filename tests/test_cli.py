@@ -12,8 +12,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from maphom import cli
+from maphom.cell import CellProblem
 from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
 from maphom.finescale import convergence_study, write_convergence_csv
+from maphom.numerics import SolverError
 
 
 def run(tmp_path, *argv):
@@ -180,16 +182,29 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_a_non_finite_residual_exits_3_at_once(tmp_path, capsys):
-    """At x2 near 1e200 the scaled stiffness overflows; the first CG solve
-    stops on its non-finite residual instead of iterating to max_iter."""
+def test_a_non_finite_residual_exits_3_at_once(tmp_path, capsys, monkeypatch):
+    """At x2 near 1e200 the scaled stiffness overflows; the first solve
+    refuses the non-finite preconditioner input instead of iterating to
+    max_iter."""
+    failures = []
+    solve = CellProblem.solve
+
+    def recorded(self, *args, **kwargs):
+        try:
+            return solve(self, *args, **kwargs)
+        except SolverError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(CellProblem, "solve", recorded)
     code, _ = run(tmp_path, "--override", "omega=[1,2,1e200,1e201]",
                     "--override", "cell_resolution=16", "--override", "x2_samples=3",
                     "homogenize")
     assert code == 3
     err = capsys.readouterr().err
-    assert "residual is not finite after" in err
-    assert int(err.split("after ")[1].split()[0]) <= 1
+    assert "preconditioner input is not finite: k2 = inf" in err
+    assert "RuntimeWarning" not in err
+    assert len(failures) == 1 and failures[0].iterations <= 1
 
 
 # ---------------------------------------------------------------------------

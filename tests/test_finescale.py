@@ -27,7 +27,7 @@ from maphom.homogenize import (
     default_x2_samples,
     tensor_field,
 )
-from maphom.numerics import DEFAULT_RULE, Rectangle, assemble_source_load, interpolate_nodal
+from maphom.numerics import DEFAULT_RULE, Q1Assembly, Rectangle, interpolate_nodal, q1_tables
 from maphom.structure import LinearScaleMap, QuadraticStretchMap
 
 OMEGA = Rectangle(0.5, 1.5, 0.5, 1.5)
@@ -106,7 +106,7 @@ def skew_field(pts):
 
 def _restricted_coo(mesh, coeff_eval, coo_stiffness):
     grid = mesh.grid
-    D = coeff_eval(grid.quad_points(DEFAULT_RULE).reshape(-1, 2))
+    D = coeff_eval(Q1Assembly(grid).points)
     K = coo_stiffness(grid, D.reshape(grid.n_elements, -1, 2, 2))
     interior = np.flatnonzero(mesh.interior_mask)
     return K[interior][:, interior].tocsr()
@@ -139,8 +139,11 @@ def test_dirichlet_solve_matches_a_direct_solve_of_the_coo_system(coo_stiffness)
     problem = DirichletProblem(mesh, source)
     u = problem.homogenized(field, tol=1e-12)
     grid = mesh.grid
-    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
-    b = assemble_source_load(grid, source(pts).reshape(grid.n_elements, -1))
+    phi, _ = q1_tables(DEFAULT_RULE)
+    s = source(Q1Assembly(grid).points).reshape(grid.n_elements, -1)
+    fe = np.einsum("eq,qa,q->ea", s, phi, DEFAULT_RULE.weights) * grid.hx * grid.hy
+    b = np.zeros(grid.n_nodes)
+    np.add.at(b, grid.connectivity().ravel(), fe.ravel())
     b = b[mesh.interior_mask]
     npt.assert_allclose(problem.load, b, rtol=1e-14, atol=1e-16)
     K = _restricted_coo(mesh, tensor_evaluator(field), coo_stiffness)
@@ -292,7 +295,7 @@ def test_flux_moment_obeys_the_divergence_identity():
 
     lhs = flux_moment(identity_eval, u, phi)
     grid = mesh.grid
-    pts = grid.quad_points(DEFAULT_RULE).reshape(-1, 2)
+    pts = Q1Assembly(grid).points
     u_q = interpolate_nodal(grid, u.values, pts)
     w = np.tile(DEFAULT_RULE.weights, grid.n_elements)
     rhs = -np.sum(u_q * div_phi(pts) * w) * grid.hx * grid.hy

@@ -1,4 +1,4 @@
-"""Quadrature, grids, the nine-point layout, the projected CG solver and
+"""Quadrature, grids, the Q1 quadrature, the nine-point layout, the projected CG solver and
 its spectral preconditioner."""
 
 import dataclasses
@@ -9,16 +9,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from maphom.finescale import DirichletProblem, DomainMesh
 from maphom.numerics import (
     DEFAULT_RULE,
+    Q1Assembly,
     QuadratureRule,
     Rectangle,
     SolverError,
     SparseSystem,
     UniformCellGrid,
-    assemble_source_load,
     cg_solve,
-    integrate_cell,
     interpolate_nodal,
     nine_point_layout,
     spectral_preconditioner,
@@ -38,19 +38,25 @@ def test_gauss_weights_sum_to_one(npts):
     assert np.all(rule.points >= 0) and np.all(rule.points <= 1)
 
 
+def integrate(f, grid):
+    """The quadrature of a callable field over the grid."""
+    assembly = Q1Assembly(grid)
+    return float(assembly.integral(f(assembly.points).reshape(grid.n_elements, -1)))
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_default_rule_integrates_bicubics_exactly(p, q):
     """Tensor Gauss with 2 points per axis is exact through degree 3."""
     grid = UniformCellGrid(1, periodic=False)
-    value = integrate_cell(lambda pts: pts[:, 0] ** p * pts[:, 1] ** q, grid)
+    value = integrate(lambda pts: pts[:, 0] ** p * pts[:, 1] ** q, grid)
     assert value == pytest.approx(1.0 / ((p + 1) * (q + 1)), rel=1e-14)
 
 
 def test_sine_squared_mean_on_uniform_grid():
     # equispaced composite Gauss picks up no aliasing error for this mode
     grid = UniformCellGrid(64)
-    value = integrate_cell(lambda pts: np.sin(2 * np.pi * pts[:, 0]) ** 2, grid)
+    value = integrate(lambda pts: np.sin(2 * np.pi * pts[:, 0]) ** 2, grid)
     assert abs(value - 0.5) <= 1e-13
 
 
@@ -61,7 +67,7 @@ def test_orthogonal_modes_integrate_to_zero(k):
     def mode(pts):
         return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * k * pts[:, 1])
 
-    assert abs(integrate_cell(mode, grid)) <= 1e-12
+    assert abs(integrate(mode, grid)) <= 1e-12
 
 
 def test_nodal_integration_of_bilinear_field():
@@ -69,20 +75,34 @@ def test_nodal_integration_of_bilinear_field():
     # quadrature of the interpolant is the exact integral 1/4
     grid = UniformCellGrid(8, periodic=False)
     coords = grid.node_coords()
-    value = integrate_cell(coords[:, 0] * coords[:, 1], grid)
+    assembly = Q1Assembly(grid)
+    value = assembly.integral(assembly.values(coords[:, 0] * coords[:, 1]))
     assert value == pytest.approx(0.25, abs=1e-15)
 
 
+def test_gradients_of_bilinear_fields_are_exact_at_the_points():
+    """On a grid with hx != hy and an offset origin, the interpolant of
+    a + b x + c y + d x y is the field itself."""
+    grid = UniformCellGrid(6, periodic=False, ny=5, lengths=(1.5, 0.7),
+                           origin=(0.25, -0.5))
+    a, b, c, d = 0.3, -1.2, 2.5, 0.8
+    x, y = grid.node_coords().T
+    assembly = Q1Assembly(grid)
+    gradient = assembly.gradient(a + b * x + c * y + d * x * y).reshape(-1, 2)
+    px, py = assembly.points.T
+    npt.assert_allclose(gradient, np.column_stack([b + d * py, c + d * px]),
+                        rtol=0, atol=1e-13)
+    npt.assert_allclose(assembly.values(a + b * x + c * y + d * x * y).ravel(),
+                        a + b * px + c * py + d * px * py, rtol=0, atol=1e-13)
+
+
 def test_integrands_of_the_wrong_shape_are_refused():
-    """A callable field must return one value per point; it is not run
-    again point by point."""
+    """Nodal fields must hold one value per node."""
     grid = UniformCellGrid(4)
-    with pytest.raises(ValueError):
-        integrate_cell(lambda pts: pts, grid)
-    with pytest.raises(ValueError):
-        integrate_cell(lambda pts: np.ones(pts.shape[0] + 1), grid)
-    with pytest.raises(ValueError):
-        integrate_cell(np.ones(grid.n_nodes + 1), grid)
+    assembly = Q1Assembly(grid)
+    for read in (assembly.values, assembly.gradient):
+        with pytest.raises(ValueError):
+            read(np.ones(grid.n_nodes + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +397,22 @@ def test_spectral_preconditioner_checks_its_inputs():
         spectral_preconditioner(grid, 1.0, 1.0, np.ones(grid.n_nodes))
     with pytest.raises(ValueError):
         spectral_preconditioner(grid, 0.0, 1.0, np.ones(49))
+    with pytest.raises(ValueError):
+        spectral_preconditioner(grid, 1.0, 1.0, -np.ones(49))
+    infinite_diagonal = np.ones(49)
+    infinite_diagonal[5] = np.inf
+    for k1, k2, diagonal, named in [(np.inf, 1.0, np.ones(49), "k1 = inf"),
+                                    (1.0, -np.inf, np.ones(49), "k2 = -inf"),
+                                    (1.0, np.nan, np.ones(49), "k2 = nan"),
+                                    (1.0, 1.0, infinite_diagonal, "diagonal[5] = inf")]:
+        with pytest.raises(SolverError, match="not finite") as info:
+            spectral_preconditioner(grid, k1, k2, diagonal)
+        assert named in str(info.value)
+        assert info.value.iterations == 0 and np.isnan(info.value.residual)
 
 
 # ---------------------------------------------------------------------------
-# interpolation and loads
+# interpolation and the source load
 # ---------------------------------------------------------------------------
 
 
@@ -414,7 +446,6 @@ def test_clamped_interpolation_outside_the_box(rng):
 
 
 def test_source_load_rejects_non_finite_values():
-    grid = UniformCellGrid(4)
-    bad = np.full((grid.n_elements, len(DEFAULT_RULE.weights)), np.nan)
-    with pytest.raises(ValueError):
-        assemble_source_load(grid, bad)
+    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 4, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        DirichletProblem(mesh, lambda pts: np.full(pts.shape[0], np.nan))

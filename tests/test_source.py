@@ -69,3 +69,42 @@ def test_the_scan_finds_stale_exports():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_exported_name_is_defined(path):
     assert stale_exports(path.read_text()) == []
+
+
+QUADRATURE = {"quad_points", "q1_tables", "connectivity"}
+
+
+def quadrature_internals(source: str) -> list[str]:
+    """The Q1 quadrature internals a module names: ``quad_points``,
+    ``q1_tables``, ``connectivity`` and ``add.at``. Outside ``numerics``
+    every integral over a grid goes through ``Q1Assembly``."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            inner = node.value
+            owner = inner.attr if isinstance(inner, ast.Attribute) else getattr(inner, "id", "")
+            if node.attr == "at" and owner == "add":
+                named.add("add.at")
+    return sorted(named & (QUADRATURE | {"add.at"}))
+
+
+def test_the_scan_finds_quadrature_internals():
+    source = ("import numpy as np\nfrom numpy import add\n"
+              "from .numerics import q1_tables as tables\n"
+              "def f(grid, f, at):\n"
+              "    pts = grid.quad_points()\n    np.add.at(f, grid.connectivity(), 1)\n"
+              "    add.at(f, 0, 1)\n    np.add(f, at)\n    return np.multiply.at\n")
+    assert quadrature_internals(source) == ["add.at", "connectivity", "q1_tables",
+                                            "quad_points"]
+    assert quadrature_internals("def f(np, at):\n    return np.add(at, 1)\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "numerics.py"],
+                         ids=lambda p: p.name)
+def test_only_numerics_holds_quadrature_internals(path):
+    assert quadrature_internals(path.read_text()) == []
