@@ -38,7 +38,6 @@ from .homogenize import (
 )
 from .numerics import (
     CGResult,
-    QuadratureRule,
     Rectangle,
     SolverError,
     SparseSystem,
@@ -67,7 +66,6 @@ __all__ = [
     "HomogenizedTensor",
     "LinearScaleMap",
     "PeriodicCoefficient",
-    "QuadratureRule",
     "QuadraticStretchMap",
     "Rectangle",
     "RescaledCell",

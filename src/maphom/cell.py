@@ -17,14 +17,13 @@ routes agree up to discretization error.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Sequence
 
 import numpy as np
 
 from .numerics import (
-    DEFAULT_RULE,
     Q1Assembly,
-    QuadratureRule,
     SparseSystem,
     UniformCellGrid,
     cg_solve,
@@ -47,8 +46,7 @@ class CorrectorField:
     """Corrector pair on a periodic grid with solver diagnostics.
 
     ``z1`` and ``z2`` are nodal values of the two zero-mean periodic
-    correctors; ``zeta`` is the diagonal scaling they were solved with
-    (equivalently the macroscopic point, stored in ``x`` when known).
+    correctors; ``zeta`` is the diagonal scaling they were solved with.
     """
 
     z1: np.ndarray
@@ -57,7 +55,6 @@ class CorrectorField:
     grid: UniformCellGrid
     iterations: tuple[int, int]
     residual: tuple[float, float]
-    x: tuple[float, float] | None = None
 
     def component(self, j: int) -> np.ndarray:
         if j not in (1, 2):
@@ -102,18 +99,13 @@ class CellProblem:
     summed in another order, for symmetric and non-symmetric A alike.
     """
 
-    def __init__(
-        self,
-        coefficient,
-        grid: UniformCellGrid | int,
-        rule: QuadratureRule = DEFAULT_RULE,
-    ):
-        if isinstance(grid, int):
-            grid = UniformCellGrid(grid, periodic=True)
+    def __init__(self, coefficient, grid: UniformCellGrid | int):
+        if not isinstance(grid, UniformCellGrid):
+            grid = UniformCellGrid(operator.index(grid), periodic=True)
         if not grid.periodic:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
-        self.assembly = assembly = Q1Assembly(grid, rule)
+        self.assembly = assembly = Q1Assembly(grid)
         A = assembly.coefficient(coefficient)
         self.means = assembly.mean(A)
         G, w = assembly.gradients, assembly.weights
@@ -138,7 +130,6 @@ class CellProblem:
         zeta: tuple[float, float],
         tol: float = 1e-10,
         x0_pair: Sequence[np.ndarray] | None = None,
-        x: tuple[float, float] | None = None,
     ) -> CorrectorField:
         """Both correctors at ``zeta`` by spectrally preconditioned CG.
 
@@ -159,7 +150,7 @@ class CellProblem:
             resids.append(res.residual)
         return CorrectorField(
             z1=sols[0], z2=sols[1], zeta=(z1, z2), grid=self.grid,
-            iterations=(iters[0], iters[1]), residual=(resids[0], resids[1]), x=x,
+            iterations=(iters[0], iters[1]), residual=(resids[0], resids[1]),
         )
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
@@ -179,21 +170,18 @@ def solve_corrector(
     zeta: tuple[float, float],
     grid: UniformCellGrid | int = 128,
     tol: float = 1e-10,
-    rule: QuadratureRule = DEFAULT_RULE,
     x0_pair: Sequence[np.ndarray] | None = None,
-    x: tuple[float, float] | None = None,
 ) -> CorrectorField:
     """Solve the scaled corrector pair on the periodic unit cell.
 
     Args:
         grid: a periodic grid or an element count per side.
         x0_pair: optional initial guesses (warm starts) for the two solves.
-        x: macroscopic point to record on the field, if any.
 
     Builds a :class:`CellProblem` for this one scaling; sweeps over many
     scalings build it once and call its ``solve``.
     """
-    return CellProblem(coefficient, grid, rule).solve(zeta, tol, x0_pair, x)
+    return CellProblem(coefficient, grid).solve(zeta, tol, x0_pair)
 
 
 @dataclasses.dataclass
@@ -232,14 +220,14 @@ def solve_rescaled_corrector(
     x: tuple[float, float],
     resolution: tuple[int, int] | None = None,
     tol: float = 1e-10,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> RescaledCell:
     """Solve the classical corrector problem on the rescaled rectangle.
 
     For a macroscopic point with x2 > 0 the rectangle is
     (0,1) x (0, 1/(2 x2)) and the coefficient is A(y1, 2 x2 y2), periodic
     across both pairs of edges. The default resolution keeps elements
-    square: 128 columns and round(128 / (2 x2)) rows.
+    square: round(128 / (2 x2)) rows but at least 4, and 128 columns, or
+    round(8 x2) once four rows need more.
     """
     x = (float(x[0]), float(x[1]))
     if not x[1] > 0:
@@ -247,7 +235,7 @@ def solve_rescaled_corrector(
     zeta2 = 2.0 * x[1]
     length2 = 1.0 / zeta2
     if resolution is None:
-        resolution = (128, max(4, round(128 * length2)))
+        resolution = (max(128, round(4 / length2)), max(4, round(128 * length2)))
     n1, n2 = int(resolution[0]), int(resolution[1])
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be positive in both directions")
@@ -265,7 +253,7 @@ def solve_rescaled_corrector(
         q[:, 1] *= zeta2
         return coefficient(q)
 
-    field = CellProblem(stretched, grid, rule).solve((1.0, 1.0), tol)
+    field = CellProblem(stretched, grid).solve((1.0, 1.0), tol)
     return RescaledCell(
         zeta2=zeta2, grid=grid, z1=field.z1, z2=field.z2,
         coefficient_eval=stretched,

@@ -107,12 +107,6 @@ def _typed(key: str, value, kind: type):
         raise ConfigError(key, f"is out of range: {value!r}")
 
 
-def _check_preview_h(h: int) -> int:
-    if not 1 <= h <= MAX_SCALE_INDEX:
-        raise ConfigError("preview_h", f"must be an integer from 1 to {MAX_SCALE_INDEX}")
-    return h
-
-
 def _typed_list(key: str, value, kind: type) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(key, f"must be a list, got {value!r}")
@@ -229,7 +223,9 @@ class ExperimentConfig:
         v["dump_x2"] = _typed("dump_x2", v["dump_x2"], float)
         if not v["dump_x2"] > 0:
             raise ConfigError("dump_x2", "must be positive")
-        v["preview_h"] = _check_preview_h(_typed("preview_h", v["preview_h"], int))
+        v["preview_h"] = _typed("preview_h", v["preview_h"], int)
+        if not 1 <= v["preview_h"] <= MAX_SCALE_INDEX:
+            raise ConfigError("preview_h", f"must be an integer from 1 to {MAX_SCALE_INDEX}")
 
     # -- derived objects ----------------------------------------------------
 
@@ -427,12 +423,11 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
                 [_file_entry(csv_path)], solver).write(out_dir)
 
 
-def cmd_preview(cfg: ExperimentConfig, out_dir: Path, h: int | None = None) -> None:
+def cmd_preview(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Sample the composed coefficient's (1,1) entry on a grid over omega."""
     clock = _StageClock()
-    h = cfg["preview_h"] if h is None else _check_preview_h(h)
     omega = cfg.omega()
-    scale_map = cfg.map_family()(h)
+    scale_map = cfg.map_family()(cfg["preview_h"])
     coeff = cfg.coefficient()
     n = cfg["preview_resolution"]
 
@@ -461,7 +456,7 @@ def cmd_corrector_dump(cfg: ExperimentConfig, out_dir: Path) -> None:
         else (1.0, 2.0 * x2)
     grid = UniformCellGrid(cfg["cell_resolution"], periodic=True)
     field = clock.run("solve", lambda: solve_corrector(
-        cfg.coefficient(), zeta, grid, tol=float(cfg["cg_tol"]), x=(1.0, x2)))
+        cfg.coefficient(), zeta, grid, tol=float(cfg["cg_tol"])))
     csv_path = out_dir / "corrector.csv"
     with open(csv_path, "w", newline="") as f:
         write_corrector_csv(field, f)
@@ -485,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("homogenize", help="effective tensor curves over the domain")
     sub.add_parser("aud", help="cell distribution diagnostics")
     sub.add_parser("convergence", help="fine-scale vs homogenized error sweep")
-    preview = sub.add_parser("preview", help="composed coefficient samples")
-    preview.add_argument("--h", type=int, default=None, help="scale index to sample")
+    sub.add_parser("preview", help="composed coefficient samples")
     sub.add_parser("corrector-dump", help="nodal corrector values at one x2")
     return parser
 
@@ -504,7 +498,7 @@ def main(argv=None) -> int:
         elif args.command == "convergence":
             cmd_convergence(cfg, out_dir)
         elif args.command == "preview":
-            cmd_preview(cfg, out_dir, args.h)
+            cmd_preview(cfg, out_dir)
         elif args.command == "corrector-dump":
             cmd_corrector_dump(cfg, out_dir)
     except ConfigError as exc:

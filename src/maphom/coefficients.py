@@ -52,14 +52,15 @@ class PeriodicCoefficient:
 
     __call__ = evaluate
 
-    def check_structure(self, samples: int = 33, directions: int = 16, tol: float = 1e-9) -> None:
+    def check_structure(self) -> None:
         """Sample the declared bounds, symmetry and periodicity.
 
         Raises ValueError on the first violated property. The bounds are
-        checked on a uniform sample grid against unit directions; the
-        periodicity check compares A(y) with A(y + e_i) to 1e-12.
+        checked to 1e-9 on a uniform 33 x 33 sample grid against 16 unit
+        directions; the periodicity check compares A(y) with A(y + e_i)
+        to 1e-12.
         """
-        t = np.linspace(0.0, 1.0, samples)
+        t = np.linspace(0.0, 1.0, 33)
         yy, xx = np.meshgrid(t, t)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         A = self.evaluate(pts)
@@ -69,16 +70,16 @@ class PeriodicCoefficient:
                 raise ValueError("coefficient is not unit-cell periodic")
         if self.symmetric and np.max(np.abs(A - np.transpose(A, (0, 2, 1)))) > 1e-12:
             raise ValueError("coefficient declared symmetric is not")
-        angles = np.linspace(0.0, np.pi, directions, endpoint=False)
+        angles = np.linspace(0.0, np.pi, 16, endpoint=False)
         xi = np.column_stack([np.cos(angles), np.sin(angles)])
         Axi = np.einsum("mik,dk->mdi", A, xi)
         norms = np.linalg.norm(Axi, axis=2)
-        if norms.max() > self.bound + tol:
+        if norms.max() > self.bound + 1e-9:
             raise ValueError(
                 f"bound violated: |A xi| reaches {norms.max():.6g} > {self.bound}"
             )
         quad = np.einsum("mdi,di->md", Axi, xi)
-        if quad.min() < self.coercivity - tol:
+        if quad.min() < self.coercivity - 1e-9:
             raise ValueError(
                 f"coercivity violated: xi.A xi falls to {quad.min():.6g} < {self.coercivity}"
             )

@@ -17,9 +17,7 @@ import scipy.sparse as sp
 
 from .homogenize import HomogenizedTensor
 from .numerics import (
-    DEFAULT_RULE,
     Q1Assembly,
-    QuadratureRule,
     Rectangle,
     SparseSystem,
     UniformCellGrid,
@@ -131,9 +129,9 @@ class DirichletProblem:
     the system's diagonal.
     """
 
-    def __init__(self, mesh: DomainMesh, f, rule: QuadratureRule = DEFAULT_RULE):
+    def __init__(self, mesh: DomainMesh, f):
         self.mesh = mesh
-        self.assembly = assembly = Q1Assembly(mesh.grid, rule)
+        self.assembly = assembly = Q1Assembly(mesh.grid)
         source = np.asarray(f(assembly.points), dtype=float)
         if source.shape != (assembly.points.shape[0],):
             raise ValueError("source must return one value per point")
@@ -186,7 +184,6 @@ def solve_oscillatory(
     f,
     mesh: DomainMesh,
     tol: float = 1e-8,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> SolutionField:
     """Solve -div(A(alpha_h(x)) grad u) = f with zero Dirichlet data.
 
@@ -198,7 +195,7 @@ def solve_oscillatory(
     Builds a :class:`DirichletProblem` for this one solve; studies that
     solve many coefficients on one mesh build it once.
     """
-    return DirichletProblem(mesh, f, rule).oscillatory(coefficient, scale_map, tol)
+    return DirichletProblem(mesh, f).oscillatory(coefficient, scale_map, tol)
 
 
 def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,41 +219,31 @@ def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndar
     return evaluate
 
 
-def solve_homogenized(
-    field: HomogenizedTensor,
-    f,
-    mesh: DomainMesh,
-    tol: float = 1e-8,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> SolutionField:
+def solve_homogenized(field: HomogenizedTensor, f, mesh: DomainMesh,
+                      tol: float = 1e-8) -> SolutionField:
     """Solve -div(B(x) grad u) = f for the sampled effective tensor."""
-    return DirichletProblem(mesh, f, rule).homogenized(field, tol)
+    return DirichletProblem(mesh, f).homogenized(field, tol)
 
 
-def l2_error(u: SolutionField, v: SolutionField, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def l2_error(u: SolutionField, v: SolutionField) -> float:
     """L2 norm of u - v over the domain; both fields must share the mesh.
 
-    The difference is piecewise bilinear, so the default rule integrates
-    its square exactly.
+    The difference is piecewise bilinear, so 2x2 Gauss integrates its
+    square exactly.
     """
     if not u.mesh.matches(v.mesh):
         raise ValueError("solution fields live on different meshes")
-    assembly = Q1Assembly(u.mesh.grid, rule)
+    assembly = Q1Assembly(u.mesh.grid)
     return float(np.sqrt(assembly.integral(assembly.values(u.values - v.values) ** 2)))
 
 
-def flux_moment(
-    coeff_eval,
-    u: SolutionField,
-    phi,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+def flux_moment(coeff_eval, u: SolutionField, phi) -> float:
     """Weighted flux functional int (D grad u) . phi dx.
 
     ``phi`` is a smooth vector test field, callable on (m, 2) points with
     (m, 2) values.
     """
-    assembly = Q1Assembly(u.mesh.grid, rule)
+    assembly = Q1Assembly(u.mesh.grid)
     D = assembly.coefficient(coeff_eval)
     sigma = np.einsum("eqik,eqk->eqi", D, assembly.gradient(u.values), optimize=True)
     test = np.asarray(phi(assembly.points), dtype=float).reshape(sigma.shape)

@@ -20,13 +20,7 @@ import numpy as np
 
 from .cell import CellProblem, CorrectorField, RescaledCell
 from .coefficients import PeriodicCoefficient
-from .numerics import (
-    DEFAULT_RULE,
-    Q1Assembly,
-    QuadratureRule,
-    Rectangle,
-    UniformCellGrid,
-)
+from .numerics import Q1Assembly, Rectangle, UniformCellGrid
 
 __all__ = [
     "HomogenizationJob",
@@ -48,11 +42,10 @@ def _effective_matrix(
     zeta: tuple[float, float],
     z_pair: Sequence[np.ndarray],
     grid: UniformCellGrid,
-    rule: QuadratureRule,
 ) -> np.ndarray:
     """Quadrature of the effective-matrix integrand, normalized by the
     cell measure so the same path serves unit and rescaled cells."""
-    assembly = Q1Assembly(grid, rule)
+    assembly = Q1Assembly(grid)
     A = assembly.coefficient(coefficient)
     zvec = np.array([float(zeta[0]), float(zeta[1])])
     b = np.empty((2, 2))
@@ -69,7 +62,6 @@ def homogenized_matrix_at(
     coefficient,
     zeta: tuple[float, float],
     corrector: CorrectorField,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> np.ndarray:
     """Effective matrix from an already-solved corrector pair.
 
@@ -80,21 +72,20 @@ def homogenized_matrix_at(
     if tuple(corrector.zeta) != (float(zeta[0]), float(zeta[1])):
         raise ValueError("corrector was solved with a different scaling")
     return _effective_matrix(coefficient, zeta, (corrector.z1, corrector.z2),
-                             corrector.grid, rule)
+                             corrector.grid)
 
 
 def classical_homogenized_matrix(
     coefficient,
     grid: UniformCellGrid | int = 128,
     tol: float = 1e-10,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> np.ndarray:
     """Effective matrix of the unscaled (zeta = (1,1)) cell problem."""
-    problem = CellProblem(coefficient, grid, rule)
+    problem = CellProblem(coefficient, grid)
     return problem.effective_matrix(problem.solve((1.0, 1.0), tol))
 
 
-def rescaled_matrix(cell: RescaledCell, rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
+def rescaled_matrix(cell: RescaledCell) -> np.ndarray:
     """Effective matrix from the rescaled-rectangle route.
 
     The classical formula on the rectangle, normalized by its measure,
@@ -102,7 +93,7 @@ def rescaled_matrix(cell: RescaledCell, rule: QuadratureRule = DEFAULT_RULE) -> 
     error.
     """
     return _effective_matrix(cell.coefficient_eval, (1.0, 1.0),
-                             (cell.z1, cell.z2), cell.grid, rule)
+                             (cell.z1, cell.z2), cell.grid)
 
 
 def default_x2_samples(omega: Rectangle, count: int = 64) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Shared numerical substrate: uniform quadrilateral grids, tensor Gauss
-quadrature, the checked evaluation of coefficients, the Q1 quadrature
+"""Shared numerical substrate: uniform quadrilateral grids, the fixed 2x2
+Gauss rule, the checked evaluation of coefficients, the Q1 quadrature
 and assembly on the nine-point CSR layout, a projected conjugate gradient
 solver and its spectral preconditioner.
 
@@ -22,7 +22,6 @@ import scipy.sparse as sp
 __all__ = [
     "CGResult",
     "Q1Assembly",
-    "QuadratureRule",
     "Rectangle",
     "SolverError",
     "SparseSystem",
@@ -73,34 +72,22 @@ class Rectangle:
         return self.a1 <= x1 <= self.b1 and self.a2 <= x2 <= self.b2
 
 
-@dataclasses.dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product rule on the reference square [0,1]^2.
-
-    Attributes:
-        points: (nq, 2) quadrature points.
-        weights: (nq,) weights summing to 1, the reference measure.
-        order: largest per-axis polynomial degree integrated exactly.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @staticmethod
-    def gauss(npts_per_axis: int = 2) -> "QuadratureRule":
-        """Gauss-Legendre tensor rule, exact per axis up to degree 2*npts - 1."""
-        if npts_per_axis < 1:
-            raise ValueError("need at least one point per axis")
-        t, w = np.polynomial.legendre.leggauss(npts_per_axis)
-        t = 0.5 * (t + 1.0)  # map [-1,1] -> [0,1]
-        w = 0.5 * w
-        pts = np.array([(a, b) for b in t for a in t])
-        wts = np.array([wa * wb for wb in w for wa in w])
-        return QuadratureRule(points=pts, weights=wts, order=2 * npts_per_axis - 1)
+def _gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
+    t, w = np.polynomial.legendre.leggauss(2)
+    t, w = 0.5 * (t + 1.0), 0.5 * w  # map [-1, 1] -> [0, 1]
+    points = np.array([(a, b) for b in t for a in t])
+    weights = np.array([wa * wb for wb in w for wa in w])
+    points.flags.writeable = weights.flags.writeable = False  # shared constants
+    return points, weights
 
 
-DEFAULT_RULE = QuadratureRule.gauss(2)
+# The one quadrature rule: 2x2 Gauss on the reference square [0, 1]^2,
+# (4, 2) points with the first axis fastest and (4,) weights summing to 1.
+# It integrates bicubics exactly, so l2_error is exact for Q1 fields, and
+# CellProblem.effective_matrix equals the homogenized_matrix_at oracle
+# because both sum over the same points. The points are leggauss(2) mapped
+# to [0, 1]; the closed form 0.5 +- 1/(2 sqrt 3) differs in the last bit.
+GAUSS_POINTS, GAUSS_WEIGHTS = _gauss_2x2()
 
 
 class UniformCellGrid:
@@ -205,14 +192,14 @@ class UniformCellGrid:
         return mask.ravel()
 
 
-def q1_tables(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear shape values and reference gradients at the rule's points.
+def q1_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear shape values and reference gradients at the Gauss points.
 
     Returns (phi, dphi) with shapes (nq, 4) and (nq, 4, 2). Corner order
     matches UniformCellGrid.connectivity.
     """
-    xi = rule.points[:, 0]
-    eta = rule.points[:, 1]
+    xi = GAUSS_POINTS[:, 0]
+    eta = GAUSS_POINTS[:, 1]
     phi = np.column_stack([
         (1 - xi) * (1 - eta),
         xi * (1 - eta),
@@ -547,7 +534,7 @@ def evaluate_coefficient(coefficient, points: np.ndarray) -> np.ndarray:
 
 
 class Q1Assembly:
-    """Q1 quadrature on one grid and rule: every integral over the grid.
+    """Q1 quadrature on one grid: every integral over the grid.
 
     Keeps the quadrature points (n_elements * nq, 2), the shape values
     ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the weights
@@ -561,18 +548,17 @@ class Q1Assembly:
     quadratures that assemble no matrix never pay for it.
     """
 
-    def __init__(self, grid: UniformCellGrid, rule: QuadratureRule = DEFAULT_RULE):
+    def __init__(self, grid: UniformCellGrid):
         self.grid = grid
-        self.rule = rule
         self._conn = grid.connectivity()
-        offsets = rule.points * np.array([grid.hx, grid.hy])
+        offsets = GAUSS_POINTS * np.array([grid.hx, grid.hy])
         # each element's first corner is its lower-left node
         self.points = (grid.node_coords()[self._conn[:, 0], None, :]
                        + offsets[None, :, :]).reshape(-1, 2)
-        self.phi, dphi = q1_tables(rule)
+        self.phi, dphi = q1_tables()
         self.gradients = dphi / np.array([grid.hx, grid.hy])
-        self.weights = rule.weights * (grid.hx * grid.hy)
-        G, w, nq = self.gradients, self.weights, len(rule.weights)
+        self.weights = GAUSS_WEIGHTS * (grid.hx * grid.hy)
+        G, w, nq = self.gradients, self.weights, len(GAUSS_WEIGHTS)
         self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
                         .reshape(nq, 16) for k in range(2)] for i in range(2)]
 
@@ -585,7 +571,7 @@ class Q1Assembly:
     def coefficient(self, coefficient) -> np.ndarray:
         """(n_elements, nq, 2, 2) checked values at the quadrature points."""
         return evaluate_coefficient(coefficient, self.points).reshape(
-            self.grid.n_elements, len(self.rule.weights), 2, 2)
+            self.grid.n_elements, len(GAUSS_WEIGHTS), 2, 2)
 
     def _corners(self, nodal: np.ndarray) -> np.ndarray:
         nodal = np.asarray(nodal, dtype=float).ravel()
@@ -618,7 +604,7 @@ class Q1Assembly:
 
     def mean(self, D: np.ndarray) -> np.ndarray:
         """The 2x2 quadrature mean of coefficient values at the points."""
-        return np.einsum("eqik,q->ik", D, self.rule.weights) / self.grid.n_elements
+        return np.einsum("eqik,q->ik", D, GAUSS_WEIGHTS) / self.grid.n_elements
 
     def stiffness_data(
         self,

@@ -237,19 +237,14 @@ def _direct_ratio_decimal(n: int, j2: int, k2: int) -> float:
     return float(num / den / n)
 
 
-def aud_verify(
-    h_list: Sequence[int],
-    n: int,
-    omega: Rectangle,
-    cross_checks: int = 10,
-) -> list[AudReport]:
+def aud_verify(h_list: Sequence[int], n: int, omega: Rectangle) -> list[AudReport]:
     """Score the subcell measure fractions for each scale index.
 
     For every h the preimage cells interior to ``omega`` are enumerated
     (second-axis offsets from :func:`scored_j2_range`) and the maximum
     deviation of the n^2 subcell fractions from the uniform value 1/n^2 is
-    recorded. For ``cross_checks`` randomly drawn cells per h the closed
-    form is validated against the direct area quotient to 1e-12 relative.
+    recorded. For ten randomly drawn cells per h the closed form is
+    validated against the direct area quotient to 1e-12 relative.
 
     Raises ValueError for a non-increasing h list, RuntimeError if the
     cross-validation disagrees (an index-convention slip).
@@ -283,7 +278,7 @@ def aud_verify(
                 max_dev = max(max_dev, float(dev.max()))
 
         rng = np.random.default_rng(987654321 + h)
-        for _ in range(cross_checks):
+        for _ in range(10):
             j2 = int(rng.integers(j2_lo, j2_hi + 1))
             k2 = int(rng.integers(0, n))
             closed = aud_ratio(h, n, j2, k2)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import settings
 
 from maphom import coefficients
-from maphom.numerics import DEFAULT_RULE, q1_tables
+from maphom.numerics import GAUSS_WEIGHTS, q1_tables
 
 # property tests draw the same examples on every run and keep no example
 # database, so a run's outcome depends on the code alone
@@ -38,15 +38,15 @@ def coo_stiffness():
     """Reference Q1 assembly over all nodes of a grid, by COO triplets.
 
     Returns ``stiffness(grid, D)`` for an (n_elements, nq, 2, 2)
-    coefficient array at the default rule's quadrature points, or
+    coefficient array at the Gauss points, or
     ``stiffness(grid, Ke=...)`` for given (n_elements, 4, 4) element
     matrices; duplicates are summed by scipy.
     """
 
     def stiffness(grid, D=None, Ke=None):
         if Ke is None:
-            G = q1_tables(DEFAULT_RULE)[1] / np.array([grid.hx, grid.hy])
-            Ke = np.einsum("qai,eqik,qbk,q->eab", G, D, G, DEFAULT_RULE.weights)
+            G = q1_tables()[1] / np.array([grid.hx, grid.hy])
+            Ke = np.einsum("qai,eqik,qbk,q->eab", G, D, G, GAUSS_WEIGHTS)
             Ke = Ke * grid.hx * grid.hy
         conn = grid.connectivity()
         rows = np.repeat(conn, 4, axis=1).ravel()

@@ -25,9 +25,13 @@ from maphom.finescale import (
     flux_moment,
     l2_error,
 )
-from maphom.homogenize import homogenized_matrix_at, rescaled_matrix
+from maphom.homogenize import (
+    classical_homogenized_matrix,
+    homogenized_matrix_at,
+    rescaled_matrix,
+)
 from maphom.numerics import (
-    DEFAULT_RULE,
+    GAUSS_WEIGHTS,
     Rectangle,
     Q1Assembly,
     UniformCellGrid,
@@ -245,8 +249,8 @@ def _direct_system(coeff, zeta, grid, coo_stiffness):
     A = coeff.evaluate(Q1Assembly(grid).points).reshape(grid.n_elements, -1, 2, 2)
     z = np.array(zeta)
     K = coo_stiffness(grid, A * z[:, None] * z[None, :])
-    G = q1_tables(DEFAULT_RULE)[1] / np.array([grid.hx, grid.hy])
-    w = DEFAULT_RULE.weights * grid.hx * grid.hy
+    G = q1_tables()[1] / np.array([grid.hx, grid.hy])
+    w = GAUSS_WEIGHTS * grid.hx * grid.hy
     loads = []
     for j in range(2):
         fe = -np.einsum("eqi,i,qai,q->ea", A[:, :, :, j], z, G, w)
@@ -387,6 +391,15 @@ def test_integer_shorthand_builds_the_grid(sine_coeff):
     assert field.grid.periodic
 
 
+@pytest.mark.parametrize("use", [
+    lambda c, n: CellProblem(c, n).means,
+    lambda c, n: solve_corrector(c, (1.0, 2.0), n).z2,
+    lambda c, n: classical_homogenized_matrix(c, n),
+], ids=["CellProblem", "solve_corrector", "classical_homogenized_matrix"])
+def test_numpy_integer_resolutions_act_like_ints(sine_coeff, use):
+    npt.assert_array_equal(use(sine_coeff, np.int64(16)), use(sine_coeff, 16))
+
+
 # ---------------------------------------------------------------------------
 # the rescaled-rectangle route
 # ---------------------------------------------------------------------------
@@ -397,6 +410,17 @@ def test_rescaled_cell_geometry_defaults(sine_coeff):
     assert cell.zeta2 == 2.0
     assert cell.lengths == (1.0, 0.5)
     assert cell.grid.n_elements == 128 * 64
+
+
+@pytest.mark.parametrize("x2", [65.0, 100.0])
+def test_rescaled_cell_default_fits_thin_rectangles(sine_coeff, x2):
+    """Past x2 = 16 the default keeps four square rows and adds columns."""
+    cell = solve_rescaled_corrector(sine_coeff, (0.7, x2), tol=1e-8)
+    assert (cell.grid.nx, cell.grid.ny) == (round(8 * x2), 4)
+    assert cell.grid.hx == pytest.approx(cell.grid.hy, rel=1e-12)
+    B = rescaled_matrix(cell)
+    assert np.all(np.isfinite(B))
+    assert sine_coeff.coercivity <= B[1, 1] <= B[0, 0] <= sine_coeff.bound
 
 
 def test_rescaled_cell_rejects_skewed_resolutions(sine_coeff):

@@ -86,12 +86,6 @@ def test_caps_are_inclusive():
     assert (cfg["h_list"], cfg["preview_h"]) == ([1, 1024], 1024)
 
 
-def test_the_preview_flag_obeys_the_scale_cap(tmp_path, capsys):
-    code, _ = run(tmp_path, "preview", "--h", "1025")
-    assert code == 2
-    assert "'preview_h'" in capsys.readouterr().err
-
-
 def test_the_audit_scan_is_capped_before_it_starts(tmp_path, capsys, monkeypatch):
     """On (1, 2) x (1, 3) at one subcell per direction the audit scans 8 h
     values, so h = 12,500,000 reaches the cap of 10^8 and one more passes it."""
@@ -332,7 +326,8 @@ def test_preview_respects_the_composed_periodicity(tmp_path):
         tmp_path,
         "--override", "omega=[0.5,1.5,0.5,1.5]",
         "--override", "preview_resolution=64",
-        "preview", "--h", "4")
+        "--override", "preview_h=4",
+        "preview")
     assert code == 0
     header, rows = read_csv(out / "preview.csv")
     assert header == ["x1", "x2", "value"]
@@ -458,9 +453,9 @@ def test_every_subcommand_exits_0_2_or_3(tmp_path_factory, command, overrides,
     argv = ["--out", str(tmp_path_factory.mktemp("run"))]
     for key, value in values.items():
         argv += ["--override", f"{key}={json.dumps(value)}"]
-    argv.append(command)
     if command == "preview" and preview_h is not None:
-        argv += ["--h", str(preview_h)]
+        argv += ["--override", f"preview_h={preview_h}"]
+    argv.append(command)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -71,13 +71,15 @@ def test_every_exported_name_is_defined(path):
     assert stale_exports(path.read_text()) == []
 
 
-QUADRATURE = {"quad_points", "q1_tables", "connectivity"}
+QUADRATURE = {"quad_points", "q1_tables", "connectivity",
+              "GAUSS_POINTS", "GAUSS_WEIGHTS", "leggauss"}
 
 
 def quadrature_internals(source: str) -> list[str]:
     """The Q1 quadrature internals a module names: ``quad_points``,
-    ``q1_tables``, ``connectivity`` and ``add.at``. Outside ``numerics``
-    every integral over a grid goes through ``Q1Assembly``."""
+    ``q1_tables``, ``connectivity``, the fixed Gauss rule and ``add.at``.
+    Outside ``numerics`` every integral over a grid goes through
+    ``Q1Assembly``."""
     named = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -95,12 +97,13 @@ def quadrature_internals(source: str) -> list[str]:
 
 def test_the_scan_finds_quadrature_internals():
     source = ("import numpy as np\nfrom numpy import add\n"
-              "from .numerics import q1_tables as tables\n"
+              "from .numerics import GAUSS_WEIGHTS, q1_tables as tables\n"
               "def f(grid, f, at):\n"
               "    pts = grid.quad_points()\n    np.add.at(f, grid.connectivity(), 1)\n"
+              "    t, w = np.polynomial.legendre.leggauss(2)\n"
               "    add.at(f, 0, 1)\n    np.add(f, at)\n    return np.multiply.at\n")
-    assert quadrature_internals(source) == ["add.at", "connectivity", "q1_tables",
-                                            "quad_points"]
+    assert quadrature_internals(source) == ["GAUSS_WEIGHTS", "add.at", "connectivity",
+                                            "leggauss", "q1_tables", "quad_points"]
     assert quadrature_internals("def f(np, at):\n    return np.add(at, 1)\n") == []
 
 
