@@ -24,8 +24,6 @@ from .finescale import (
     convergence_study,
     flux_moment,
     l2_error,
-    solve_homogenized,
-    solve_oscillatory,
 )
 from .homogenize import (
     HomogenizationJob,
@@ -85,8 +83,6 @@ __all__ = [
     "oscillatory_mean_integral",
     "rescaled_matrix",
     "solve_corrector",
-    "solve_homogenized",
-    "solve_oscillatory",
     "solve_rescaled_corrector",
     "tensor_field",
 ]

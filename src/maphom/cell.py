@@ -17,6 +17,7 @@ routes agree up to discretization error.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from typing import Sequence
 
@@ -60,10 +61,6 @@ class CorrectorField:
         if j not in (1, 2):
             raise ValueError("component index must be 1 or 2")
         return self.z1 if j == 1 else self.z2
-
-    def mean(self, j: int) -> float:
-        # uniform periodic grids: the nodal mean is the cell integral
-        return float(self.component(j).mean())
 
     def sup_norm(self) -> float:
         return float(max(np.abs(self.z1).max(), np.abs(self.z2).max()))
@@ -170,18 +167,14 @@ def solve_corrector(
     zeta: tuple[float, float],
     grid: UniformCellGrid | int = 128,
     tol: float = 1e-10,
-    x0_pair: Sequence[np.ndarray] | None = None,
 ) -> CorrectorField:
     """Solve the scaled corrector pair on the periodic unit cell.
 
-    Args:
-        grid: a periodic grid or an element count per side.
-        x0_pair: optional initial guesses (warm starts) for the two solves.
-
-    Builds a :class:`CellProblem` for this one scaling; sweeps over many
-    scalings build it once and call its ``solve``.
+    ``grid`` is a periodic grid or an element count per side. Builds a
+    :class:`CellProblem` for this one scaling; sweeps over many scalings
+    build it once and call its ``solve``, which also takes warm starts.
     """
-    return CellProblem(coefficient, grid).solve(zeta, tol, x0_pair)
+    return CellProblem(coefficient, grid).solve(zeta, tol)
 
 
 @dataclasses.dataclass
@@ -200,10 +193,6 @@ class RescaledCell:
     coefficient_eval: object
     iterations: tuple[int, int]
     residual: tuple[float, float]
-
-    @property
-    def lengths(self) -> tuple[float, float]:
-        return self.grid.lengths
 
     def sample_on_unit_grid(self, unit_grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
         """Pull both correctors back to nodal values on a unit-cell grid."""
@@ -225,9 +214,10 @@ def solve_rescaled_corrector(
 
     For a macroscopic point with x2 > 0 the rectangle is
     (0,1) x (0, 1/(2 x2)) and the coefficient is A(y1, 2 x2 y2), periodic
-    across both pairs of edges. The default resolution keeps elements
-    square: round(128 / (2 x2)) rows but at least 4, and 128 columns, or
-    round(8 x2) once four rows need more.
+    across both pairs of edges. The default resolution resolves the
+    coefficient's one period in y2 with round(64 / x2) rows but at least
+    32, and takes the fewest columns, at least 128, that the aspect check
+    allows: ceil(rows x2 / 2).
     """
     x = (float(x[0]), float(x[1]))
     if not x[1] > 0:
@@ -235,7 +225,8 @@ def solve_rescaled_corrector(
     zeta2 = 2.0 * x[1]
     length2 = 1.0 / zeta2
     if resolution is None:
-        resolution = (max(128, round(4 / length2)), max(4, round(128 * length2)))
+        rows = max(32, round(64 / x[1]))
+        resolution = (max(128, math.ceil(rows * x[1] / 2)), rows)
     n1, n2 = int(resolution[0]), int(resolution[1])
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be positive in both directions")

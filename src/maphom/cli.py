@@ -69,10 +69,11 @@ DEFAULTS: dict = {
 
 _RESOLUTION_KEYS = ("cell_resolution", "domain_resolution", "preview_resolution")
 
-# caps on accepted values that would make a run huge; the audit scans
-# max(aud_h_list) (b2^2 - a2^2) aud_subdivision values. Meshes stop at
+# caps on accepted values that would make a run huge. Meshes stop at
 # 1024 elements per side, so past h = 1024 a unit-size window has less
-# than one element per period.
+# than one element per period. MAX_AUD_SCAN bounds the offsets the audit
+# indexes, max(aud_h_list) (b2^2 - a2^2) aud_subdivision subcell rows; the
+# audit reads its maximum off the first and cross-checks random ones.
 MAX_X2_SAMPLES = 4096
 MAX_SCALE_INDEX = 1024
 MAX_AUD_SUBDIVISION = 64
@@ -371,8 +372,8 @@ def cmd_aud(cfg: ExperimentConfig, out_dir: Path) -> None:
     # domain too large for floats is refused as well
     per_h = (omega.b2 * omega.b2 - omega.a2 * omega.a2) * n
     if not per_h <= MAX_AUD_SCAN / max(cfg["aud_h_list"]):
-        raise ConfigError("aud_h_list", "the audit would scan max(aud_h_list) "
-                          f"(b2^2 - a2^2) aud_subdivision > {MAX_AUD_SCAN:.0e} values")
+        raise ConfigError("aud_h_list", "the audit would index max(aud_h_list) "
+                          f"(b2^2 - a2^2) aud_subdivision > {MAX_AUD_SCAN:.0e} rows")
     clock = _StageClock()
     reports = clock.run("aud_verify", lambda: aud_verify(cfg["aud_h_list"], n, omega))
     csv_path = out_dir / "aud.csv"

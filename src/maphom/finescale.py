@@ -33,9 +33,6 @@ __all__ = [
     "convergence_study",
     "flux_moment",
     "l2_error",
-    "solve_homogenized",
-    "solve_oscillatory",
-    "write_convergence_csv",
 ]
 
 
@@ -67,10 +64,6 @@ class DomainMesh:
     def interior_mask(self) -> np.ndarray:
         return self._interior
 
-    @property
-    def n_interior(self) -> int:
-        return (self.n1 - 1) * (self.n2 - 1)
-
     def matches(self, other: "DomainMesh") -> bool:
         return self.omega == other.omega and self.n1 == other.n1 and self.n2 == other.n2
 
@@ -97,9 +90,6 @@ class SolutionField:
     source_work: float
     assemble_s: float = 0.0
     solve_s: float = 0.0
-
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.mesh.interior_mask]
 
     @property
     def energy_gap(self) -> float:
@@ -142,7 +132,13 @@ class DirichletProblem:
         self.load = load[mesh.interior_mask]
 
     def oscillatory(self, coefficient, scale_map, tol: float = 1e-8) -> SolutionField:
-        """The solve for A(alpha_h(x)); see :func:`solve_oscillatory`."""
+        """Solve -div(A(alpha_h(x)) grad u) = f with zero Dirichlet data.
+
+        The coefficient is evaluated at the mapped quadrature points. If
+        the mesh supplies fewer than 8 elements per local oscillation
+        period (checked against the map's requirement at the top edge) the
+        solution is flagged under-resolved but still returned.
+        """
         mesh = self.mesh
         need1, need2 = scale_map.required_mesh_density(mesh.omega)
         warn = mesh.n1 / mesh.omega.width < need1 or mesh.n2 / mesh.omega.height < need2
@@ -150,7 +146,7 @@ class DirichletProblem:
                            f"oscillatory h={scale_map.h}", warn)
 
     def homogenized(self, field: HomogenizedTensor, tol: float = 1e-8) -> SolutionField:
-        """The solve for the sampled effective tensor."""
+        """Solve -div(B(x) grad u) = f for the sampled effective tensor."""
         return self._solve(tensor_evaluator(field), tol, "homogenized", False)
 
     def stiffness(self, coefficient) -> tuple[sp.spmatrix, tuple[float, float]]:
@@ -178,26 +174,6 @@ class DirichletProblem:
                              assemble_s=assembled - start, solve_s=solved - assembled)
 
 
-def solve_oscillatory(
-    coefficient,
-    scale_map,
-    f,
-    mesh: DomainMesh,
-    tol: float = 1e-8,
-) -> SolutionField:
-    """Solve -div(A(alpha_h(x)) grad u) = f with zero Dirichlet data.
-
-    The coefficient is evaluated at the mapped quadrature points. If the
-    mesh supplies fewer than 8 elements per local oscillation period
-    (checked against the map's requirement at the top edge) the solution is
-    flagged under-resolved but still returned.
-
-    Builds a :class:`DirichletProblem` for this one solve; studies that
-    solve many coefficients on one mesh build it once.
-    """
-    return DirichletProblem(mesh, f).oscillatory(coefficient, scale_map, tol)
-
-
 def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndarray]:
     """Pointwise effective coefficient from sampled curves.
 
@@ -217,12 +193,6 @@ def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndar
         return out
 
     return evaluate
-
-
-def solve_homogenized(field: HomogenizedTensor, f, mesh: DomainMesh,
-                      tol: float = 1e-8) -> SolutionField:
-    """Solve -div(B(x) grad u) = f for the sampled effective tensor."""
-    return DirichletProblem(mesh, f).homogenized(field, tol)
 
 
 def l2_error(u: SolutionField, v: SolutionField) -> float:
@@ -308,9 +278,3 @@ def convergence_study(
             on_row(row)
     return rows
 
-
-def write_convergence_csv(rows: Sequence[ConvergenceRow], stream) -> None:
-    """Write one row per scale index: h,l2_error,energy,warn_underresolved."""
-    stream.write(ConvergenceRow.CSV_HEADER)
-    for row in rows:
-        stream.write(row.csv_line())

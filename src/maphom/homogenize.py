@@ -31,7 +31,6 @@ __all__ = [
     "homogenized_matrix_at",
     "isotropy_scan",
     "rescaled_matrix",
-    "sym_eigenvalue_range",
     "tensor_field",
     "write_tensor_csv",
 ]
@@ -223,22 +222,6 @@ def isotropy_scan(field: HomogenizedTensor) -> IsotropyResult:
         if better or tie:
             best = i
     return IsotropyResult(x2=float(field.x2[best]), gap=float(gaps[best]), index=best)
-
-
-def sym_eigenvalue_range(matrices: np.ndarray) -> tuple[float, float]:
-    """Closed-form eigenvalue range of symmetrized 2x2 matrices.
-
-    Returns (smallest, largest) over the whole stack.
-    """
-    m = np.asarray(matrices, dtype=float)
-    if m.ndim == 2:
-        m = m[None]
-    a = m[:, 0, 0]
-    d = m[:, 1, 1]
-    off = 0.5 * (m[:, 0, 1] + m[:, 1, 0])
-    center = 0.5 * (a + d)
-    radius = np.sqrt((0.5 * (a - d)) ** 2 + off ** 2)
-    return float((center - radius).min()), float((center + radius).max())
 
 
 def write_tensor_csv(field: HomogenizedTensor, stream) -> None:

@@ -68,9 +68,6 @@ class Rectangle:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, x1: float, x2: float) -> bool:
-        return self.a1 <= x1 <= self.b1 and self.a2 <= x2 <= self.b2
-
 
 def _gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
     t, w = np.polynomial.legendre.leggauss(2)
@@ -124,16 +121,6 @@ class UniformCellGrid:
         self.hx = self.lengths[0] / nx
         self.hy = self.lengths[1] / ny
         self._conn: np.ndarray | None = None
-
-    @property
-    def n_per_side(self) -> int:
-        if self.nx != self.ny:
-            raise ValueError("grid is not square")
-        return self.nx
-
-    @property
-    def spacing(self) -> tuple[float, float]:
-        return (self.hx, self.hy)
 
     @property
     def n_elements(self) -> int:

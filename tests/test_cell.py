@@ -326,8 +326,8 @@ def test_constant_coefficient_needs_no_correction():
 
 def test_corrector_components_are_zero_mean(sine_coeff):
     field = solve_corrector(sine_coeff, (1.0, 1.4), 32)
-    assert abs(field.mean(1)) <= 1e-14
-    assert abs(field.mean(2)) <= 1e-14
+    assert abs(field.z1.mean()) <= 1e-14
+    assert abs(field.z2.mean()) <= 1e-14
     assert 0.01 < field.sup_norm() < 1.0
     with pytest.raises(ValueError):
         field.component(3)
@@ -378,16 +378,16 @@ def test_laminate_profile_matches_the_quadrature_oracle(laminate_coeff):
 
 
 def test_warm_start_from_the_solution_converges_instantly(sine_coeff):
-    field = solve_corrector(sine_coeff, (1.0, 1.2), 32)
-    again = solve_corrector(sine_coeff, (1.0, 1.2), 32,
-                            x0_pair=(field.z1, field.z2))
+    problem = CellProblem(sine_coeff, 32)
+    field = problem.solve((1.0, 1.2))
+    again = problem.solve((1.0, 1.2), x0_pair=(field.z1, field.z2))
     assert again.iterations == (0, 0)
     npt.assert_allclose(again.z1, field.z1, atol=1e-12)
 
 
 def test_integer_shorthand_builds_the_grid(sine_coeff):
     field = solve_corrector(sine_coeff, (1.0, 1.0), 16)
-    assert field.grid.n_per_side == 16
+    assert (field.grid.nx, field.grid.ny) == (16, 16)
     assert field.grid.periodic
 
 
@@ -408,19 +408,31 @@ def test_numpy_integer_resolutions_act_like_ints(sine_coeff, use):
 def test_rescaled_cell_geometry_defaults(sine_coeff):
     cell = solve_rescaled_corrector(sine_coeff, (0.7, 1.0), tol=1e-8)
     assert cell.zeta2 == 2.0
-    assert cell.lengths == (1.0, 0.5)
+    assert cell.grid.lengths == (1.0, 0.5)
     assert cell.grid.n_elements == 128 * 64
 
 
 @pytest.mark.parametrize("x2", [65.0, 100.0])
 def test_rescaled_cell_default_fits_thin_rectangles(sine_coeff, x2):
-    """Past x2 = 16 the default keeps four square rows and adds columns."""
+    """Past x2 = 2 the default keeps 32 rows per period and takes the
+    fewest columns the aspect check allows: elements 4 times wider than
+    tall."""
     cell = solve_rescaled_corrector(sine_coeff, (0.7, x2), tol=1e-8)
-    assert (cell.grid.nx, cell.grid.ny) == (round(8 * x2), 4)
-    assert cell.grid.hx == pytest.approx(cell.grid.hy, rel=1e-12)
+    assert (cell.grid.nx, cell.grid.ny) == (16 * x2, 32)
+    assert cell.grid.hx == pytest.approx(4 * cell.grid.hy, rel=1e-12)
     B = rescaled_matrix(cell)
     assert np.all(np.isfinite(B))
     assert sine_coeff.coercivity <= B[1, 1] <= B[0, 0] <= sine_coeff.bound
+
+
+def test_rescaled_default_resolves_a_stretched_period(sine_coeff):
+    """At x2 = 16.5 the default 264x32 grid meets the 128^2 unit-cell route
+    to 1.06e-3; with four rows per period it was 0.09 off in b22."""
+    zeta = (1.0, 33.0)
+    unit = homogenized_matrix_at(sine_coeff, zeta, solve_corrector(sine_coeff, zeta, 128))
+    cell = solve_rescaled_corrector(sine_coeff, (0.7, 16.5))
+    assert (cell.grid.nx, cell.grid.ny) == (264, 32)
+    assert np.abs(rescaled_matrix(cell) - unit).max() <= 2e-3
 
 
 def test_rescaled_cell_rejects_skewed_resolutions(sine_coeff):

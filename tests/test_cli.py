@@ -14,7 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from maphom import cli
 from maphom.cell import CellProblem
 from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
-from maphom.finescale import convergence_study, write_convergence_csv
+from maphom.finescale import ConvergenceRow, convergence_study
 from maphom.numerics import SolverError
 
 
@@ -291,8 +291,8 @@ def test_aud_flags_domains_without_interior_cells(tmp_path, capsys):
 
 
 def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
-    """The rows flushed one by one read as write_convergence_csv of the
-    study's rows."""
+    """The rows flushed one by one read as the study's rows under the
+    header."""
     studies = []
 
     def recorded(*args, **kwargs):
@@ -315,9 +315,8 @@ def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
     for row in rows:
         assert float(row[1]) <= 1e-12  # no oscillation, no gap
         assert float(row[2]) > 0
-    expect = io.StringIO()
-    write_convergence_csv(studies[0], expect)
-    assert (out / "convergence.csv").read_text() == expect.getvalue()
+    expect = ConvergenceRow.CSV_HEADER + "".join(row.csv_line() for row in studies[0])
+    assert (out / "convergence.csv").read_text() == expect
 
 
 def test_preview_respects_the_composed_periodicity(tmp_path):

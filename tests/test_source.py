@@ -28,9 +28,9 @@ def unused_imports(source: str) -> list[str]:
 def test_the_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\nimport scipy.sparse\n"
-              "from .finescale import DomainMesh, write_convergence_csv\n"
+              "from .finescale import DomainMesh, l2_error\n"
               "def f(mesh: DomainMesh):\n    return np.zeros(1), scipy.sparse\n")
-    assert unused_imports(source) == ["os", "write_convergence_csv"]
+    assert unused_imports(source) == ["l2_error", "os"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -111,3 +111,59 @@ def test_the_scan_finds_quadrature_internals():
                          ids=lambda p: p.name)
 def test_only_numerics_holds_quadrature_internals(path):
     assert quadrature_internals(path.read_text()) == []
+
+
+def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """The functions, classes, methods and properties that the ``package``
+    modules (file name to source) define and no source names elsewhere.
+
+    A name counts where it is read as a name or an attribute, imported or
+    spelled as an identifier string (the benchmark's tracer patches call
+    sites by name); a module's ``__all__`` and the re-exports of
+    ``__init__.py`` do not. Dunders are exempt."""
+    defined, named = set(), set()
+    for file, source in [*package.items(), *((None, s) for s in others)]:
+        tree = ast.parse(source)
+        exported = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", "") == "__all__" for t in node.targets)
+                    for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if file is not None:
+                    defined.add(node.name)
+            elif id(node) in exported:
+                continue
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias) and file != "__init__.py":
+                named.update({node.name.split(".")[-1], node.asname})
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(n for n in defined - named if not (n.startswith("__") and n.endswith("__")))
+
+
+def test_the_scan_finds_dead_definitions():
+    package = {
+        "__init__.py": "from .core import Shape, helper\n__all__ = ['Shape', 'helper']\n",
+        "core.py": ("__all__ = ['Shape', 'exported', 'helper']\n"
+                    "def helper():\n    return _inner()\n"
+                    "def _inner():\n    pass\n"
+                    "def exported():\n    pass\n"
+                    "def traced():\n    pass\n"
+                    "class Shape:\n    def __init__(self):\n        self.n = 1\n"
+                    "    @property\n    def area(self):\n        return 0\n"
+                    "    def grow(self):\n        pass\n"),
+    }
+    others = ["from core import Shape, helper\nhelper()\nShape().grow()\n",
+              "TARGETS = [('core', 'traced')]\n"]
+    assert dead_definitions(package, others) == ["area", "exported"]
+
+
+def test_every_definition_is_named_somewhere_else():
+    """Helpers left behind by a deletion fail here."""
+    repo = Path(__file__).resolve().parent.parent
+    others = [p.read_text() for folder in ("tests", "perfbench")
+              for p in sorted((repo / folder).glob("*.py"))]
+    assert dead_definitions({p.name: p.read_text() for p in PACKAGE}, others) == []

@@ -86,10 +86,12 @@ def test_mesh_density_tracks_the_top_edge():
     assert m.required_mesh_density(omega) == (64.0, 192.0)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, float("inf")])
 def test_scale_index_must_be_a_positive_integer(bad):
-    with pytest.raises(ValueError):
-        QuadraticStretchMap(bad)
+    for build in (QuadraticStretchMap, LinearScaleMap, lambda h: aud_ratio(h, 2, 0, 0),
+                  lambda h: aud_verify([h], 2, OMEGA)):
+        with pytest.raises(ValueError):
+            build(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,19 @@ def test_report_extremes_sit_at_the_first_scored_cell():
         assert rep.max_deviation == pytest.approx(expected, rel=1e-12)
         assert rep.j2_interior_min == 1
         assert rep.j2_min > rep.j2_interior_min
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
+def test_row_deviation_strictly_decreases_in_j2(n):
+    """The audit reads its maximum off the first scored offset because the
+    largest |ratio - 1/n^2| of a cell falls strictly with j2; checked at
+    every j2 below 64 and at 40 offsets up to 4e5."""
+    def row_max(j2):
+        return max(abs(aud_ratio(1, n, j2, k2) - 1.0 / (n * n)) for k2 in range(n))
+
+    offsets = sorted(set(range(64)) | {int(j) for j in np.geomspace(64, 4e5, 40)})
+    for j2 in offsets:
+        assert row_max(j2 + 1) < row_max(j2), j2
 
 
 def test_deviation_decreases_between_scales():
