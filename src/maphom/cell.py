@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "RescaledCell",
     "solve_corrector",
     "solve_rescaled_corrector",
-    "write_corrector_csv",
 ]
 
 
@@ -98,7 +96,7 @@ class CellProblem:
 
     def __init__(self, coefficient, grid: UniformCellGrid | int):
         if not isinstance(grid, UniformCellGrid):
-            grid = UniformCellGrid(operator.index(grid), periodic=True)
+            grid = UniformCellGrid(grid, periodic=True)
         if not grid.periodic:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
@@ -251,10 +249,3 @@ def solve_rescaled_corrector(
         iterations=field.iterations, residual=field.residual,
     )
 
-
-def write_corrector_csv(field: CorrectorField, stream) -> None:
-    """Dump nodal corrector values as y1,y2,z1,z2 rows."""
-    stream.write("y1,y2,z1,z2\n")
-    coords = field.grid.node_coords()
-    for (y1, y2), a, b in zip(coords, field.z1, field.z2):
-        stream.write(f"{y1:.17g},{y2:.17g},{a:.17g},{b:.17g}\n")

@@ -3,12 +3,14 @@
 Subcommands: homogenize, aud, convergence, preview, corrector-dump. Each
 reads a flat JSON config (overridable per key from the command line),
 writes deterministic CSV data files plus a JSON run manifest, and exits
-0 on success, 2 on a configuration error, 3 on a numerical failure.
+0 on success, 2 on a configuration error, 3 on a numerical failure. It
+is the package's one writer and owns every CSV format.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -20,17 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import coefficients
-from .cell import solve_corrector, write_corrector_csv
-from .finescale import ConvergenceRow, DomainMesh, convergence_study
+from .cell import solve_corrector
+from .finescale import DomainMesh, convergence_study
 from .homogenize import (
     HomogenizationJob,
     default_x2_samples,
     isotropy_scan,
     tensor_field,
-    write_tensor_csv,
 )
-from .numerics import Rectangle, SolverError, UniformCellGrid
-from .structure import LinearScaleMap, QuadraticStretchMap, aud_verify, write_aud_csv
+from .numerics import Rectangle, SolverError
+from .structure import LinearScaleMap, QuadraticStretchMap, aud_verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,6 +259,11 @@ class ExperimentConfig:
             return np.asarray(xs, dtype=float)
         return default_x2_samples(self.omega(), int(xs))
 
+    def is_classical(self) -> bool:
+        """Whether every cell is solved with zeta = (1, 1): the classical
+        baseline, or the linear scale map, whose scaling is (1, 1)."""
+        return self.values["classical"] or self.values["scale_map"] == "linear"
+
     def job(self) -> HomogenizationJob:
         """The tensor-field job. ``validate`` has checked every other key
         the job reads, so a job that cannot be built blames the samples."""
@@ -269,8 +275,7 @@ class ExperimentConfig:
                 x2_samples=self.x2_sample_values(),
                 cell_resolution=self.values["cell_resolution"],
                 tol=float(self.values["cg_tol"]),
-                classical=self.values["classical"]
-                or self.values["scale_map"] == "linear",
+                classical=self.is_classical(),
             )
         except ValueError as exc:
             raise ConfigError("x2_samples", str(exc))
@@ -278,24 +283,49 @@ class ExperimentConfig:
 
 @dataclasses.dataclass
 class RunManifest:
-    """Record of one command invocation, written next to its data files."""
+    """Record of one command invocation, written next to its data files.
+
+    ``stage`` times a stage of the run, ``csv`` opens a data file under
+    ``out_dir`` and ``write`` checks every file and writes the manifest.
+    """
 
     command: str
     config: dict
-    runtimes: dict
-    outputs: list
+    out_dir: Path
+    runtimes: dict = dataclasses.field(default_factory=dict)
+    outputs: list = dataclasses.field(default_factory=list)
     solver: dict | None = None
 
-    def write(self, out_dir: Path) -> Path:
-        for entry in self.outputs:
-            path = out_dir / entry["name"]
-            if not path.is_file() or path.stat().st_size == 0:
+    def stage(self, name: str, fn):
+        """``fn()``, with its wall time recorded under ``name``."""
+        start = time.perf_counter()
+        result = fn()
+        self.runtimes[name] = round(time.perf_counter() - start, 3)
+        return result
+
+    @contextlib.contextmanager
+    def csv(self, name: str, header: str):
+        """A stream on ``out_dir / name`` that starts with ``header``; the
+        file is recorded as an output once the block ends."""
+        path = self.out_dir / name
+        with open(path, "w", newline="") as stream:
+            stream.write(header)
+            yield stream
+        self.outputs.append(path)
+
+    def write(self) -> None:
+        outputs = []
+        for path in self.outputs:
+            data = path.read_bytes() if path.is_file() else b""
+            if not data:
                 raise RuntimeError(f"declared output missing or empty: {path}")
+            outputs.append({"name": path.name, "bytes": len(data),
+                            "sha256": hashlib.sha256(data).hexdigest()})
         payload = {
             "command": self.command,
             "config": self.config,
             "runtimes_seconds": self.runtimes,
-            "outputs": self.outputs,
+            "outputs": outputs,
             "solver": self.solver,
             "versions": {
                 "python": sys.version.split()[0],
@@ -303,11 +333,9 @@ class RunManifest:
                 "maphom": _package_version(),
             },
         }
-        path = out_dir / "manifest.json"
-        with open(path, "w") as f:
+        with open(self.out_dir / "manifest.json", "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
-        return path
 
 
 def _package_version() -> str:
@@ -317,15 +345,6 @@ def _package_version() -> str:
         return version("maphom")
     except PackageNotFoundError:
         return "unknown"
-
-
-def _file_entry(path: Path) -> dict:
-    data = path.read_bytes()
-    return {
-        "name": path.name,
-        "bytes": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
 
 
 def _solver_record(field) -> dict:
@@ -340,32 +359,24 @@ def _solver_record(field) -> dict:
     }
 
 
-class _StageClock:
-    def __init__(self):
-        self.times: dict = {}
-
-    def run(self, name: str, fn):
-        start = time.perf_counter()
-        result = fn()
-        self.times[name] = round(time.perf_counter() - start, 3)
-        return result
+def write_tensor_csv(field, stream) -> None:
+    """Write the x2,b11,b12,b21,b22 rows of a tensor field, one per sample."""
+    stream.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in
+                      zip(field.x2.tolist(), *field.matrices.reshape(-1, 4).T.tolist()))
 
 
-def cmd_homogenize(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_homogenize(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Tensor field over the domain, CSV curves and the isotropy scan."""
-    clock = _StageClock()
-    field = clock.run("tensor_field", lambda: tensor_field(cfg.job()))
-    csv_path = out_dir / "tensor.csv"
-    with open(csv_path, "w", newline="") as f:
+    field = run.stage("tensor_field", lambda: tensor_field(cfg.job()))
+    with run.csv("tensor.csv", "x2,b11,b12,b21,b22\n") as f:
         write_tensor_csv(field, f)
     if field.x2.size >= 3:
         scan = isotropy_scan(field)
         print(f"isotropy: min |b11 - b22| = {scan.gap:.6e} at x2 = {scan.x2:.6g}")
-    RunManifest("homogenize", cfg.values, clock.times,
-                [_file_entry(csv_path)], _solver_record(field)).write(out_dir)
+    run.solver = _solver_record(field)
 
 
-def cmd_aud(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_aud(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Uniform-distribution diagnostics for the configured scale indices."""
     omega, n = cfg.omega(), cfg["aud_subdivision"]
     # products overflow to inf and differences of infs give nan, so a
@@ -374,59 +385,46 @@ def cmd_aud(cfg: ExperimentConfig, out_dir: Path) -> None:
     if not per_h <= MAX_AUD_SCAN / max(cfg["aud_h_list"]):
         raise ConfigError("aud_h_list", "the audit would index max(aud_h_list) "
                           f"(b2^2 - a2^2) aud_subdivision > {MAX_AUD_SCAN:.0e} rows")
-    clock = _StageClock()
-    reports = clock.run("aud_verify", lambda: aud_verify(cfg["aud_h_list"], n, omega))
-    csv_path = out_dir / "aud.csv"
-    with open(csv_path, "w", newline="") as f:
-        write_aud_csv(reports, f)
-    for rep in reports:
-        if rep.empty:
-            print(f"h={rep.h}: no interior cells")
-        else:
-            print(f"h={rep.h}: max deviation {rep.max_deviation:.6e} "
-                  f"over j2 in [{rep.j2_min}, {rep.j2_max}]")
-    RunManifest("aud", cfg.values, clock.times,
-                [_file_entry(csv_path)]).write(out_dir)
+    reports = run.stage("aud_verify", lambda: aud_verify(cfg["aud_h_list"], n, omega))
+    with run.csv("aud.csv", "h,n,j2_min,j2_max,max_deviation\n") as f:
+        for rep in reports:
+            if rep.empty:
+                f.write("%d,%d,,,\n" % (rep.h, rep.n))
+                print(f"h={rep.h}: no interior cells")
+            else:
+                f.write("%d,%d,%d,%d,%.17g\n" % (rep.h, rep.n, rep.j2_min, rep.j2_max,
+                                                 rep.max_deviation))
+                print(f"h={rep.h}: max deviation {rep.max_deviation:.6e} "
+                      f"over j2 in [{rep.j2_min}, {rep.j2_max}]")
 
 
-def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
     """h-sweep of fine-scale solves against the effective-tensor solve.
 
-    Rows are flushed as they complete so an aborted sweep leaves the
-    finished prefix on disk.
+    The header and each finished row are flushed, so an aborted sweep
+    leaves the finished prefix on disk.
     """
-    clock = _StageClock()
-    field = clock.run("tensor_field", lambda: tensor_field(cfg.job()))
-    omega = cfg.omega()
+    field = run.stage("tensor_field", lambda: tensor_field(cfg.job()))
     n = cfg["domain_resolution"]
-    mesh = DomainMesh(omega, n, n)
-
-    def source(pts):
-        return np.ones(pts.shape[0])
-
-    csv_path = out_dir / "convergence.csv"
-    with open(csv_path, "w", newline="") as f:
-        f.write(ConvergenceRow.CSV_HEADER)
+    mesh = DomainMesh(cfg.omega(), n, n)
+    dirichlet = []
+    with run.csv("convergence.csv", "h,l2_error,energy,warn_underresolved\n") as f:
         f.flush()
 
         def on_row(row):
-            f.write(row.csv_line())
+            f.write("%d,%.17g,%.17g,%d\n" % (row.h, row.l2_error, row.energy,
+                                             row.warn_underresolved))
             f.flush()
 
-        dirichlet = []
-        clock.run("solves", lambda: convergence_study(
-            cfg.coefficient(), cfg.map_family(), source, mesh,
-            cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
+        run.stage("solves", lambda: convergence_study(
+            cfg.coefficient(), cfg.map_family(), lambda pts: np.ones(pts.shape[0]),
+            mesh, cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
             on_solve=lambda u: dirichlet.append(u.diagnostics())))
-    solver = _solver_record(field)
-    solver["dirichlet"] = dirichlet
-    RunManifest("convergence", cfg.values, clock.times,
-                [_file_entry(csv_path)], solver).write(out_dir)
+    run.solver = {**_solver_record(field), "dirichlet": dirichlet}
 
 
-def cmd_preview(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_preview(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Sample the composed coefficient's (1,1) entry on a grid over omega."""
-    clock = _StageClock()
     omega = cfg.omega()
     scale_map = cfg.map_family()(cfg["preview_h"])
     coeff = cfg.coefficient()
@@ -439,30 +437,29 @@ def cmd_preview(cfg: ExperimentConfig, out_dir: Path) -> None:
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         return pts, coeff.evaluate(scale_map(pts))[:, 0, 0]
 
-    pts, vals = clock.run("sample", sample)
-    csv_path = out_dir / "preview.csv"
-    with open(csv_path, "w", newline="") as f:
-        f.write("x1,x2,value\n")
-        for (x1, x2), v in zip(pts, vals):
-            f.write(f"{x1:.17g},{x2:.17g},{v:.17g}\n")
-    RunManifest("preview", cfg.values, clock.times,
-                [_file_entry(csv_path)]).write(out_dir)
+    pts, vals = run.stage("sample", sample)
+    with run.csv("preview.csv", "x1,x2,value\n") as f:
+        f.writelines("%.17g,%.17g,%.17g\n" % row
+                     for row in zip(*pts.T.tolist(), vals.tolist()))
 
 
-def cmd_corrector_dump(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_corrector_dump(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Solve one corrector pair at the configured x2 and dump nodal values."""
-    clock = _StageClock()
-    x2 = float(cfg["dump_x2"])
-    zeta = (1.0, 1.0) if cfg["scale_map"] == "linear" or cfg["classical"] \
-        else (1.0, 2.0 * x2)
-    grid = UniformCellGrid(cfg["cell_resolution"], periodic=True)
-    field = clock.run("solve", lambda: solve_corrector(
-        cfg.coefficient(), zeta, grid, tol=float(cfg["cg_tol"])))
-    csv_path = out_dir / "corrector.csv"
-    with open(csv_path, "w", newline="") as f:
-        write_corrector_csv(field, f)
-    RunManifest("corrector-dump", cfg.values, clock.times,
-                [_file_entry(csv_path)]).write(out_dir)
+    zeta = (1.0, 1.0) if cfg.is_classical() else (1.0, 2.0 * float(cfg["dump_x2"]))
+    field = run.stage("solve", lambda: solve_corrector(
+        cfg.coefficient(), zeta, cfg["cell_resolution"], tol=float(cfg["cg_tol"])))
+    with run.csv("corrector.csv", "y1,y2,z1,z2\n") as f:
+        f.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
+            *field.grid.node_coords().T.tolist(), field.z1.tolist(), field.z2.tolist()))
+
+
+COMMANDS = {
+    "homogenize": (cmd_homogenize, "effective tensor curves over the domain"),
+    "aud": (cmd_aud, "cell distribution diagnostics"),
+    "convergence": (cmd_convergence, "fine-scale vs homogenized error sweep"),
+    "preview": (cmd_preview, "composed coefficient samples"),
+    "corrector-dump": (cmd_corrector_dump, "nodal corrector values at one x2"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,11 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--override", metavar="KEY=VALUE", action="append",
                         default=[], help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("homogenize", help="effective tensor curves over the domain")
-    sub.add_parser("aud", help="cell distribution diagnostics")
-    sub.add_parser("convergence", help="fine-scale vs homogenized error sweep")
-    sub.add_parser("preview", help="composed coefficient samples")
-    sub.add_parser("corrector-dump", help="nodal corrector values at one x2")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -490,18 +484,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config, args.override)
-        out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "homogenize":
-            cmd_homogenize(cfg, out_dir)
-        elif args.command == "aud":
-            cmd_aud(cfg, out_dir)
-        elif args.command == "convergence":
-            cmd_convergence(cfg, out_dir)
-        elif args.command == "preview":
-            cmd_preview(cfg, out_dir)
-        elif args.command == "corrector-dump":
-            cmd_corrector_dump(cfg, out_dir)
+        run = RunManifest(args.command, cfg.values,
+                          Path(args.out if args.out is not None else cfg["out_dir"]))
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command][0](cfg, run)
+        run.write()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

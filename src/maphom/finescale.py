@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +24,7 @@ from .numerics import (
     cg_solve,
     spectral_preconditioner,
 )
+from .structure import _is_integer
 
 __all__ = [
     "ConvergenceRow",
@@ -222,16 +223,10 @@ def flux_moment(coeff_eval, u: SolutionField, phi) -> float:
 
 @dataclasses.dataclass
 class ConvergenceRow:
-    CSV_HEADER: ClassVar[str] = "h,l2_error,energy,warn_underresolved\n"
-
     h: int
     l2_error: float
     energy: float
     warn_underresolved: bool
-
-    def csv_line(self) -> str:
-        return (f"{self.h},{self.l2_error:.17g},{self.energy:.17g},"
-                f"{int(self.warn_underresolved)}\n")
 
 
 def convergence_study(
@@ -255,6 +250,8 @@ def convergence_study(
     reference first. One :class:`DirichletProblem` serves every solve, so
     ``f`` is evaluated once.
     """
+    if not all(_is_integer(h, 1) for h in h_list):
+        raise ValueError("scale indices h must be positive integers")
     h_list = [int(h) for h in h_list]
     if any(b <= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly increasing")

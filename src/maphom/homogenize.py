@@ -21,6 +21,7 @@ import numpy as np
 from .cell import CellProblem, CorrectorField, RescaledCell
 from .coefficients import PeriodicCoefficient
 from .numerics import Q1Assembly, Rectangle, UniformCellGrid
+from .structure import _is_integer
 
 __all__ = [
     "HomogenizationJob",
@@ -32,7 +33,6 @@ __all__ = [
     "isotropy_scan",
     "rescaled_matrix",
     "tensor_field",
-    "write_tensor_csv",
 ]
 
 
@@ -132,8 +132,9 @@ class HomogenizationJob:
         if not np.all(inside):
             bad = float(self.x2_samples[~inside][0])
             raise ValueError(f"x2 sample {bad} lies outside ({self.omega.a2}, {self.omega.b2})")
-        if self.cell_resolution < 1:
-            raise ValueError("cell resolution must be positive")
+        if not _is_integer(self.cell_resolution, 1):
+            raise ValueError("cell resolution must be a positive integer")
+        self.cell_resolution = int(self.cell_resolution)
 
 
 @dataclasses.dataclass
@@ -223,11 +224,3 @@ def isotropy_scan(field: HomogenizedTensor) -> IsotropyResult:
             best = i
     return IsotropyResult(x2=float(field.x2[best]), gap=float(gaps[best]), index=best)
 
-
-def write_tensor_csv(field: HomogenizedTensor, stream) -> None:
-    """Write one row per sample: x2,b11,b12,b21,b22."""
-    stream.write("x2,b11,b12,b21,b22\n")
-    for x2, m in zip(field.x2, field.matrices):
-        stream.write(
-            f"{x2:.17g},{m[0, 0]:.17g},{m[0, 1]:.17g},{m[1, 0]:.17g},{m[1, 1]:.17g}\n"
-        )

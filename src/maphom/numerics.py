@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,8 +108,8 @@ class UniformCellGrid:
         lengths: tuple[float, float] = (1.0, 1.0),
         origin: tuple[float, float] = (0.0, 0.0),
     ):
-        nx = int(n_per_side)
-        ny = nx if ny is None else int(ny)
+        nx = operator.index(n_per_side)
+        ny = nx if ny is None else operator.index(ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid needs at least one element per direction")
         if lengths[0] <= 0 or lengths[1] <= 0:

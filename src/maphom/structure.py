@@ -35,7 +35,6 @@ __all__ = [
     "oscillatory_mean_integral",
     "scored_j2_range",
     "subcell_measure",
-    "write_aud_csv",
 ]
 
 
@@ -299,20 +298,6 @@ def aud_verify(h_list: Sequence[int], n: int, omega: Rectangle) -> list[AudRepor
         ))
     return reports
 
-
-def write_aud_csv(reports: Sequence[AudReport], stream) -> None:
-    """Write one row per scale index: h,n,j2_min,j2_max,max_deviation.
-
-    Empty reports keep their h and n and leave the other fields blank.
-    """
-    stream.write("h,n,j2_min,j2_max,max_deviation\n")
-    for rep in reports:
-        if rep.empty:
-            stream.write(f"{rep.h},{rep.n},,,\n")
-        else:
-            stream.write(
-                f"{rep.h},{rep.n},{rep.j2_min},{rep.j2_max},{rep.max_deviation:.17g}\n"
-            )
 
 
 # ---------------------------------------------------------------------------

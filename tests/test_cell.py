@@ -15,7 +15,6 @@ from maphom.cell import (
     CorrectorField,
     solve_corrector,
     solve_rescaled_corrector,
-    write_corrector_csv,
 )
 from maphom.coefficients import PeriodicCoefficient
 from maphom.finescale import (
@@ -457,20 +456,6 @@ def test_pullback_matches_the_scaled_corrector(sine_coeff):
     field = solve_corrector(sine_coeff, (1.0, 2.0), unit, tol=1e-10)
     assert np.abs(z1_hat - field.z1).max() <= 1e-3
     assert np.abs(z2_hat - field.z2).max() <= 1e-3
-
-
-def test_corrector_csv_layout(sine_coeff):
-    import io
-
-    field = solve_corrector(sine_coeff, (1.0, 1.0), 8)
-    buf = io.StringIO()
-    write_corrector_csv(field, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "y1,y2,z1,z2"
-    assert len(lines) == 1 + 64
-    first = lines[1].split(",")
-    assert len(first) == 4
-    assert float(first[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from maphom import cli
-from maphom.cell import CellProblem
+from maphom.cell import CellProblem, solve_corrector
 from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
-from maphom.finescale import ConvergenceRow, convergence_study
-from maphom.numerics import SolverError
+from maphom.finescale import ConvergenceRow, DirichletProblem, convergence_study
+from maphom.homogenize import tensor_field
+from maphom.numerics import Rectangle, SolverError, UniformCellGrid
+from maphom.structure import aud_verify
 
 
 def run(tmp_path, *argv):
@@ -291,8 +293,8 @@ def test_aud_flags_domains_without_interior_cells(tmp_path, capsys):
 
 
 def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
-    """The rows flushed one by one read as the study's rows under the
-    header."""
+    """The rows flushed one by one read back as the study's rows under
+    the header."""
     studies = []
 
     def recorded(*args, **kwargs):
@@ -315,8 +317,49 @@ def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
     for row in rows:
         assert float(row[1]) <= 1e-12  # no oscillation, no gap
         assert float(row[2]) > 0
-    expect = ConvergenceRow.CSV_HEADER + "".join(row.csv_line() for row in studies[0])
-    assert (out / "convergence.csv").read_text() == expect
+    assert [ConvergenceRow(int(h), float(e), float(w), bool(int(flag)))
+            for h, e, w, flag in rows] == studies[0]
+
+
+def test_convergence_csv_layout(tmp_path, monkeypatch):
+    def study(*args, on_row, **kwargs):
+        rows = [ConvergenceRow(h=1, l2_error=0.25, energy=1.5, warn_underresolved=False),
+                ConvergenceRow(h=2, l2_error=0.125, energy=1.25, warn_underresolved=True)]
+        for row in rows:
+            on_row(row)
+        return rows
+
+    monkeypatch.setattr(cli, "convergence_study", study)
+    code, out = run(tmp_path, "--override", "cell_resolution=16",
+                    "--override", "x2_samples=3", "convergence")
+    assert code == 0
+    assert (out / "convergence.csv").read_text() == (
+        "h,l2_error,energy,warn_underresolved\n1,0.25,1.5,0\n2,0.125,1.25,1\n")
+
+
+def test_an_aborted_sweep_leaves_the_finished_rows(tmp_path, capsys, monkeypatch):
+    """A solver failure at the second h exits 3 and leaves the header and
+    the first row on disk, and no manifest."""
+    oscillatory = DirichletProblem.oscillatory
+
+    def fail_after_the_first(self, coefficient, scale_map, tol=1e-8):
+        if scale_map.h > 1:
+            raise SolverError("no convergence", 10, 1.0)
+        return oscillatory(self, coefficient, scale_map, tol)
+
+    monkeypatch.setattr(DirichletProblem, "oscillatory", fail_after_the_first)
+    code, out = run(tmp_path,
+                    "--override", "cell_resolution=16",
+                    "--override", "domain_resolution=32",
+                    "--override", "x2_samples=4",
+                    "--override", "h_list=[1,2]",
+                    "convergence")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    header, rows = read_csv(out / "convergence.csv")
+    assert header == ["h", "l2_error", "energy", "warn_underresolved"]
+    assert [r[0] for r in rows] == ["1"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_preview_respects_the_composed_periodicity(tmp_path):
@@ -361,6 +404,54 @@ def test_corrector_dump_round_trips(tmp_path):
     z1 = np.array([float(r[2]) for r in rows])
     assert abs(z1.mean()) <= 1e-12
     assert np.abs(z1).max() > 0
+
+
+def test_corrector_csv_layout(tmp_path):
+    """Rows are the grid's nodes in order, and every value reads back
+    exactly."""
+    code, out = run(tmp_path,
+                    "--override", "cell_resolution=16",
+                    "--override", "dump_x2=0.5",
+                    "corrector-dump")
+    assert code == 0
+    _, rows = read_csv(out / "corrector.csv")
+    table = np.array(rows, dtype=float)
+    field = solve_corrector(ExperimentConfig.load(None).coefficient(), (1.0, 1.0), 16)
+    assert np.array_equal(table[:, :2], UniformCellGrid(16).node_coords())
+    assert np.array_equal(table[:, 2], field.z1)
+    assert np.array_equal(table[:, 3], field.z2)
+
+
+def test_tensor_csv_is_deterministic():
+    field = tensor_field(ExperimentConfig.load(None, [
+        "cell_resolution=32", "x2_samples=[0.25,0.5,0.75]"]).job())
+    first, second = io.StringIO(), io.StringIO()
+    cli.write_tensor_csv(field, first)
+    cli.write_tensor_csv(field, second)
+    assert first.getvalue() == second.getvalue()
+    lines = first.getvalue().strip().split("\n")
+    assert len(lines) == 3
+    row = lines[1].split(",")
+    assert float(row[0]) == 0.5
+    assert abs(float(row[1]) - float(row[4])) <= 1e-3
+
+
+def test_aud_csv_round_trip_including_empty_rows(tmp_path):
+    """An empty report keeps its h and n and leaves the other fields
+    blank; the maximum deviation reads back exactly."""
+    omega = [0.5, 0.9, 0.5, 0.9]
+    args = ["--override", f"omega={json.dumps(omega)}", "--override", "aud_h_list=[1,4]",
+            "aud"]
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    header, empty, full, end = (out / "aud.csv").read_text().split("\n")
+    assert (header, empty, end) == ("h,n,j2_min,j2_max,max_deviation", "1,4,,,", "")
+    h, n, j2_min, j2_max, deviation = full.split(",")
+    report = aud_verify([4], 4, Rectangle(*omega))[0]
+    assert (h, n, int(j2_min), int(j2_max), float(deviation)) == (
+        "4", "4", report.j2_min, report.j2_max, report.max_deviation)
+    assert main(["--out", str(tmp_path / "again"), *args]) == 0
+    assert (tmp_path / "again" / "aud.csv").read_bytes() == (out / "aud.csv").read_bytes()
 
 
 def test_data_files_are_byte_stable_across_runs(tmp_path):

@@ -9,7 +9,6 @@ from scipy.sparse.linalg import spsolve
 from maphom import coefficients
 
 from maphom.finescale import (
-    ConvergenceRow,
     DirichletProblem,
     DomainMesh,
     SolutionField,
@@ -385,6 +384,16 @@ def test_study_rejects_unsorted_scales(identity_coeff):
                           tensor)
 
 
+@pytest.mark.parametrize("h", [2.5, float("inf"), 0])
+def test_study_refuses_a_scale_that_is_not_a_positive_integer(identity_coeff, h):
+    """A fractional h is not truncated to the next integer and an
+    infinite one does not overflow."""
+    mesh = DomainMesh(OMEGA, 16, 16)
+    with pytest.raises(ValueError, match="positive integers"):
+        convergence_study(identity_coeff, LinearScaleMap, ones, mesh, [h],
+                          constant_field(np.eye(2)))
+
+
 def test_study_callback_sees_each_row(laminate_coeff):
     mesh = DomainMesh(OMEGA, 32, 32)
     job = HomogenizationJob(coefficient=laminate_coeff, omega=OMEGA,
@@ -396,14 +405,3 @@ def test_study_callback_sees_each_row(laminate_coeff):
                              [1, 2], tensor, on_row=seen.append)
     assert seen == rows
 
-
-def test_convergence_csv_layout():
-    rows = [ConvergenceRow(h=1, l2_error=0.25, energy=1.5,
-                           warn_underresolved=False),
-            ConvergenceRow(h=2, l2_error=0.125, energy=1.25,
-                           warn_underresolved=True)]
-    text = ConvergenceRow.CSV_HEADER + "".join(row.csv_line() for row in rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "h,l2_error,energy,warn_underresolved"
-    assert lines[1] == "1,0.25,1.5,0"
-    assert lines[2] == "2,0.125,1.25,1"

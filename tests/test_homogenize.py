@@ -1,6 +1,5 @@
 """Effective matrices: closed-form oracles, symmetry and the field sweep."""
 
-import io
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from maphom.homogenize import (
     isotropy_scan,
     rescaled_matrix,
     tensor_field,
-    write_tensor_csv,
 )
 from maphom.numerics import Q1Assembly, Rectangle, UniformCellGrid
 
@@ -201,6 +199,18 @@ def test_job_validation_names_the_offending_sample(sine_coeff):
         small_job(sine_coeff, x2_samples=np.array([]))
 
 
+@pytest.mark.parametrize("bad", [16.5, 0, float("inf"), float("nan")])
+def test_job_refuses_a_resolution_that_is_not_a_positive_integer(sine_coeff, bad):
+    with pytest.raises(ValueError, match="cell resolution"):
+        small_job(sine_coeff, cell_resolution=bad)
+
+
+def test_job_takes_integral_resolutions_as_ints(sine_coeff):
+    for good in (16.0, np.int64(16)):
+        job = small_job(sine_coeff, cell_resolution=good)
+        assert type(job.cell_resolution) is int and job.cell_resolution == 16
+
+
 def test_default_samples_stay_strictly_inside():
     samples = default_x2_samples(OMEGA, 64)
     assert samples.size == 64
@@ -237,16 +247,3 @@ def test_isotropy_scan_needs_three_samples():
         isotropy_scan(_toy_field([0.3, 0.5], [0.1, 0.2]))
 
 
-def test_tensor_csv_is_deterministic(sine_coeff):
-    field = tensor_field(small_job(sine_coeff, cell_resolution=32,
-                                   x2_samples=np.array([0.25, 0.5, 0.75])))
-    first, second = io.StringIO(), io.StringIO()
-    write_tensor_csv(field, first)
-    write_tensor_csv(field, second)
-    assert first.getvalue() == second.getvalue()
-    lines = first.getvalue().strip().split("\n")
-    assert lines[0] == "x2,b11,b12,b21,b22"
-    assert len(lines) == 4
-    row = lines[2].split(",")
-    assert float(row[0]) == 0.5
-    assert abs(float(row[1]) - float(row[4])) <= 1e-3

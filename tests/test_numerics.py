@@ -125,6 +125,15 @@ def test_grid_counts_and_spacing():
     assert closed.n_nodes == 81
     assert closed.boundary_mask().sum() == 32
 
+    assert UniformCellGrid(np.int64(4), ny=np.int64(2)).n_elements == 8
+
+
+@pytest.mark.parametrize("kwargs", [{"n_per_side": 2.5}, {"n_per_side": 2, "ny": 3.7},
+                                    {"n_per_side": 4.0}])
+def test_grid_refuses_fractional_element_counts(kwargs):
+    with pytest.raises(TypeError):
+        UniformCellGrid(**kwargs)
+
 
 def test_periodic_connectivity_wraps():
     grid = UniformCellGrid(4)

@@ -167,3 +167,39 @@ def test_every_definition_is_named_somewhere_else():
     others = [p.read_text() for folder in ("tests", "perfbench")
               for p in sorted((repo / folder).glob("*.py"))]
     assert dead_definitions({p.name: p.read_text() for p in PACKAGE}, others) == []
+
+
+WRITES = {"open", "write", "writelines", "write_text", "write_bytes"}
+
+
+def file_writes(source: str) -> list[str]:
+    """The file writes and row formats a module holds: calls of ``open``,
+    ``.write``, ``.writelines``, ``.write_text`` and ``.write_bytes``, and
+    ``.17g`` formats. Only ``cli`` writes files, and it owns every CSV
+    format."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            found.update({name} & WRITES)
+        elif isinstance(node, ast.Constant) and ".17g" in str(node.value):
+            found.add(".17g")
+    return sorted(found)
+
+
+def test_the_scan_finds_file_writes():
+    source = ("def write(stream, rows, path, x):\n"
+              "    with open(path) as f, path.open('w') as g:\n"
+              "        f.write(f'{x:.17g}')\n        g.writelines(rows)\n"
+              "    path.write_text('%.17g' % x)\n")
+    assert file_writes(source) == [".17g", "open", "write", "write_text", "writelines"]
+    clean = ("def write(a):\n    a.flags.writeable = False\n"
+             "    print(f'{a:.6g}', '%.16g' % a)\n    return write\n")
+    assert file_writes(clean) == []
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_files(path):
+    assert file_writes(path.read_text()) == []

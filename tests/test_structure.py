@@ -21,7 +21,6 @@ from maphom.structure import (
     oscillatory_mean_integral,
     scored_j2_range,
     subcell_measure,
-    write_aud_csv,
 )
 
 OMEGA = Rectangle(0.05, 2.0, 0.05, 2.0)
@@ -236,26 +235,6 @@ def test_report_row_fractions_sum_to_one():
 def test_verify_rejects_unsorted_scales():
     with pytest.raises(ValueError):
         aud_verify([16, 4], 4, OMEGA)
-
-
-def test_csv_round_trip_including_empty_rows():
-    import io
-
-    reports = aud_verify([4], 4, OMEGA)
-    reports += aud_verify([1], 4, Rectangle(0.5, 0.9, 0.5, 0.9))
-    buf = io.StringIO()
-    write_aud_csv(reports, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "h,n,j2_min,j2_max,max_deviation"
-    assert lines[1].startswith("4,4,2,15,")
-    assert float(lines[1].rsplit(",", 1)[1]) == pytest.approx(
-        reports[0].max_deviation, rel=1e-16)
-    assert lines[2] == "1,4,,,"
-
-    # writes are deterministic
-    again = io.StringIO()
-    write_aud_csv(reports, again)
-    assert again.getvalue() == buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
