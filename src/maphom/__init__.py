@@ -12,9 +12,9 @@ experiment CLI.
 from .cell import (
     CellProblem,
     CorrectorField,
-    RescaledCell,
     solve_corrector,
     solve_rescaled_corrector,
+    stretched,
 )
 from .coefficients import PeriodicCoefficient
 from .finescale import (
@@ -31,7 +31,6 @@ from .homogenize import (
     classical_homogenized_matrix,
     homogenized_matrix_at,
     isotropy_scan,
-    rescaled_matrix,
     tensor_field,
 )
 from .numerics import (
@@ -66,7 +65,6 @@ __all__ = [
     "PeriodicCoefficient",
     "QuadraticStretchMap",
     "Rectangle",
-    "RescaledCell",
     "SolutionField",
     "SolverError",
     "SparseSystem",
@@ -81,8 +79,8 @@ __all__ = [
     "isotropy_scan",
     "l2_error",
     "oscillatory_mean_integral",
-    "rescaled_matrix",
     "solve_corrector",
     "solve_rescaled_corrector",
+    "stretched",
     "tensor_field",
 ]

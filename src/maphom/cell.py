@@ -9,15 +9,15 @@ zero-mean test functions v,
 
 with zeta a positive pair. zeta = (1, 1) recovers the classical cell
 problem. The same solution can be obtained by solving the classical
-problem for A(y1, zeta_2 y2) on the rectangle (0,1) x (0, 1/zeta_2) and
-pulling back, which :func:`solve_rescaled_corrector` implements; the two
-routes agree up to discretization error.
+problem for A(y1, zeta_2 y2) on the rectangle (0,1) x (0, 1/zeta_2),
+which :func:`solve_rescaled_corrector` implements. The rectangle keeps
+the unit cell's n x n nodes, so the two routes are one discretization
+and agree to rounding.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Sequence
 
 import numpy as np
@@ -27,16 +27,15 @@ from .numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
-    interpolate_nodal,
     spectral_preconditioner,
 )
 
 __all__ = [
     "CellProblem",
     "CorrectorField",
-    "RescaledCell",
     "solve_corrector",
     "solve_rescaled_corrector",
+    "stretched",
 ]
 
 
@@ -175,77 +174,35 @@ def solve_corrector(
     return CellProblem(coefficient, grid).solve(zeta, tol)
 
 
-@dataclasses.dataclass
-class RescaledCell:
-    """Classical corrector data on the rectangle (0,1) x (0, 1/zeta_2).
-
-    The coefficient seen by this problem is A(y1, zeta_2 y2); pulling the
-    solution back through y2 -> y2 / zeta_2 reproduces the scaled corrector
-    on the unit cell.
-    """
-
-    zeta2: float
-    grid: UniformCellGrid
-    z1: np.ndarray
-    z2: np.ndarray
-    coefficient_eval: object
-    iterations: tuple[int, int]
-    residual: tuple[float, float]
-
-    def sample_on_unit_grid(self, unit_grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Pull both correctors back to nodal values on a unit-cell grid."""
-        pts = unit_grid.node_coords().copy()
-        pts[:, 1] /= self.zeta2
-        return (
-            interpolate_nodal(self.grid, self.z1, pts),
-            interpolate_nodal(self.grid, self.z2, pts),
-        )
-
-
-def solve_rescaled_corrector(
-    coefficient,
-    x: tuple[float, float],
-    resolution: tuple[int, int] | None = None,
-    tol: float = 1e-10,
-) -> RescaledCell:
-    """Solve the classical corrector problem on the rescaled rectangle.
-
-    For a macroscopic point with x2 > 0 the rectangle is
-    (0,1) x (0, 1/(2 x2)) and the coefficient is A(y1, 2 x2 y2), periodic
-    across both pairs of edges. The default resolution resolves the
-    coefficient's one period in y2 with round(64 / x2) rows but at least
-    32, and takes the fewest columns, at least 128, that the aspect check
-    allows: ceil(rows x2 / 2).
-    """
-    x = (float(x[0]), float(x[1]))
-    if not x[1] > 0:
-        raise ValueError("rescaled cell requires x2 > 0")
-    zeta2 = 2.0 * x[1]
-    length2 = 1.0 / zeta2
-    if resolution is None:
-        rows = max(32, round(64 / x[1]))
-        resolution = (max(128, math.ceil(rows * x[1] / 2)), rows)
-    n1, n2 = int(resolution[0]), int(resolution[1])
-    if n1 < 1 or n2 < 1:
-        raise ValueError("resolution must be positive in both directions")
-    aspect = (n2 / n1) / length2
-    if not 0.25 <= aspect <= 4.0:
-        raise ValueError(
-            "resolution aspect ratio is far from the rectangle's; "
-            f"got {n1}x{n2} for lengths (1, {length2:.4g})"
-        )
-
-    grid = UniformCellGrid(n1, periodic=True, ny=n2, lengths=(1.0, length2))
-
-    def stretched(pts):
+def stretched(coefficient, zeta2: float):
+    """The coefficient A(y1, zeta2 y2), as a callable of (m, 2) points."""
+    def evaluate(pts):
         q = np.array(pts, dtype=float, copy=True)
         q[:, 1] *= zeta2
         return coefficient(q)
 
-    field = CellProblem(stretched, grid).solve((1.0, 1.0), tol)
-    return RescaledCell(
-        zeta2=zeta2, grid=grid, z1=field.z1, z2=field.z2,
-        coefficient_eval=stretched,
-        iterations=field.iterations, residual=field.residual,
-    )
+    return evaluate
 
+
+def solve_rescaled_corrector(
+    coefficient,
+    x2: float,
+    n: int = 128,
+    tol: float = 1e-10,
+) -> CorrectorField:
+    """Solve the classical corrector problem on the rescaled rectangle.
+
+    For a macroscopic point with x2 > 0 the rectangle is
+    (0,1) x (0, 1/(2 x2)) and the coefficient is A(y1, 2 x2 y2), periodic
+    across both pairs of edges. The rectangle carries ``n`` elements per
+    side, so node (i, j) of the returned field is node (i, j) of the
+    n x n unit cell, and the field equals the unit cell's corrector at
+    zeta = (1, 2 x2) to rounding. Its effective matrix is
+    ``homogenized_matrix_at(stretched(coefficient, 2 x2), (1, 1), field)``.
+    """
+    x2 = float(x2)
+    if not x2 > 0:
+        raise ValueError("rescaled cell requires x2 > 0")
+    zeta2 = 2.0 * x2
+    grid = UniformCellGrid(n, lengths=(1.0, 1.0 / zeta2))
+    return solve_corrector(stretched(coefficient, zeta2), (1.0, 1.0), grid, tol)

@@ -100,9 +100,10 @@ class SolutionField:
         return gap / abs(self.source_work) if self.source_work else gap
 
     def diagnostics(self) -> dict:
-        """The solve's label, CG iterations, final residual, energy gap and
-        its assembly and solve times."""
-        return {"label": self.label, "iterations": self.iterations,
+        """The solve's label, under-resolution flag, CG iterations, final
+        residual, energy gap and its assembly and solve times."""
+        return {"label": self.label, "warn_underresolved": self.warn_underresolved,
+                "iterations": self.iterations,
                 "residual": self.residual, "energy_gap": self.energy_gap,
                 "assemble_s": round(self.assemble_s, 6),
                 "solve_s": round(self.solve_s, 6)}

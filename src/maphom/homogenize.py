@@ -14,11 +14,10 @@ solve.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
-from .cell import CellProblem, CorrectorField, RescaledCell
+from .cell import CellProblem, CorrectorField
 from .coefficients import PeriodicCoefficient
 from .numerics import Q1Assembly, Rectangle, UniformCellGrid
 from .structure import _is_integer
@@ -31,30 +30,8 @@ __all__ = [
     "default_x2_samples",
     "homogenized_matrix_at",
     "isotropy_scan",
-    "rescaled_matrix",
     "tensor_field",
 ]
-
-
-def _effective_matrix(
-    coefficient,
-    zeta: tuple[float, float],
-    z_pair: Sequence[np.ndarray],
-    grid: UniformCellGrid,
-) -> np.ndarray:
-    """Quadrature of the effective-matrix integrand, normalized by the
-    cell measure so the same path serves unit and rescaled cells."""
-    assembly = Q1Assembly(grid)
-    A = assembly.coefficient(coefficient)
-    zvec = np.array([float(zeta[0]), float(zeta[1])])
-    b = np.empty((2, 2))
-    for j in range(2):
-        # integrand_i = a_ij + sum_k a_ik zeta_k dz_j/dy_k
-        col = A[:, :, :, j] + np.einsum(
-            "eqik,k,eqk->eqi", A, zvec, assembly.gradient(z_pair[j]), optimize=True
-        )
-        b[:, j] = assembly.integral(col)
-    return b / grid.area
 
 
 def homogenized_matrix_at(
@@ -66,12 +43,24 @@ def homogenized_matrix_at(
 
     The corrector must have been solved with the same scaling; mismatched
     pairs raise ValueError. The matrix is computed by quadrature of the
-    corrected flux, independently of :class:`CellProblem`'s dot products.
+    corrected flux, independently of :class:`CellProblem`'s dot products,
+    and normalized by the cell measure, so it also reads the matrix of a
+    rescaled rectangle (:func:`~maphom.cell.solve_rescaled_corrector`).
     """
     if tuple(corrector.zeta) != (float(zeta[0]), float(zeta[1])):
         raise ValueError("corrector was solved with a different scaling")
-    return _effective_matrix(coefficient, zeta, (corrector.z1, corrector.z2),
-                             corrector.grid)
+    grid = corrector.grid
+    assembly = Q1Assembly(grid)
+    A = assembly.coefficient(coefficient)
+    zvec = np.array(corrector.zeta)
+    b = np.empty((2, 2))
+    for j in range(2):
+        # integrand_i = a_ij + sum_k a_ik zeta_k dz_j/dy_k
+        col = A[:, :, :, j] + np.einsum(
+            "eqik,k,eqk->eqi", A, zvec, assembly.gradient(corrector.component(j + 1)),
+            optimize=True)
+        b[:, j] = assembly.integral(col)
+    return b / grid.area
 
 
 def classical_homogenized_matrix(
@@ -82,17 +71,6 @@ def classical_homogenized_matrix(
     """Effective matrix of the unscaled (zeta = (1,1)) cell problem."""
     problem = CellProblem(coefficient, grid)
     return problem.effective_matrix(problem.solve((1.0, 1.0), tol))
-
-
-def rescaled_matrix(cell: RescaledCell) -> np.ndarray:
-    """Effective matrix from the rescaled-rectangle route.
-
-    The classical formula on the rectangle, normalized by its measure,
-    equals the scaled-cell matrix at the matching zeta up to discretization
-    error.
-    """
-    return _effective_matrix(cell.coefficient_eval, (1.0, 1.0),
-                             (cell.z1, cell.z2), cell.grid)
 
 
 def default_x2_samples(omega: Rectangle, count: int = 64) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "UniformCellGrid",
     "cg_solve",
     "evaluate_coefficient",
-    "interpolate_nodal",
     "nine_point_layout",
     "spectral_preconditioner",
 ]
@@ -94,9 +93,10 @@ class UniformCellGrid:
     The default configuration is the periodic unit cell: ``n_per_side``
     elements per direction on [0,1]^2 with wrap-around node identification,
     hence exactly n_per_side^2 distinct nodes and spacing 1/n_per_side.
-    Passing ``periodic=False`` keeps all (nx+1)*(ny+1) nodes; combined with
-    ``origin`` and ``lengths`` that covers Dirichlet meshes on macroscopic
-    rectangles and the rescaled cell rectangles.
+    ``lengths`` stretches the cell into a periodic rectangle, as for the
+    rescaled cell rectangles. Passing ``periodic=False`` keeps all
+    (nx+1)*(ny+1) nodes; combined with ``origin`` that covers Dirichlet
+    meshes on macroscopic rectangles.
     """
 
     def __init__(
@@ -344,7 +344,8 @@ def cg_solve(
     """Preconditioned conjugate gradients.
 
     Solves ``system`` for ``rhs`` down to a relative residual of ``tol``
-    (measured in the Euclidean norm against the true residual). Systems
+    (measured in the Euclidean norm against the true residual), which must
+    lie strictly between 0 and 1. Systems
     flagged singular are solved on the zero-mean subspace: the right-hand
     side and every iterate have their mean subtracted, which selects the
     zero-mean representative of the solution family.
@@ -357,8 +358,11 @@ def cg_solve(
             within ``max_iter`` iterations (default 10 * dimension); the
             exception carries the iteration count and the relative
             residual.
-        ValueError: dimension mismatch between system and vectors.
+        ValueError: a tolerance outside (0, 1), or a dimension mismatch
+            between system and vectors.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     A = system.matrix
     n = system.dimension
     b = np.asarray(rhs, dtype=float).ravel().copy()
@@ -427,41 +431,6 @@ def cg_solve(
         if system.singular:
             x -= x.mean()
         r -= alpha * Ap
-
-
-def interpolate_nodal(grid: UniformCellGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the bilinear interpolant of nodal ``values`` at ``points``.
-
-    Periodic grids wrap around; otherwise points are clamped to the
-    rectangle.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != grid.n_nodes:
-        raise ValueError("nodal array length does not match grid")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sx = (pts[:, 0] - grid.origin[0]) / grid.hx
-    sy = (pts[:, 1] - grid.origin[1]) / grid.hy
-    if grid.periodic:
-        sx = np.mod(sx, grid.nx)
-        sy = np.mod(sy, grid.ny)
-    else:
-        sx = np.clip(sx, 0.0, grid.nx)
-        sy = np.clip(sy, 0.0, grid.ny)
-    i0 = np.minimum(np.floor(sx).astype(np.int64), grid.nx - 1)
-    j0 = np.minimum(np.floor(sy).astype(np.int64), grid.ny - 1)
-    fx = sx - i0
-    fy = sy - j0
-    n00 = grid.node_index(i0, j0)
-    n10 = grid.node_index(i0 + 1, j0)
-    n11 = grid.node_index(i0 + 1, j0 + 1)
-    n01 = grid.node_index(i0, j0 + 1)
-    out = (
-        values[n00] * (1 - fx) * (1 - fy)
-        + values[n10] * fx * (1 - fy)
-        + values[n11] * fx * fy
-        + values[n01] * (1 - fx) * fy
-    )
-    return out if out.size > 1 else out.reshape(-1)
 
 
 def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -334,9 +334,9 @@ def oscillatory_mean_integral(
     """
     if resolution is None:
         resolution = default_oscillation_resolution(scale_map.h)
-    resolution = int(resolution)
-    if resolution < 1:
+    if not _is_integer(resolution, 1):
         raise ValueError("resolution must be a positive integer")
+    resolution = int(resolution)
     under = resolution < 4 * scale_map.h
 
     m1 = max(1, round(resolution * omega.width))

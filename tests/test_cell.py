@@ -1,7 +1,6 @@
 """Coefficient structure checks, the coefficient contract and the
 periodic corrector solves."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +14,7 @@ from maphom.cell import (
     CorrectorField,
     solve_corrector,
     solve_rescaled_corrector,
+    stretched,
 )
 from maphom.coefficients import PeriodicCoefficient
 from maphom.finescale import (
@@ -27,7 +27,6 @@ from maphom.finescale import (
 from maphom.homogenize import (
     classical_homogenized_matrix,
     homogenized_matrix_at,
-    rescaled_matrix,
 )
 from maphom.numerics import (
     GAUSS_WEIGHTS,
@@ -149,7 +148,6 @@ def coefficient_uses(sine_coeff):
     """Every entry point that evaluates a coefficient, as a callable of
     the coefficient."""
     corrector = solve_corrector(sine_coeff, (1.0, 1.0), 8)
-    cell = solve_rescaled_corrector(sine_coeff, (0.0, 1.0), resolution=(8, 4))
     mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 8, 8)
     problem = DirichletProblem(mesh, lambda pts: np.ones(pts.shape[0]))
     u = SolutionField(values=np.ones(mesh.grid.n_nodes), mesh=mesh, label="",
@@ -159,15 +157,12 @@ def coefficient_uses(sine_coeff):
         "CellProblem": lambda c: CellProblem(c, 8),
         "DirichletProblem.stiffness": problem.stiffness,
         "homogenized_matrix_at": lambda c: homogenized_matrix_at(c, (1.0, 1.0), corrector),
-        "rescaled_matrix": lambda c: rescaled_matrix(
-            dataclasses.replace(cell, coefficient_eval=c)),
         "flux_moment": lambda c: flux_moment(c, u, lambda pts: np.ones((pts.shape[0], 2))),
     }
 
 
 @pytest.mark.parametrize("use", ["CellProblem", "DirichletProblem.stiffness",
-                                 "homogenized_matrix_at", "rescaled_matrix",
-                                 "flux_moment"])
+                                 "homogenized_matrix_at", "flux_moment"])
 @pytest.mark.parametrize("bad", [_non_finite, _flat], ids=["non-finite", "m-by-4"])
 def test_bad_coefficient_values_raise(coefficient_uses, use, bad):
     with pytest.raises(ValueError):
@@ -187,7 +182,7 @@ def test_oracles_and_error_norms_build_no_matrix_layout(coefficient_uses, sine_c
         raise AssertionError("the nine-point layout was built")
 
     monkeypatch.setattr(numerics, "nine_point_layout", refuse)
-    for use in ("homogenized_matrix_at", "rescaled_matrix", "flux_moment"):
+    for use in ("homogenized_matrix_at", "flux_moment"):
         assert np.all(np.isfinite(coefficient_uses[use](sine_coeff)))
     assert l2_error(u, u) == 0.0
 
@@ -405,57 +400,71 @@ def test_numpy_integer_resolutions_act_like_ints(sine_coeff, use):
 
 
 def test_rescaled_cell_geometry_defaults(sine_coeff):
-    cell = solve_rescaled_corrector(sine_coeff, (0.7, 1.0), tol=1e-8)
-    assert cell.zeta2 == 2.0
-    assert cell.grid.lengths == (1.0, 0.5)
-    assert cell.grid.n_elements == 128 * 64
+    field = solve_rescaled_corrector(sine_coeff, 1.0, tol=1e-8)
+    assert field.zeta == (1.0, 1.0)
+    assert field.grid.periodic
+    assert field.grid.lengths == (1.0, 0.5)
+    assert (field.grid.nx, field.grid.ny) == (128, 128)
 
 
 @pytest.mark.parametrize("x2", [65.0, 100.0])
-def test_rescaled_cell_default_fits_thin_rectangles(sine_coeff, x2):
-    """Past x2 = 2 the default keeps 32 rows per period and takes the
-    fewest columns the aspect check allows: elements 4 times wider than
-    tall."""
-    cell = solve_rescaled_corrector(sine_coeff, (0.7, x2), tol=1e-8)
-    assert (cell.grid.nx, cell.grid.ny) == (16 * x2, 32)
-    assert cell.grid.hx == pytest.approx(4 * cell.grid.hy, rel=1e-12)
-    B = rescaled_matrix(cell)
-    assert np.all(np.isfinite(B))
-    assert sine_coeff.coercivity <= B[1, 1] <= B[0, 0] <= sine_coeff.bound
+def test_rescaled_cell_default_fits_thin_rectangles(x2):
+    """However thin the rectangle, the default keeps the unit cell's
+    nodes: 128 x 128 elements, 2 x2 times wider than tall."""
+    grid = solve_rescaled_corrector(coefficients.identity(), x2).grid
+    assert (grid.nx, grid.ny) == (128, 128)
+    assert grid.hx == pytest.approx(2 * x2 * grid.hy, rel=1e-12)
 
 
-def test_rescaled_default_resolves_a_stretched_period(sine_coeff):
-    """At x2 = 16.5 the default 264x32 grid meets the 128^2 unit-cell route
-    to 1.06e-3; with four rows per period it was 0.09 off in b22."""
-    zeta = (1.0, 33.0)
-    unit = homogenized_matrix_at(sine_coeff, zeta, solve_corrector(sine_coeff, zeta, 128))
-    cell = solve_rescaled_corrector(sine_coeff, (0.7, 16.5))
-    assert (cell.grid.nx, cell.grid.ny) == (264, 32)
-    assert np.abs(rescaled_matrix(cell) - unit).max() <= 2e-3
+@pytest.mark.parametrize("x2", [0.75, 16.5, 100.0])
+def test_rescaled_route_is_the_unit_cell_node_for_node(sine_coeff, x2):
+    """The rectangle on n x n elements is the n^2 unit-cell problem at
+    zeta = (1, 2 x2) in other variables: the matrices agree to 1e-12 and
+    the correctors node for node to 1e-10. The iteration counts agree
+    to within a tenth, so exactly at small counts: from x2 = 16.5 on the
+    solves are strongly anisotropic and long, and rounding (the BLAS
+    thread count included) moves their stopping step by a few."""
+    zeta = (1.0, 2.0 * x2)
+    unit = solve_corrector(sine_coeff, zeta, 128)
+    rect = solve_rescaled_corrector(sine_coeff, x2)
+    B_unit = homogenized_matrix_at(sine_coeff, zeta, unit)
+    B_rect = homogenized_matrix_at(stretched(sine_coeff, 2.0 * x2), (1.0, 1.0), rect)
+    print(f"x2 = {x2}: gap {np.abs(B_rect - B_unit).max():.2e}, iterations "
+          f"{unit.iterations} and {rect.iterations}")
+    assert np.abs(B_rect - B_unit).max() <= 1e-12
+    assert np.abs(rect.z1 - unit.z1).max() <= 1e-10
+    assert np.abs(rect.z2 - unit.z2).max() <= 1e-10
+    for n_unit, n_rect in zip(unit.iterations, rect.iterations):
+        assert abs(n_rect - n_unit) <= n_unit / 10
 
 
 def test_rescaled_cell_rejects_skewed_resolutions(sine_coeff):
-    with pytest.raises(ValueError):
-        solve_rescaled_corrector(sine_coeff, (0.0, 1.0), resolution=(128, 8))
-    with pytest.raises(ValueError):
-        solve_rescaled_corrector(sine_coeff, (0.0, -1.0))
+    """One element count serves both sides; a resolution pair, a
+    fractional count and a non-positive x2 raise."""
+    with pytest.raises(TypeError):
+        solve_rescaled_corrector(sine_coeff, 1.0, (128, 8))
+    with pytest.raises(TypeError):
+        solve_rescaled_corrector(sine_coeff, 1.0, 32.9)
+    for x2 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            solve_rescaled_corrector(sine_coeff, x2)
 
 
 def test_rescaled_route_reduces_to_the_unit_cell_at_the_isotropy_line(sine_coeff):
     """At x2 = 0.5 the rectangle is the unit cell and both routes coincide."""
-    cell = solve_rescaled_corrector(sine_coeff, (0.3, 0.5), tol=1e-10)
+    cell = solve_rescaled_corrector(sine_coeff, 0.5, tol=1e-10)
     field = solve_corrector(sine_coeff, (1.0, 1.0), 128, tol=1e-10)
     assert np.abs(cell.z1 - field.z1).max() <= 1e-13
     assert np.abs(cell.z2 - field.z2).max() <= 1e-13
 
 
 def test_pullback_matches_the_scaled_corrector(sine_coeff):
-    cell = solve_rescaled_corrector(sine_coeff, (0.0, 1.0), tol=1e-10)
-    unit = UniformCellGrid(128)
-    z1_hat, z2_hat = cell.sample_on_unit_grid(unit)
-    field = solve_corrector(sine_coeff, (1.0, 2.0), unit, tol=1e-10)
-    assert np.abs(z1_hat - field.z1).max() <= 1e-3
-    assert np.abs(z2_hat - field.z2).max() <= 1e-3
+    """Node (i, j) of the rectangle pulls back to node (i, j) of the unit
+    cell, so the pull-back is the identity on nodal values."""
+    cell = solve_rescaled_corrector(sine_coeff, 1.0, tol=1e-10)
+    field = solve_corrector(sine_coeff, (1.0, 2.0), 128, tol=1e-10)
+    assert np.abs(cell.z1 - field.z1).max() <= 1e-10
+    assert np.abs(cell.z2 - field.z2).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +494,8 @@ def test_cell_iterations_stay_low_at_contrast_199(zeta2):
 
 
 def test_rescaled_rectangle_iterations_stay_low_at_contrast_199():
-    """x2 = 2 gives a 128 x 32 rectangle of height 1/4 (zeta2 = 4)."""
-    cell = solve_rescaled_corrector(coefficients.sine_product(0.99), (1.0, 2.0))
-    assert cell.grid.ny == 32
+    """x2 = 2 gives a 128 x 128 rectangle of height 1/4 (zeta2 = 4)."""
+    cell = solve_rescaled_corrector(coefficients.sine_product(0.99), 2.0)
+    assert (cell.grid.nx, cell.grid.ny) == (128, 128)
     assert max(cell.iterations) <= CELL_ITERATION_CEILING
     assert max(cell.residual) <= 1e-10

@@ -265,6 +265,10 @@ def test_manifest_records_the_cell_solver(tmp_path):
     assert len(solver["cg_iterations"]) == 4
     dirichlet = solver["dirichlet"]
     assert [d["label"] for d in dirichlet] == ["homogenized", "oscillatory h=1"]
+    # a 32^2 mesh under-resolves the map at h = 1, as the CSV flags
+    assert [d["warn_underresolved"] for d in dirichlet] == [False, True]
+    _, rows = read_csv(out / "convergence.csv")
+    assert [r[3] for r in rows] == ["1"]
     for d in dirichlet:
         assert d["iterations"] > 0
         assert d["residual"] <= 1e-8

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from maphom import coefficients
-from maphom.cell import solve_corrector, solve_rescaled_corrector
+from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
 from maphom.homogenize import (
     HomogenizationJob,
     HomogenizedTensor,
@@ -15,7 +15,6 @@ from maphom.homogenize import (
     default_x2_samples,
     homogenized_matrix_at,
     isotropy_scan,
-    rescaled_matrix,
     tensor_field,
 )
 from maphom.numerics import Q1Assembly, Rectangle, UniformCellGrid
@@ -125,8 +124,8 @@ def test_mesh_refinement_is_cauchy(sine_coeff):
 
 
 def test_rescaled_route_agrees_at_the_square_cell(sine_coeff):
-    cell = solve_rescaled_corrector(sine_coeff, (0.2, 0.5), tol=1e-10)
-    B_rect = rescaled_matrix(cell)
+    cell = solve_rescaled_corrector(sine_coeff, 0.5, tol=1e-10)
+    B_rect = homogenized_matrix_at(stretched(sine_coeff, 1.0), (1.0, 1.0), cell)
     corr = solve_corrector(sine_coeff, (1.0, 1.0), 128, tol=1e-10)
     B_unit = homogenized_matrix_at(sine_coeff, (1.0, 1.0), corr)
     npt.assert_allclose(B_rect, B_unit, atol=1e-13)

@@ -2,6 +2,7 @@
 its spectral preconditioner."""
 
 import dataclasses
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +20,6 @@ from maphom.numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
-    interpolate_nodal,
     nine_point_layout,
     spectral_preconditioner,
 )
@@ -251,6 +251,15 @@ def test_cg_residual_history_reaches_tolerance(rng):
     assert np.linalg.norm(system.matrix @ result.x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0])
+def test_cg_refuses_a_tolerance_outside_zero_one(tol):
+    """A bad tolerance is a usage error, not a numerical breakdown."""
+    system = _periodic_laplacian_1d(8)
+    b = np.arange(8.0) - 3.5
+    with pytest.raises(ValueError, match="tolerance"):
+        cg_solve(system, b, jacobi(system), tol=tol)
+
+
 def test_cg_raises_when_starved_of_iterations(rng):
     system = _periodic_laplacian_1d(64)
     b = rng.standard_normal(64)
@@ -417,37 +426,8 @@ def test_spectral_preconditioner_checks_its_inputs():
 
 
 # ---------------------------------------------------------------------------
-# interpolation and the source load
+# the source load
 # ---------------------------------------------------------------------------
-
-
-def test_interpolation_reproduces_bilinear_fields(rng):
-    grid = UniformCellGrid(8, periodic=False)
-    coords = grid.node_coords()
-    nodal = 2.0 + 0.5 * coords[:, 0] - coords[:, 1] + 3.0 * coords[:, 0] * coords[:, 1]
-    pts = rng.uniform(0, 1, (50, 2))
-    expect = 2.0 + 0.5 * pts[:, 0] - pts[:, 1] + 3.0 * pts[:, 0] * pts[:, 1]
-    npt.assert_allclose(interpolate_nodal(grid, nodal, pts), expect, atol=1e-13)
-
-
-def test_periodic_interpolation_wraps(rng):
-    grid = UniformCellGrid(16)
-    nodal = rng.standard_normal(grid.n_nodes)
-    pts = rng.uniform(0, 1, (30, 2))
-    base = interpolate_nodal(grid, nodal, pts)
-    npt.assert_allclose(interpolate_nodal(grid, nodal, pts + [1.0, 0.0]), base,
-                        atol=1e-12)
-    npt.assert_allclose(interpolate_nodal(grid, nodal, pts + [1.0, 1.0]), base,
-                        atol=1e-12)
-
-
-def test_clamped_interpolation_outside_the_box(rng):
-    grid = UniformCellGrid(8, periodic=False)
-    nodal = rng.standard_normal(grid.n_nodes)
-    outside = np.array([[-0.2, 0.4]])
-    edge = np.array([[0.0, 0.4]])
-    assert interpolate_nodal(grid, nodal, outside) == pytest.approx(
-        interpolate_nodal(grid, nodal, edge))
 
 
 def test_source_load_rejects_non_finite_values():

@@ -295,6 +295,28 @@ def test_resolution_flagging_and_defaults():
                                   resolution=0)
 
 
+@pytest.mark.parametrize("resolution", [15.9, math.inf, math.nan, 0])
+def test_oscillatory_resolution_must_be_a_positive_integer(resolution):
+    """A fractional resolution is refused, not truncated."""
+    omega = Rectangle(0.5, 1.5, 0.5, 1.5)
+    with pytest.raises(ValueError, match="resolution"):
+        oscillatory_mean_integral(lambda x, y: np.ones(x.shape[0]), _phi_one,
+                                  QuadraticStretchMap(2), omega, resolution=resolution)
+
+
+def test_oscillatory_resolution_takes_numpy_integers():
+    omega = Rectangle(0.5, 1.5, 0.5, 1.5)
+
+    def v(x, y):
+        return np.sin(2 * np.pi * y[:, 0])
+
+    a = oscillatory_mean_integral(v, _phi_one, QuadraticStretchMap(2), omega,
+                                  resolution=np.int64(16))
+    b = oscillatory_mean_integral(v, _phi_one, QuadraticStretchMap(2), omega,
+                                  resolution=16)
+    assert a == b
+
+
 def test_mean_recovery_improves_with_scale():
     """The composed integral tends to the cell mean of the oscillation."""
     omega = Rectangle(0.5, 1.5, 0.5, 1.5)
