@@ -27,6 +27,7 @@ from .numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
+    inner,
     spectral_preconditioner,
 )
 
@@ -155,7 +156,7 @@ class CellProblem:
         for i in range(2):
             for j in range(2):
                 z = field.component(j + 1)
-                b[i, j] += sum(field.zeta[k] * (self._fluxes[i][k] @ z) for k in range(2))
+                b[i, j] += sum(field.zeta[k] * inner(self._fluxes[i][k], z) for k in range(2))
         return b
 
 

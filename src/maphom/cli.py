@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import coefficients
 from .cell import solve_corrector
@@ -330,6 +331,7 @@ class RunManifest:
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
+                "scipy": scipy.__version__,
                 "maphom": _package_version(),
             },
         }

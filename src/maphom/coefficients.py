@@ -26,15 +26,15 @@ class PeriodicCoefficient:
             (m, 2, 2) matrix values. Periodicity with period 1 in both
             directions is part of the contract and is sampled by
             :meth:`check_structure`.
-        bound: declared upper bound r with |A(y) xi| <= r |xi|.
+        bound: declared finite upper bound r with |A(y) xi| <= r |xi|.
         coercivity: declared lower bound s with xi . A(y) xi >= s |xi|^2.
         symmetric: whether A(y) is symmetric everywhere.
         description: short label used in metadata and manifests.
     """
 
     def __init__(self, evaluate, bound, coercivity, symmetric=True, description="custom"):
-        if not coercivity > 0:
-            raise ValueError("coercivity bound must be positive")
+        if not (coercivity > 0 and np.isfinite(bound)):
+            raise ValueError("declared bounds must be finite, the coercivity bound positive")
         if bound < coercivity:
             raise ValueError("upper bound cannot be below the coercivity bound")
         self._evaluate = evaluate
@@ -73,7 +73,7 @@ class PeriodicCoefficient:
         angles = np.linspace(0.0, np.pi, 16, endpoint=False)
         xi = np.column_stack([np.cos(angles), np.sin(angles)])
         Axi = np.einsum("mik,dk->mdi", A, xi)
-        norms = np.linalg.norm(Axi, axis=2)
+        norms = np.sqrt(np.einsum("mdi,mdi->md", Axi, Axi))
         if norms.max() > self.bound + 1e-9:
             raise ValueError(
                 f"bound violated: |A xi| reaches {norms.max():.6g} > {self.bound}"

@@ -22,6 +22,7 @@ from .numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
+    inner,
     spectral_preconditioner,
 )
 from .structure import _is_integer
@@ -171,8 +172,8 @@ class DirichletProblem:
         values[mesh.interior_mask] = res.x
         return SolutionField(values=values, mesh=mesh, label=label,
                              warn_underresolved=warn, iterations=res.iterations,
-                             residual=res.residual, energy=float(res.x @ (K @ res.x)),
-                             source_work=float(self.load @ res.x),
+                             residual=res.residual, energy=inner(res.x, K @ res.x),
+                             source_work=inner(self.load, res.x),
                              assemble_s=assembled - start, solve_s=solved - assembled)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from typing import Callable, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "UniformCellGrid",
     "cg_solve",
     "evaluate_coefficient",
+    "inner",
     "nine_point_layout",
     "spectral_preconditioner",
 ]
@@ -332,6 +334,12 @@ def spectral_preconditioner(
     return apply
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two vectors in numpy's own single-threaded loop, so
+    that its bits, unlike BLAS ``ddot``'s, do not depend on the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def cg_solve(
     system: SparseSystem,
     rhs: np.ndarray,
@@ -373,7 +381,7 @@ def cg_solve(
 
     if system.singular:
         b -= b.mean()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(inner(b, b))
     if bnorm == 0.0:
         return CGResult(np.zeros(n), 0, 0.0)
 
@@ -392,7 +400,7 @@ def cg_solve(
 
     iterations = 0
     while True:
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(inner(r, r))
         if not np.isfinite(res):
             raise SolverError(
                 f"conjugate gradient residual is not finite after {iterations} "
@@ -403,7 +411,7 @@ def cg_solve(
             r = b - A @ x
             if system.singular:
                 r -= r.mean()
-            res = float(np.linalg.norm(r))
+            res = math.sqrt(inner(r, r))
         if res <= tol * bnorm:
             return CGResult(x, iterations, res / bnorm)
         if iterations == max_iter:
@@ -411,7 +419,7 @@ def cg_solve(
                 f"conjugate gradient did not converge in {max_iter} iterations "
                 f"(relative residual {res / bnorm:.3e})", iterations, res / bnorm)
         z = preconditioner(r)
-        rz_new = float(r @ z)
+        rz_new = inner(r, z)
         if rz_new <= 0.0:
             raise SolverError(
                 "conjugate gradient breakdown: the preconditioned residual is "
@@ -421,7 +429,7 @@ def cg_solve(
         rz = rz_new
         iterations += 1
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = inner(p, Ap)
         if pAp <= 0.0:
             raise SolverError(
                 "conjugate gradient breakdown: operator is not positive definite "

@@ -88,6 +88,17 @@ def test_audit_catches_asymmetry():
         PeriodicCoefficient(skew, bound=2.0, coercivity=0.5).check_structure()
 
 
+@pytest.mark.parametrize("bound,coercivity", [
+    (math.nan, 0.5), (math.inf, 0.5), (5.0, math.nan), (math.inf, math.inf),
+])
+def test_declared_bounds_must_be_finite(bound, coercivity):
+    """Every comparison with a NaN bound is false, so the audit of ``5 I``
+    would pass against it; an infinite bound declares nothing."""
+    with pytest.raises(ValueError, match="finite"):
+        PeriodicCoefficient(lambda pts: 5.0 * np.eye(2)[None].repeat(len(pts), 0),
+                            bound=bound, coercivity=coercivity)
+
+
 def test_constant_coefficient_bounds_are_its_eigenvalues():
     coeff = coefficients.constant([[2.0, 0.5], [0.5, 1.0]])
     assert coeff.bound == pytest.approx((3 + math.sqrt(2)) / 2, rel=1e-12)
@@ -422,8 +433,8 @@ def test_rescaled_route_is_the_unit_cell_node_for_node(sine_coeff, x2):
     zeta = (1, 2 x2) in other variables: the matrices agree to 1e-12 and
     the correctors node for node to 1e-10. The iteration counts agree
     to within a tenth, so exactly at small counts: from x2 = 16.5 on the
-    solves are strongly anisotropic and long, and rounding (the BLAS
-    thread count included) moves their stopping step by a few."""
+    solves are strongly anisotropic and long, and rounding moves their
+    stopping step by a few."""
     zeta = (1.0, 2.0 * x2)
     unit = solve_corrector(sine_coeff, zeta, 128)
     rect = solve_rescaled_corrector(sine_coeff, x2)

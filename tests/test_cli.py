@@ -6,9 +6,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import event, given, settings, strategies as st
 
 from maphom import cli
@@ -235,6 +240,7 @@ def test_homogenize_writes_tensor_and_manifest(tmp_path, capsys):
     assert entry["bytes"] > 0
     assert "tensor_field" in manifest["runtimes_seconds"]
     assert manifest["versions"]["maphom"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_manifest_records_the_cell_solver(tmp_path):
@@ -465,6 +471,35 @@ def test_data_files_are_byte_stable_across_runs(tmp_path):
     code_b, out_b = main(["--out", str(tmp_path / "b"), *args]), tmp_path / "b"
     assert code_a == code_b == 0
     assert (out_a / "tensor.csv").read_bytes() == (out_b / "tensor.csv").read_bytes()
+
+
+def run_with_blas_threads(out, threads, *argv):
+    """Run the CLI in a child process with ``threads`` BLAS threads. Returns
+    its CSV files' bytes and its manifest's solver record without the
+    wall times."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), str(threads)))
+    proc = subprocess.run([sys.executable, "-m", "maphom.cli", "--out", str(out), *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    for entry in solver.get("dirichlet", []):
+        del entry["assemble_s"], entry["solve_s"]
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, solver
+
+
+@pytest.mark.parametrize("argv", [
+    ["--override", "x2_samples=4", "homogenize"],
+    ["--override", "cell_resolution=16", "--override", "domain_resolution=128",
+     "--override", "h_list=[1,2]", "--override", "x2_samples=8", "convergence"],
+], ids=["homogenize", "convergence"])
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    """The CSV bytes, the CG iteration counts and residuals and the
+    Dirichlet records are the same with one BLAS thread and with two."""
+    one = run_with_blas_threads(tmp_path / "one", 1, *argv)
+    two = run_with_blas_threads(tmp_path / "two", 2, *argv)
+    assert one == two
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,47 @@ def test_the_scan_finds_file_writes():
                          ids=lambda p: p.name)
 def test_only_the_cli_writes_files(path):
     assert file_writes(path.read_text()) == []
+
+
+BLAS_REDUCTIONS = {("numpy", "dot"), ("numpy", "vdot"), ("numpy", "inner"),
+                   ("linalg", "norm")}
+
+
+def blas_reductions(source: str) -> list[str]:
+    """The BLAS vector reductions a module names: ``np.dot``, ``np.vdot``,
+    ``np.inner`` and ``linalg.norm``, as attributes or imported names.
+    OpenBLAS splits their sums over its threads, so their last bits
+    depend on the thread count; every vector reduction goes through
+    ``numerics.inner`` instead. The contractions of ``einsum`` reduce
+    over axes of length 2 or 4 and are not refused."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            owner = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", "")
+            pairs = {("numpy" if owner == "np" else owner, node.attr)}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            pairs = {(node.module.split(".")[-1], a.name) for a in node.names}
+        else:
+            continue
+        found.update(f"{owner}.{name}" for owner, name in pairs & BLAS_REDUCTIONS)
+    return sorted(found)
+
+
+def test_the_scan_finds_blas_reductions():
+    source = ("import numpy\nimport numpy as np\nfrom numpy import vdot\n"
+              "from numpy.linalg import norm as length\n"
+              "def f(a, b):\n"
+              "    return np.dot(a, b) + numpy.inner(a, b) + np.linalg.norm(a)\n")
+    assert blas_reductions(source) == ["linalg.norm", "numpy.dot", "numpy.inner",
+                                       "numpy.vdot"]
+    clean = ("import numpy as np\nfrom .numerics import inner\n"
+             "def f(a, K, D, G):\n"
+             "    n = np.sqrt(np.einsum('mdi,mdi->md', a, a))\n"
+             "    return inner(a, K @ a), np.einsum('eqik,eqk->eqi', D, G, optimize=True), n\n")
+    assert blas_reductions(clean) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_vector_reductions_go_through_inner(path):
+    assert blas_reductions(path.read_text()) == []
