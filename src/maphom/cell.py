@@ -46,6 +46,8 @@ class CorrectorField:
 
     ``z1`` and ``z2`` are nodal values of the two zero-mean periodic
     correctors; ``zeta`` is the diagonal scaling they were solved with.
+    ``r1`` and ``r2`` are the true residuals ``rhs_j - K z_j`` the solves
+    ended on, and ``residual`` their relative norms.
     """
 
     z1: np.ndarray
@@ -54,6 +56,8 @@ class CorrectorField:
     grid: UniformCellGrid
     iterations: tuple[int, int]
     residual: tuple[float, float]
+    r1: np.ndarray
+    r2: np.ndarray
 
     def component(self, j: int) -> np.ndarray:
         if j not in (1, 2):
@@ -86,12 +90,21 @@ class CellProblem:
     nine-point CSR layout, together with the four loads and the four flux
     vectors M_ik = int a_ik d_k phi / |Y|. A
     scaling then costs two vector combinations and the two CG solves, and
-    the effective matrix is read off dot products:
+    the effective matrix is read off dot products. The flux form
 
-        b_ij = <a_ij> + sum_k zeta_k M_ik . z_j.
+        b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
-    This is the quadrature of :func:`maphom.homogenize.homogenized_matrix_at`
-    summed in another order, for symmetric and non-symmetric A alike.
+    is the quadrature of :func:`maphom.homogenize.homogenized_matrix_at`
+    summed in another order. It is linear in the CG error of z_j. When A
+    is symmetric at the quadrature points (``symmetric``), the matrix is
+    read off the stationary form instead,
+
+        b_ij = <a_ij> + sum_k zeta_k M_ik . z_j + z_i . (K z_j - rhs_j) / |Y|,
+
+    the flux form corrected by the adjoint solution, which for symmetric A
+    is the corrector z_i itself. Its error is quadratic in the CG error,
+    so the cells can be solved to a looser tolerance. A non-symmetric A
+    keeps the flux form.
     """
 
     def __init__(self, coefficient, grid: UniformCellGrid | int):
@@ -103,6 +116,7 @@ class CellProblem:
         self.assembly = assembly = Q1Assembly(grid)
         A = assembly.coefficient(coefficient)
         self.means = assembly.mean(A)
+        self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
         G, w = assembly.gradients, assembly.weights
         self._stiffness = tuple(assembly.stiffness_data(A, entries) for entries in
                                 ([(0, 0)], [(0, 1), (1, 0)], [(1, 1)]))
@@ -136,27 +150,29 @@ class CellProblem:
         precondition = spectral_preconditioner(
             self.grid, z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1],
             system.matrix.diagonal())
-        sols, iters, resids = [], [], []
-        for j in range(2):
-            guess = None if x0_pair is None else x0_pair[j]
-            res = cg_solve(system, loads[j], precondition, tol=tol, x0=guess)
-            sols.append(res.x - res.x.mean())
-            iters.append(res.iterations)
-            resids.append(res.residual)
+        results = [cg_solve(system, loads[j], precondition, tol=tol,
+                            x0=None if x0_pair is None else x0_pair[j])
+                   for j in range(2)]
+        sols = [res.x - res.x.mean() for res in results]
         return CorrectorField(
             z1=sols[0], z2=sols[1], zeta=(z1, z2), grid=self.grid,
-            iterations=(iters[0], iters[1]), residual=(resids[0], resids[1]),
+            iterations=tuple(res.iterations for res in results),
+            residual=tuple(res.residual for res in results),
+            r1=results[0].r, r2=results[1].r,
         )
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
-        """The effective matrix of a corrector pair solved by this problem."""
+        """The effective matrix of a corrector pair solved by this problem:
+        the stationary form for symmetric A, otherwise the flux form."""
         if field.grid is not self.grid:
             raise ValueError("corrector was solved on a different grid")
+        z, r = (field.z1, field.z2), (field.r1, field.r2)
         b = self.means.copy()
         for i in range(2):
             for j in range(2):
-                z = field.component(j + 1)
-                b[i, j] += sum(field.zeta[k] * inner(self._fluxes[i][k], z) for k in range(2))
+                b[i, j] += sum(field.zeta[k] * inner(self._fluxes[i][k], z[j]) for k in range(2))
+                if self.symmetric:
+                    b[i, j] -= inner(z[i], r[j]) / self.grid.area
         return b
 
 

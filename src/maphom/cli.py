@@ -62,7 +62,7 @@ DEFAULTS: dict = {
     "h_list": [1, 2, 4, 8],
     "aud_h_list": [4, 16, 64, 256],
     "aud_subdivision": 4,
-    "cg_tol": 1e-10,
+    "cg_tol": 1e-7,
     "fem_tol": 1e-8,
     "dump_x2": 0.5,
     "preview_h": 3,
@@ -350,11 +350,12 @@ def _package_version() -> str:
 
 
 def _solver_record(field) -> dict:
-    """The cell solves' preconditioner, CG iterations and residuals per
-    scaling."""
+    """The cell solves' preconditioner, the form ``B`` is read off, and the
+    CG iterations and residuals per scaling."""
     residuals = field.metadata["cg_residuals"]
     return {
         "preconditioner": field.metadata["preconditioner"],
+        "effective_matrix": field.metadata["effective_matrix"],
         "cg_iterations": [{"zeta2": z2, "iterations": list(its),
                            "residuals": list(residuals[z2])}
                           for z2, its in field.metadata["cg_iterations"].items()],

@@ -225,11 +225,14 @@ class SparseSystem:
 
 @dataclasses.dataclass
 class CGResult:
-    """Conjugate gradient outcome: solution plus convergence diagnostics."""
+    """Conjugate gradient outcome: the solution ``x``, the true residual
+    ``r = rhs - K x`` it ended on (projected to zero mean on singular
+    systems) and its relative norm ``residual``."""
 
     x: np.ndarray
     iterations: int
     residual: float
+    r: np.ndarray
 
 
 def spectral_preconditioner(
@@ -383,7 +386,7 @@ def cg_solve(
         b -= b.mean()
     bnorm = math.sqrt(inner(b, b))
     if bnorm == 0.0:
-        return CGResult(np.zeros(n), 0, 0.0)
+        return CGResult(np.zeros(n), 0, 0.0, np.zeros(n))
 
     if x0 is None:
         x = np.zeros(n)
@@ -413,7 +416,7 @@ def cg_solve(
                 r -= r.mean()
             res = math.sqrt(inner(r, r))
         if res <= tol * bnorm:
-            return CGResult(x, iterations, res / bnorm)
+            return CGResult(x, iterations, res / bnorm, r)
         if iterations == max_iter:
             raise SolverError(
                 f"conjugate gradient did not converge in {max_iter} iterations "

@@ -25,8 +25,10 @@ from maphom.finescale import (
     l2_error,
 )
 from maphom.homogenize import (
+    HomogenizationJob,
     classical_homogenized_matrix,
     homogenized_matrix_at,
+    tensor_field,
 )
 from maphom.numerics import (
     GAUSS_WEIGHTS,
@@ -287,22 +289,67 @@ def test_zero_pieces_keep_the_pattern(sine_coeff):
     npt.assert_array_equal(a.indptr, b.indptr)
 
 
+def unsolved_field(problem, z) -> CorrectorField:
+    """The nodal pair ``z`` at ZETA as a corrector field, with the true
+    residuals ``rhs_j - K z_j`` that a solve ending there would record."""
+    system, loads = problem.system(ZETA)
+    r = [loads[j] - system.matrix @ z[j] for j in range(2)]
+    return CorrectorField(
+        z1=z[0], z2=z[1], zeta=ZETA, grid=problem.grid, iterations=(0, 0),
+        residual=tuple(np.linalg.norm(r[j]) / np.linalg.norm(loads[j]) for j in range(2)),
+        r1=r[0], r2=r[1])
+
+
 @pytest.mark.parametrize("name", ["sine", "skew"])
 def test_dot_product_matrix_matches_the_quadrature(sine_coeff, rng, name):
-    """b_ij = <a_ij> + sum_k zeta_k M_ik . z_j is the quadrature of the
-    corrected flux for any nodal pair, solved or not."""
+    """For any nodal pair, solved or not, the dot products give the
+    quadrature of the corrected flux plus, for symmetric A, the adjoint
+    correction z_i . (K z_j - rhs_j) / |Y|; a non-symmetric A gets the
+    quadrature alone."""
     coeff = sine_coeff if name == "sine" else skew_coefficient()
     problem = CellProblem(coeff, 32)
-    fields = [CorrectorField(z1=rng.standard_normal(1024),
-                             z2=rng.standard_normal(1024), zeta=ZETA,
-                             grid=problem.grid, iterations=(0, 0),
-                             residual=(0.0, 0.0))]
+    assert problem.symmetric == (name == "sine")
+    fields = [unsolved_field(problem, rng.standard_normal((2, 1024)))]
     if name == "sine":
         fields.append(problem.solve(ZETA))
+    system, loads = problem.system(ZETA)
     for field in fields:
-        quadrature = homogenized_matrix_at(coeff, ZETA, field)
+        expected = homogenized_matrix_at(coeff, ZETA, field)
+        if name == "sine":
+            z = (field.z1, field.z2)
+            expected = expected + np.array(
+                [[z[i] @ (system.matrix @ z[j] - loads[j]) for j in range(2)]
+                 for i in range(2)]) / problem.grid.area
         dot = problem.effective_matrix(field)
-        assert np.abs(dot - quadrature).max() <= 1e-12 * np.abs(quadrature).max()
+        assert np.abs(dot - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_the_stationary_form_is_second_order_in_the_corrector_error(sine_coeff, rng):
+    """Moving a solved pair by eps e, e zero-mean, moves the stationary
+    form by O(eps^2) and the flux quadrature by O(eps)."""
+    problem = CellProblem(sine_coeff, 32)
+    field = problem.solve(ZETA)
+    e = rng.standard_normal((2, 1024))
+    e -= e.mean(axis=1, keepdims=True)
+
+    def changes(eps):
+        moved = unsolved_field(problem, (field.z1 + eps * e[0], field.z2 + eps * e[1]))
+        stationary = problem.effective_matrix(moved) - problem.effective_matrix(field)
+        flux = (homogenized_matrix_at(sine_coeff, ZETA, moved)
+                - homogenized_matrix_at(sine_coeff, ZETA, field))
+        return np.abs(stationary).max(), np.abs(flux).max()
+
+    (stationary, flux), (stationary_half, flux_half) = changes(1e-3), changes(5e-4)
+    assert stationary >= 3.5 * stationary_half
+    assert flux == pytest.approx(2.0 * flux_half, rel=1e-6)
+
+
+@pytest.mark.parametrize("name, form", [("sine", "stationary"), ("skew", "flux")])
+def test_a_sweep_records_the_form_of_b(sine_coeff, name, form):
+    coeff = sine_coeff if name == "sine" else skew_coefficient()
+    job = HomogenizationJob(coeff, Rectangle(0.05, 2.0, 0.05, 2.0), [0.3, 0.5, 0.7],
+                            cell_resolution=16)
+    assert tensor_field(job).metadata["effective_matrix"] == form
 
 
 def test_effective_matrix_needs_the_problem_grid(sine_coeff):

@@ -244,14 +244,17 @@ def test_homogenize_writes_tensor_and_manifest(tmp_path, capsys):
 
 
 def test_manifest_records_the_cell_solver(tmp_path):
-    """homogenize and convergence keep the CG iterations of every scaling."""
+    """homogenize and convergence keep the form B is read off and the CG
+    iterations of every scaling."""
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",
                     "--override", "x2_samples=[0.3,0.5,0.7]",
+                    "--override", "cg_tol=1e-10",
                     "homogenize")
     assert code == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["preconditioner"] == "spectral"
+    assert solver["effective_matrix"] == "stationary"
     rows = solver["cg_iterations"]
     assert [row["zeta2"] for row in rows] == [0.6, 1.0, 1.4]
     assert all(len(row["iterations"]) == 2 and min(row["iterations"]) > 0
@@ -268,6 +271,7 @@ def test_manifest_records_the_cell_solver(tmp_path):
     assert code == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["preconditioner"] == "spectral"
+    assert solver["effective_matrix"] == "stationary"
     assert len(solver["cg_iterations"]) == 4
     dirichlet = solver["dirichlet"]
     assert [d["label"] for d in dirichlet] == ["homogenized", "oscillatory h=1"]
@@ -426,7 +430,8 @@ def test_corrector_csv_layout(tmp_path):
     assert code == 0
     _, rows = read_csv(out / "corrector.csv")
     table = np.array(rows, dtype=float)
-    field = solve_corrector(ExperimentConfig.load(None).coefficient(), (1.0, 1.0), 16)
+    cfg = ExperimentConfig.load(None)
+    field = solve_corrector(cfg.coefficient(), (1.0, 1.0), 16, tol=cfg["cg_tol"])
     assert np.array_equal(table[:, :2], UniformCellGrid(16).node_coords())
     assert np.array_equal(table[:, 2], field.z1)
     assert np.array_equal(table[:, 3], field.z2)
