@@ -19,7 +19,6 @@ from .cell import (
 from .coefficients import PeriodicCoefficient
 from .finescale import (
     DirichletProblem,
-    DomainMesh,
     SolutionField,
     convergence_study,
     flux_moment,
@@ -58,7 +57,6 @@ __all__ = [
     "CellProblem",
     "CorrectorField",
     "DirichletProblem",
-    "DomainMesh",
     "HomogenizationJob",
     "HomogenizedTensor",
     "LinearScaleMap",

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import (
-    Q1Assembly,
+    Rectangle,
+    SolverError,
     SparseSystem,
     UniformCellGrid,
     cg_solve,
@@ -86,11 +87,11 @@ class CellProblem:
 
     where K_ik is the stiffness of the single entry a_ik. The coefficient
     is evaluated once, and the three stiffness pieces are assembled once
-    by one :class:`~maphom.numerics.Q1Assembly` as data arrays on its
-    nine-point CSR layout, together with the four loads and the four flux
-    vectors M_ik = int a_ik d_k phi / |Y|. A
-    scaling then costs two vector combinations and the two CG solves, and
-    the effective matrix is read off dot products. The flux form
+    by the grid as data arrays on its nine-point CSR layout, together
+    with the four loads and the four flux vectors
+    M_ik = int a_ik d_k phi / |Y|. A scaling then costs two vector
+    combinations and the two CG solves, and the effective matrix is read
+    off dot products. The flux form
 
         b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
@@ -113,24 +114,23 @@ class CellProblem:
         if not grid.periodic:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
-        self.assembly = assembly = Q1Assembly(grid)
-        A = assembly.coefficient(coefficient)
-        self.means = assembly.mean(A)
+        A = grid.coefficient(coefficient)
+        self.means = grid.mean(A)
         self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
-        G, w = assembly.gradients, assembly.weights
-        self._stiffness = tuple(assembly.stiffness_data(A, entries) for entries in
+        G, w = grid.gradients, grid.weights
+        self._stiffness = tuple(grid.stiffness_data(A, entries) for entries in
                                 ([(0, 0)], [(0, 1), (1, 0)], [(1, 1)]))
         # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik
-        self._loads = [[assembly.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
+        self._loads = [[grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
                         for j in range(2)] for i in range(2)]
-        self._fluxes = [[assembly.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
+        self._fluxes = [[grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
         """The stiffness matrix and both loads at ``zeta``."""
         z1, z2 = _scaling(zeta)
         d11, d12, d22 = self._stiffness
-        K = self.assembly.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
+        K = self.grid.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
         loads = [z1 * self._loads[0][j] + z2 * self._loads[1][j] for j in range(2)]
         return SparseSystem(K, singular=True), loads
 
@@ -143,13 +143,16 @@ class CellProblem:
         """Both correctors at ``zeta`` by spectrally preconditioned CG.
 
         ``x0_pair`` optionally warm starts the two solves. The solutions
-        are made zero-mean once more after the solve.
+        are made zero-mean once more after the solve. A scaled mean
+        ``zeta_i^2 <a_ii>`` that underflows to 0 raises ``SolverError``.
         """
         z1, z2 = _scaling(zeta)
         system, loads = self.system(zeta)
-        precondition = spectral_preconditioner(
-            self.grid, z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1],
-            system.matrix.diagonal())
+        k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
+        if k1 == 0.0 or k2 == 0.0:
+            raise SolverError(f"preconditioner input underflows to 0 at zeta = {(z1, z2)}: "
+                              f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
+        precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
         results = [cg_solve(system, loads[j], precondition, tol=tol,
                             x0=None if x0_pair is None else x0_pair[j])
                    for j in range(2)]
@@ -221,5 +224,5 @@ def solve_rescaled_corrector(
     if not x2 > 0:
         raise ValueError("rescaled cell requires x2 > 0")
     zeta2 = 2.0 * x2
-    grid = UniformCellGrid(n, lengths=(1.0, 1.0 / zeta2))
+    grid = UniformCellGrid(n, rectangle=Rectangle(0.0, 1.0, 0.0, 1.0 / zeta2))
     return solve_corrector(stretched(coefficient, zeta2), (1.0, 1.0), grid, tol)

@@ -24,14 +24,14 @@ import scipy
 
 from . import coefficients
 from .cell import solve_corrector
-from .finescale import DomainMesh, convergence_study
+from .finescale import convergence_study
 from .homogenize import (
     HomogenizationJob,
     default_x2_samples,
     isotropy_scan,
     tensor_field,
 )
-from .numerics import Rectangle, SolverError
+from .numerics import Rectangle, SolverError, UniformCellGrid
 from .structure import LinearScaleMap, QuadraticStretchMap, aud_verify
 
 EXIT_OK = 0
@@ -407,9 +407,12 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
     The header and each finished row are flushed, so an aborted sweep
     leaves the finished prefix on disk.
     """
+    try:
+        grid = UniformCellGrid(cfg["domain_resolution"], periodic=False,
+                               rectangle=cfg.omega())
+    except ValueError as exc:
+        raise ConfigError("omega", str(exc))
     field = run.stage("tensor_field", lambda: tensor_field(cfg.job()))
-    n = cfg["domain_resolution"]
-    mesh = DomainMesh(cfg.omega(), n, n)
     dirichlet = []
     with run.csv("convergence.csv", "h,l2_error,energy,warn_underresolved\n") as f:
         f.flush()
@@ -421,7 +424,7 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
 
         run.stage("solves", lambda: convergence_study(
             cfg.coefficient(), cfg.map_family(), lambda pts: np.ones(pts.shape[0]),
-            mesh, cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
+            grid, cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
             on_solve=lambda u: dirichlet.append(u.diagnostics())))
     run.solver = {**_solver_record(field), "dirichlet": dirichlet}
 
@@ -438,7 +441,11 @@ def cmd_preview(cfg: ExperimentConfig, run: RunManifest) -> None:
         x2 = np.linspace(omega.a2, omega.b2, n + 1)
         yy, xx = np.meshgrid(x2, x1)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        return pts, coeff.evaluate(scale_map(pts))[:, 0, 0]
+        with np.errstate(over="ignore"):
+            mapped = scale_map(pts)
+        if not np.all(np.isfinite(mapped)):
+            raise ConfigError("omega", f"the scale map at h = {scale_map.h} overflows on it")
+        return pts, coeff.evaluate(mapped)[:, 0, 0]
 
     pts, vals = run.stage("sample", sample)
     with run.csv("preview.csv", "x1,x2,value\n") as f:

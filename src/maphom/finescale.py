@@ -17,8 +17,6 @@ import scipy.sparse as sp
 
 from .homogenize import HomogenizedTensor
 from .numerics import (
-    Q1Assembly,
-    Rectangle,
     SparseSystem,
     UniformCellGrid,
     cg_solve,
@@ -30,44 +28,11 @@ from .structure import _is_integer
 __all__ = [
     "ConvergenceRow",
     "DirichletProblem",
-    "DomainMesh",
     "SolutionField",
     "convergence_study",
     "flux_moment",
     "l2_error",
 ]
-
-
-@dataclasses.dataclass
-class DomainMesh:
-    """Uniform quadrilateral mesh of a first-quadrant rectangle."""
-
-    omega: Rectangle
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if not (self.omega.a1 > 0 and self.omega.a2 > 0):
-            raise ValueError("domain must lie in the open first quadrant")
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("mesh needs at least two elements per direction")
-        self._grid = UniformCellGrid(
-            self.n1, periodic=False, ny=self.n2,
-            lengths=(self.omega.width, self.omega.height),
-            origin=(self.omega.a1, self.omega.a2),
-        )
-        self._interior = ~self._grid.boundary_mask()
-
-    @property
-    def grid(self) -> UniformCellGrid:
-        return self._grid
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self._interior
-
-    def matches(self, other: "DomainMesh") -> bool:
-        return self.omega == other.omega and self.n1 == other.n1 and self.n2 == other.n2
 
 
 @dataclasses.dataclass
@@ -83,7 +48,7 @@ class SolutionField:
     """
 
     values: np.ndarray
-    mesh: DomainMesh
+    grid: UniformCellGrid
     label: str
     warn_underresolved: bool
     iterations: int
@@ -113,26 +78,33 @@ class SolutionField:
 class DirichletProblem:
     """The Dirichlet problem of one source on one mesh, for any coefficient.
 
-    Built once per mesh: the :class:`~maphom.numerics.Q1Assembly` of the
-    mesh grid, whose nine-point layout covers the interior nodes, and the
-    interior load of ``f``. A solve then evaluates its coefficient once
-    at the quadrature points, assembles the interior stiffness through
-    the assembly and solves it by conjugate gradients with the DST-I
-    spectral preconditioner of the mean diagonal coefficient, scaled by
-    the system's diagonal.
+    The mesh is a clamped grid over a first-quadrant rectangle with at
+    least two elements per direction; its nine-point layout covers the
+    interior nodes. Built once per mesh with the interior load of ``f``.
+    A solve then evaluates its coefficient once at the grid's quadrature
+    points, assembles the interior stiffness and solves it by conjugate
+    gradients with the DST-I spectral preconditioner of the mean diagonal
+    coefficient, scaled by the system's diagonal.
     """
 
-    def __init__(self, mesh: DomainMesh, f):
-        self.mesh = mesh
-        self.assembly = assembly = Q1Assembly(mesh.grid)
-        source = np.asarray(f(assembly.points), dtype=float)
-        if source.shape != (assembly.points.shape[0],):
+    def __init__(self, grid: UniformCellGrid, f):
+        omega = grid.rectangle
+        if grid.periodic:
+            raise ValueError("Dirichlet problems need a clamped grid")
+        if not (omega.a1 > 0 and omega.a2 > 0):
+            raise ValueError("domain must lie in the open first quadrant")
+        if grid.nx < 2 or grid.ny < 2:
+            raise ValueError("mesh needs at least two elements per direction")
+        self.grid = grid
+        self.interior = ~grid.boundary_mask()
+        source = np.asarray(f(grid.points), dtype=float)
+        if source.shape != (grid.points.shape[0],):
             raise ValueError("source must return one value per point")
         if not np.all(np.isfinite(source)):
             raise ValueError("source evaluated to a non-finite value")
-        load = assembly.load(source.reshape(mesh.grid.n_elements, -1),
-                             assembly.weights[:, None] * assembly.phi)
-        self.load = load[mesh.interior_mask]
+        load = grid.load(source.reshape(grid.n_elements, -1),
+                         grid.weights[:, None] * grid.phi)
+        self.load = load[self.interior]
 
     def oscillatory(self, coefficient, scale_map, tol: float = 1e-8) -> SolutionField:
         """Solve -div(A(alpha_h(x)) grad u) = f with zero Dirichlet data.
@@ -142,9 +114,9 @@ class DirichletProblem:
         period (checked against the map's requirement at the top edge) the
         solution is flagged under-resolved but still returned.
         """
-        mesh = self.mesh
-        need1, need2 = scale_map.required_mesh_density(mesh.omega)
-        warn = mesh.n1 / mesh.omega.width < need1 or mesh.n2 / mesh.omega.height < need2
+        omega = self.grid.rectangle
+        need1, need2 = scale_map.required_mesh_density(omega)
+        warn = self.grid.nx / omega.width < need1 or self.grid.ny / omega.height < need2
         return self._solve(lambda pts: coefficient(scale_map(pts)), tol,
                            f"oscillatory h={scale_map.h}", warn)
 
@@ -155,22 +127,21 @@ class DirichletProblem:
     def stiffness(self, coefficient) -> tuple[sp.spmatrix, tuple[float, float]]:
         """The interior stiffness matrix of a coefficient, and the
         quadrature means of its D11 and D22."""
-        D = self.assembly.coefficient(coefficient)
-        mean = self.assembly.mean(D)
-        K = self.assembly.matrix(self.assembly.stiffness_data(D))
+        D = self.grid.coefficient(coefficient)
+        mean = self.grid.mean(D)
+        K = self.grid.matrix(self.grid.stiffness_data(D))
         return K, (float(mean[0, 0]), float(mean[1, 1]))
 
     def _solve(self, coeff_eval, tol: float, label: str, warn: bool) -> SolutionField:
         start = time.perf_counter()
-        mesh = self.mesh
         K, (k1, k2) = self.stiffness(coeff_eval)
-        precondition = spectral_preconditioner(mesh.grid, k1, k2, K.diagonal())
+        precondition = spectral_preconditioner(self.grid, k1, k2, K.diagonal())
         assembled = time.perf_counter()
         res = cg_solve(SparseSystem(K), self.load, precondition, tol=tol)
         solved = time.perf_counter()
-        values = np.zeros(mesh.grid.n_nodes)
-        values[mesh.interior_mask] = res.x
-        return SolutionField(values=values, mesh=mesh, label=label,
+        values = np.zeros(self.grid.n_nodes)
+        values[self.interior] = res.x
+        return SolutionField(values=values, grid=self.grid, label=label,
                              warn_underresolved=warn, iterations=res.iterations,
                              residual=res.residual, energy=inner(res.x, K @ res.x),
                              source_work=inner(self.load, res.x),
@@ -199,15 +170,14 @@ def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndar
 
 
 def l2_error(u: SolutionField, v: SolutionField) -> float:
-    """L2 norm of u - v over the domain; both fields must share the mesh.
+    """L2 norm of u - v over the domain; both fields must share the grid.
 
     The difference is piecewise bilinear, so 2x2 Gauss integrates its
     square exactly.
     """
-    if not u.mesh.matches(v.mesh):
+    if u.grid != v.grid:
         raise ValueError("solution fields live on different meshes")
-    assembly = Q1Assembly(u.mesh.grid)
-    return float(np.sqrt(assembly.integral(assembly.values(u.values - v.values) ** 2)))
+    return float(np.sqrt(u.grid.integral(u.grid.values(u.values - v.values) ** 2)))
 
 
 def flux_moment(coeff_eval, u: SolutionField, phi) -> float:
@@ -216,11 +186,11 @@ def flux_moment(coeff_eval, u: SolutionField, phi) -> float:
     ``phi`` is a smooth vector test field, callable on (m, 2) points with
     (m, 2) values.
     """
-    assembly = Q1Assembly(u.mesh.grid)
-    D = assembly.coefficient(coeff_eval)
-    sigma = np.einsum("eqik,eqk->eqi", D, assembly.gradient(u.values), optimize=True)
-    test = np.asarray(phi(assembly.points), dtype=float).reshape(sigma.shape)
-    return float(assembly.integral(np.einsum("eqi,eqi->eq", sigma, test)))
+    grid = u.grid
+    D = grid.coefficient(coeff_eval)
+    sigma = np.einsum("eqik,eqk->eqi", D, grid.gradient(u.values))
+    test = np.asarray(phi(grid.points), dtype=float).reshape(sigma.shape)
+    return float(grid.integral(np.einsum("eqi,eqi->eq", sigma, test)))
 
 
 @dataclasses.dataclass
@@ -235,7 +205,7 @@ def convergence_study(
     coefficient,
     map_family,
     f,
-    mesh: DomainMesh,
+    grid: UniformCellGrid,
     h_list: Sequence[int],
     tensor: HomogenizedTensor,
     tol: float = 1e-8,
@@ -257,7 +227,7 @@ def convergence_study(
     h_list = [int(h) for h in h_list]
     if any(b <= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly increasing")
-    problem = DirichletProblem(mesh, f)
+    problem = DirichletProblem(grid, f)
     reference = problem.homogenized(tensor, tol)
     if on_solve is not None:
         on_solve(reference)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cell import CellProblem, CorrectorField
 from .coefficients import PeriodicCoefficient
-from .numerics import Q1Assembly, Rectangle, UniformCellGrid
+from .numerics import Rectangle, UniformCellGrid
 from .structure import _is_integer
 
 __all__ = [
@@ -52,16 +52,13 @@ def homogenized_matrix_at(
     if tuple(corrector.zeta) != (float(zeta[0]), float(zeta[1])):
         raise ValueError("corrector was solved with a different scaling")
     grid = corrector.grid
-    assembly = Q1Assembly(grid)
-    A = assembly.coefficient(coefficient)
+    A = grid.coefficient(coefficient)
     zvec = np.array(corrector.zeta)
     b = np.empty((2, 2))
     for j in range(2):
         # integrand_i = a_ij + sum_k a_ik zeta_k dz_j/dy_k
-        col = A[:, :, :, j] + np.einsum(
-            "eqik,k,eqk->eqi", A, zvec, assembly.gradient(corrector.component(j + 1)),
-            optimize=True)
-        b[:, j] = assembly.integral(col)
+        scaled = grid.gradient(corrector.component(j + 1)) * zvec
+        b[:, j] = grid.integral(A[:, :, :, j] + np.einsum("eqik,eqk->eqi", A, scaled))
     return b / grid.area
 
 
@@ -142,6 +139,9 @@ def _round_sig(value: float, digits: int = 12) -> float:
 # fourth saves a tenth of the iterations of the default sweep but doubles
 # those of a sweep to x2 = 100, whose scalings lie far apart
 WARM_START_DEPTH = 3
+# a solved scaling closer than this to the last one in the history takes
+# its place: nearly coincident nodes blow up the extrapolation weights
+WARM_START_SPACING = 1e-3
 
 
 def _extrapolated(history, z2: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -163,7 +163,8 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
     matrices. One :class:`CellProblem` serves every group: the groups are
     solved in ascending order, each warm started from the Lagrange
     extrapolation in zeta_2 through the last ``WARM_START_DEPTH`` solved
-    pairs (the previous solution itself after the first group), and each
+    pairs at least ``WARM_START_SPACING`` apart (the previous solution
+    itself after the first group), and each
     matrix is read off the problem's dot products: the stationary form
     for a symmetric coefficient, the flux form otherwise (the metadata's
     ``effective_matrix``).
@@ -188,6 +189,8 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
         iterations[z2] = corr.iterations
         residuals[z2] = corr.residual
         sup_norm = max(sup_norm, corr.sup_norm())
+        if history and z2 - history[-1][0] < WARM_START_SPACING:
+            history.pop()
         history.append((z2, (corr.z1, corr.z2)))
 
     metadata = {

@@ -3,11 +3,11 @@ Gauss rule, the checked evaluation of coefficients, the Q1 quadrature
 and assembly on the nine-point CSR layout, a projected conjugate gradient
 solver and its spectral preconditioner.
 
-Every integral over a grid goes through :class:`Q1Assembly`: the cell and
-Dirichlet matrices, loads and fluxes, the effective-matrix oracle and the
-error norms. Periodic cell problems and Dirichlet problems on macroscopic
-rectangles solve through :func:`cg_solve` with
-:func:`spectral_preconditioner`.
+Every integral over a grid goes through the :class:`UniformCellGrid`
+itself: the cell and Dirichlet matrices, loads and fluxes, the
+effective-matrix oracle and the error norms. Periodic cell problems and
+Dirichlet problems on macroscopic rectangles solve through
+:func:`cg_solve` with :func:`spectral_preconditioner`.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ import scipy.sparse as sp
 
 __all__ = [
     "CGResult",
-    "Q1Assembly",
     "Rectangle",
     "SolverError",
     "SparseSystem",
     "UniformCellGrid",
     "cg_solve",
-    "evaluate_coefficient",
     "inner",
     "nine_point_layout",
+    "nine_point_slots",
     "spectral_preconditioner",
 ]
 
@@ -90,15 +89,26 @@ GAUSS_POINTS, GAUSS_WEIGHTS = _gauss_2x2()
 
 
 class UniformCellGrid:
-    """Uniform quadrilateral grid on an axis-aligned rectangle.
+    """Uniform quadrilateral grid on a rectangle, and the Q1 quadrature on it.
 
-    The default configuration is the periodic unit cell: ``n_per_side``
-    elements per direction on [0,1]^2 with wrap-around node identification,
-    hence exactly n_per_side^2 distinct nodes and spacing 1/n_per_side.
-    ``lengths`` stretches the cell into a periodic rectangle, as for the
-    rescaled cell rectangles. Passing ``periodic=False`` keeps all
-    (nx+1)*(ny+1) nodes; combined with ``origin`` that covers Dirichlet
-    meshes on macroscopic rectangles.
+    ``n_per_side`` elements in x1 and ``ny`` (as many by default) in x2
+    on ``rectangle``. A periodic grid identifies opposite edges and has
+    nx * ny nodes; the default is the periodic unit cell. A clamped grid
+    (``periodic=False``) keeps all (nx+1)*(ny+1) nodes and its interior
+    ones are the unknowns, as on Dirichlet meshes. Grids compare by value.
+
+    Every integral over the grid goes through it. It keeps the shape
+    values ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the
+    weights ``w_q |element|`` and the element tables
+    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b``, and builds on first use
+    the ``connectivity``, the quadrature ``points`` (n_elements * nq, 2)
+    and the :func:`nine_point_layout`, which a quadrature that assembles
+    no matrix never pays for. Nodal fields are read at the points by
+    ``values`` and ``gradient``; fields at the points are integrated by
+    ``integral`` and tested against the shape functions by ``load``. The
+    element matrices of a coefficient D, ``sum_ik D_ik T_ik``, are summed
+    into CSR data on the layout. A field keeps its grid and all of this
+    alive, so the index arrays are int32.
     """
 
     def __init__(
@@ -107,23 +117,33 @@ class UniformCellGrid:
         periodic: bool = True,
         *,
         ny: int | None = None,
-        lengths: tuple[float, float] = (1.0, 1.0),
-        origin: tuple[float, float] = (0.0, 0.0),
+        rectangle: Rectangle = Rectangle(0.0, 1.0, 0.0, 1.0),
     ):
         nx = operator.index(n_per_side)
         ny = nx if ny is None else operator.index(ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid needs at least one element per direction")
-        if lengths[0] <= 0 or lengths[1] <= 0:
-            raise ValueError("grid side lengths must be positive")
         self.nx = nx
         self.ny = ny
         self.periodic = bool(periodic)
-        self.lengths = (float(lengths[0]), float(lengths[1]))
-        self.origin = (float(origin[0]), float(origin[1]))
-        self.hx = self.lengths[0] / nx
-        self.hy = self.lengths[1] / ny
-        self._conn: np.ndarray | None = None
+        self.rectangle = rectangle
+        self.hx = hx = rectangle.width / nx
+        self.hy = hy = rectangle.height / ny
+        # the weights scale as hx hy, the gradients as 1 / hx and 1 / hy and
+        # the element tables as hy / hx and hx / hy
+        if not (0.0 < hx * hy < math.inf and max(hx / hy, hy / hx, 1 / hx, 1 / hy) < math.inf):
+            raise ValueError(f"grid elements of {hx} x {hy} leave the floating-point range")
+        self.phi, dphi = q1_tables()
+        self.gradients = dphi / np.array([hx, hy])
+        self.weights = GAUSS_WEIGHTS * (hx * hy)
+        G, w, nq = self.gradients, self.weights, len(GAUSS_WEIGHTS)
+        self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
+                        .reshape(nq, 16) for k in range(2)] for i in range(2)]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UniformCellGrid) and (
+            (self.nx, self.ny, self.periodic, self.rectangle)
+            == (other.nx, other.ny, other.periodic, other.rectangle))
 
     @property
     def n_elements(self) -> int:
@@ -137,7 +157,7 @@ class UniformCellGrid:
 
     @property
     def area(self) -> float:
-        return self.lengths[0] * self.lengths[1]
+        return self.rectangle.area
 
     def node_index(self, i, j):
         """Global node index for integer grid coordinates (vectorized)."""
@@ -150,27 +170,26 @@ class UniformCellGrid:
         mx = self.nx if self.periodic else self.nx + 1
         my = self.ny if self.periodic else self.ny + 1
         ii, jj = np.meshgrid(np.arange(mx), np.arange(my))
-        x = self.origin[0] + ii.ravel() * self.hx
-        y = self.origin[1] + jj.ravel() * self.hy
+        x = self.rectangle.a1 + ii.ravel() * self.hx
+        y = self.rectangle.a2 + jj.ravel() * self.hy
         return np.column_stack([x, y])
 
+    @functools.cached_property
     def connectivity(self) -> np.ndarray:
         """(n_elements, 4) node indices per element.
 
         Local corner order: (i,j), (i+1,j), (i+1,j+1), (i,j+1), matching the
         reference-square shape function order.
         """
-        if self._conn is None:
-            ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
-            ii = ii.ravel()
-            jj = jj.ravel()
-            self._conn = np.column_stack([
-                self.node_index(ii, jj),
-                self.node_index(ii + 1, jj),
-                self.node_index(ii + 1, jj + 1),
-                self.node_index(ii, jj + 1),
-            ]).astype(np.int64)
-        return self._conn
+        ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
+        ii = ii.ravel()
+        jj = jj.ravel()
+        return np.column_stack([
+            self.node_index(ii, jj),
+            self.node_index(ii + 1, jj),
+            self.node_index(ii + 1, jj + 1),
+            self.node_index(ii, jj + 1),
+        ]).astype(np.int32)
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of boundary nodes; all-False for periodic grids."""
@@ -180,6 +199,89 @@ class UniformCellGrid:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask.ravel()
+
+    # -- the Q1 quadrature ----------------------------------------------------
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """(n_elements * nq, 2) quadrature points, element by element."""
+        offsets = GAUSS_POINTS * np.array([self.hx, self.hy])
+        # each element's first corner is its lower-left node
+        return (self.node_coords()[self.connectivity[:, 0], None, :]
+                + offsets[None, :, :]).reshape(-1, 2)
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nine-point ``columns`` and element ``corners`` and the CSR
+        ``indptr``."""
+        columns, corners = nine_point_layout(self)
+        return columns, corners, np.arange(0, columns.size + 1, 9, dtype=np.int32)
+
+    def coefficient(self, coefficient) -> np.ndarray:
+        """(n_elements, nq, 2, 2) values of ``coefficient`` at the quadrature
+        points. A coefficient is any callable returning (m, 2, 2) values for
+        (m, 2) points; values of another shape and non-finite values raise
+        ValueError."""
+        values = np.asarray(coefficient(self.points), dtype=float)
+        if values.shape != (self.points.shape[0], 2, 2):
+            raise ValueError(f"coefficient values have shape {values.shape}, not (m, 2, 2)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coefficient evaluated to a non-finite value")
+        return values.reshape(self.n_elements, len(GAUSS_WEIGHTS), 2, 2)
+
+    def _corners(self, nodal: np.ndarray) -> np.ndarray:
+        nodal = np.asarray(nodal, dtype=float).ravel()
+        if nodal.size != self.n_nodes:
+            raise ValueError("nodal array length does not match grid")
+        return nodal[self.connectivity]
+
+    def values(self, nodal: np.ndarray) -> np.ndarray:
+        """(n_elements, nq) values of the bilinear interpolant of nodal
+        values at the quadrature points."""
+        return np.einsum("qa,ea->eq", self.phi, self._corners(nodal))
+
+    def gradient(self, nodal: np.ndarray) -> np.ndarray:
+        """(n_elements, nq, 2) gradient of the bilinear interpolant of
+        nodal values at the quadrature points."""
+        return np.einsum("qad,ea->eqd", self.gradients, self._corners(nodal),
+                         optimize=True)
+
+    def integral(self, values: np.ndarray) -> np.ndarray:
+        """The integral over the grid of (n_elements, nq, ...) values at the
+        quadrature points."""
+        return np.einsum("eq...,q->...", values, self.weights)
+
+    def load(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Nodal vector of the element vectors ``values @ table``, for
+        (n_elements, nq) values and an (nq, 4) table: ``weights[:, None] *
+        phi`` gives the load ``int s phi_a`` of values s."""
+        return np.bincount(self.connectivity.ravel(), weights=(values @ table).ravel(),
+                           minlength=self.n_nodes)
+
+    def mean(self, D: np.ndarray) -> np.ndarray:
+        """The 2x2 quadrature mean of coefficient values at the points."""
+        return np.einsum("eqik,q->ik", D, GAUSS_WEIGHTS) / self.n_elements
+
+    def stiffness_data(
+        self,
+        D: np.ndarray,
+        entries: Sequence[tuple[int, int]] = ((0, 0), (0, 1), (1, 0), (1, 1)),
+    ) -> np.ndarray:
+        """CSR data of the stiffness of the entries (i, k) of D, summed in
+        the given order."""
+        columns, corners, _ = self.layout
+        Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
+        # add.at sums in index order like np.bincount, but takes the int32
+        # slots without an intp copy of them
+        data = np.zeros(columns.size + 1)
+        np.add.at(data, nine_point_slots(corners, columns.size), Ke.ravel())
+        return data[:-1]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with the given data on the nine-point layout."""
+        columns, _, indptr = self.layout
+        n = indptr.size - 1
+        return sp.csr_matrix((data, columns, indptr), shape=(n, n))
 
 
 def q1_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -452,12 +554,10 @@ def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
     this layout holds nine entries, one per neighbour p + (dx, dy) with
     dx, dy in {-1, 0, 1}, in the order s = 3 (dy + 1) + dx + 1. Returns
     ``columns``, the column indices of all rows one after another (the
-    CSR ``indices``; ``indptr`` steps by nine), and ``slots``, the place
-    9 p + s of every entry of the (n_elements, 4, 4) element matrices, so
-    that ``np.bincount(slots, weights=Ke.ravel(), minlength=columns.size
-    + 1)[:-1]`` assembles the CSR data. Entries whose row or column is a
-    boundary node have the slot ``columns.size``, one past the end, and
-    drop out.
+    CSR ``indices``; ``indptr`` steps by nine), and ``corners``, the
+    (n_elements, 4) unknown number of every element corner, -1 at a
+    boundary node, from which :func:`nine_point_slots` places the
+    element matrices. Both are int32.
 
     Every row keeps its nine entries whatever their values: a boundary
     neighbour becomes an explicit zero in the row's own column. On
@@ -471,7 +571,7 @@ def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.arange(grid.n_nodes).reshape(ny, nx)
         columns = np.stack([np.roll(nodes, (-dy, -dx), axis=(0, 1))
                             for dx, dy in shifts], axis=-1)
-        conn = grid.connectivity()
+        corners = grid.connectivity
     else:
         # interior numbering of all nodes, -1 on the boundary
         number = np.full((ny + 1, nx + 1), -1)
@@ -479,114 +579,26 @@ def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
         columns = np.stack([number[1 + dy:ny + dy, 1 + dx:nx + dx]
                             for dx, dy in shifts], axis=-1)
         columns = np.where(columns < 0, number[1:-1, 1:-1, None], columns)
-        conn = number.ravel()[grid.connectivity()]
-    corner = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+        corners = number.ravel()[grid.connectivity]
+    return columns.ravel().astype(np.int32), corners.astype(np.int32, copy=False)
+
+
+def nine_point_slots(corners: np.ndarray, size: int) -> np.ndarray:
+    """The place 9 p + s of every entry of the (n_elements, 4, 4) element
+    matrices in the nine-point layout of ``size`` entries, given the
+    ``corners`` of :func:`nine_point_layout`: ``np.bincount(slots,
+    weights=Ke.ravel(), minlength=size + 1)[:-1]`` assembles the CSR data.
+    Entries whose row or column is a boundary node have the slot ``size``
+    and drop out. Grids build the slots on each assembly: kept, they would
+    be a grid's largest array."""
+    corner = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.int32)
     step = corner[None, :, :] - corner[:, None, :]  # [a, b]: corner b - corner a
     offset = 3 * (step[..., 1] + 1) + step[..., 0] + 1
-    slots = 9 * conn[:, :, None] + offset[None, :, :]
-    if not grid.periodic:
-        slots[(conn[:, :, None] < 0) | (conn[:, None, :] < 0)] = columns.size
-    return columns.ravel().astype(np.int32), slots.ravel()
-
-
-def evaluate_coefficient(coefficient, points: np.ndarray) -> np.ndarray:
-    """Values of ``coefficient`` at (m, 2) points. A coefficient is any
-    callable returning (m, 2, 2) values; values of another shape and
-    non-finite values raise ValueError."""
-    values = np.asarray(coefficient(points), dtype=float)
-    if values.shape != (points.shape[0], 2, 2):
-        raise ValueError(f"coefficient values have shape {values.shape}, not (m, 2, 2)")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("coefficient evaluated to a non-finite value")
-    return values
-
-
-class Q1Assembly:
-    """Q1 quadrature on one grid: every integral over the grid.
-
-    Keeps the quadrature points (n_elements * nq, 2), the shape values
-    ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the weights
-    ``w_q |element|`` and the element tables
-    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b``. Nodal fields are read at
-    the points through ``values`` and ``gradient``, fields at the points
-    are integrated by ``integral`` and tested against the shape functions
-    by ``load``. The element matrices of a coefficient D are
-    ``sum_ik D_ik T_ik``; one ``np.bincount`` sums them into CSR data on
-    the :func:`nine_point_layout`, which is built on first use, so
-    quadratures that assemble no matrix never pay for it.
-    """
-
-    def __init__(self, grid: UniformCellGrid):
-        self.grid = grid
-        self._conn = grid.connectivity()
-        offsets = GAUSS_POINTS * np.array([grid.hx, grid.hy])
-        # each element's first corner is its lower-left node
-        self.points = (grid.node_coords()[self._conn[:, 0], None, :]
-                       + offsets[None, :, :]).reshape(-1, 2)
-        self.phi, dphi = q1_tables()
-        self.gradients = dphi / np.array([grid.hx, grid.hy])
-        self.weights = GAUSS_WEIGHTS * (grid.hx * grid.hy)
-        G, w, nq = self.gradients, self.weights, len(GAUSS_WEIGHTS)
-        self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
-                        .reshape(nq, 16) for k in range(2)] for i in range(2)]
-
-    @functools.cached_property
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nine-point ``columns`` and ``slots`` and the CSR ``indptr``."""
-        columns, slots = nine_point_layout(self.grid)
-        return columns, slots, np.arange(0, columns.size + 1, 9, dtype=np.int32)
-
-    def coefficient(self, coefficient) -> np.ndarray:
-        """(n_elements, nq, 2, 2) checked values at the quadrature points."""
-        return evaluate_coefficient(coefficient, self.points).reshape(
-            self.grid.n_elements, len(GAUSS_WEIGHTS), 2, 2)
-
-    def _corners(self, nodal: np.ndarray) -> np.ndarray:
-        nodal = np.asarray(nodal, dtype=float).ravel()
-        if nodal.size != self.grid.n_nodes:
-            raise ValueError("nodal array length does not match grid")
-        return nodal[self._conn]
-
-    def values(self, nodal: np.ndarray) -> np.ndarray:
-        """(n_elements, nq) values of the bilinear interpolant of nodal
-        values at the quadrature points."""
-        return np.einsum("qa,ea->eq", self.phi, self._corners(nodal))
-
-    def gradient(self, nodal: np.ndarray) -> np.ndarray:
-        """(n_elements, nq, 2) gradient of the bilinear interpolant of
-        nodal values at the quadrature points."""
-        return np.einsum("qad,ea->eqd", self.gradients, self._corners(nodal),
-                         optimize=True)
-
-    def integral(self, values: np.ndarray) -> np.ndarray:
-        """The integral over the grid of (n_elements, nq, ...) values at the
-        quadrature points."""
-        return np.einsum("eq...,q->...", values, self.weights)
-
-    def load(self, values: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Nodal vector of the element vectors ``values @ table``, for
-        (n_elements, nq) values and an (nq, 4) table: ``weights[:, None] *
-        phi`` gives the load ``int s phi_a`` of values s."""
-        return np.bincount(self._conn.ravel(), weights=(values @ table).ravel(),
-                           minlength=self.grid.n_nodes)
-
-    def mean(self, D: np.ndarray) -> np.ndarray:
-        """The 2x2 quadrature mean of coefficient values at the points."""
-        return np.einsum("eqik,q->ik", D, GAUSS_WEIGHTS) / self.grid.n_elements
-
-    def stiffness_data(
-        self,
-        D: np.ndarray,
-        entries: Sequence[tuple[int, int]] = ((0, 0), (0, 1), (1, 0), (1, 1)),
-    ) -> np.ndarray:
-        """CSR data of the stiffness of the entries (i, k) of D, summed in
-        the given order."""
-        columns, slots, _ = self.layout
-        Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
-        return np.bincount(slots, weights=Ke.ravel(), minlength=columns.size + 1)[:-1]
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix with the given data on the nine-point layout."""
-        columns, _, indptr = self.layout
-        n = indptr.size - 1
-        return sp.csr_matrix((data, columns, indptr), shape=(n, n))
+    slots = np.repeat(9 * corners, 4, axis=1)
+    slots += offset.ravel()
+    slots = slots.reshape(-1, 4, 4)
+    # only elements with a boundary corner hold entries that drop out
+    edge = np.flatnonzero((corners < 0).any(axis=1))
+    outside = corners[edge] < 0
+    slots[edge] = np.where(outside[:, :, None] | outside[:, None, :], size, slots[edge])
+    return slots.ravel()

@@ -48,7 +48,7 @@ def coo_stiffness():
             G = q1_tables()[1] / np.array([grid.hx, grid.hy])
             Ke = np.einsum("qai,eqik,qbk,q->eab", G, D, G, GAUSS_WEIGHTS)
             Ke = Ke * grid.hx * grid.hy
-        conn = grid.connectivity()
+        conn = grid.connectivity
         rows = np.repeat(conn, 4, axis=1).ravel()
         cols = np.tile(conn, (1, 4)).ravel()
         n = grid.n_nodes

@@ -15,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
-from maphom.finescale import DomainMesh, convergence_study
+from maphom.finescale import convergence_study
 from maphom.homogenize import (
     HomogenizationJob,
     classical_homogenized_matrix,
@@ -23,7 +23,7 @@ from maphom.homogenize import (
     homogenized_matrix_at,
     tensor_field,
 )
-from maphom.numerics import Rectangle
+from maphom.numerics import Rectangle, UniformCellGrid
 from maphom.structure import (
     LinearScaleMap,
     QuadraticStretchMap,
@@ -153,7 +153,7 @@ def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
     job = HomogenizationJob(coefficient=sine_coeff, omega=WINDOW,
                             x2_samples=samples, cell_resolution=128)
     tensor = tensor_field(job)
-    mesh = DomainMesh(WINDOW, 512, 512)
+    mesh = UniformCellGrid(512, periodic=False, rectangle=WINDOW)
     rows = convergence_study(sine_coeff, QuadraticStretchMap, ones, mesh,
                              [1, 2, 4, 8], tensor, tol=1e-8)
     errors = [row.l2_error for row in rows]
@@ -167,7 +167,7 @@ def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
                                      x2_samples=default_x2_samples(OMEGA, 64),
                                      cell_resolution=128, classical=True)
     baseline = tensor_field(baseline_job)
-    mesh_b = DomainMesh(OMEGA, 256, 256)
+    mesh_b = UniformCellGrid(256, periodic=False, rectangle=OMEGA)
     rows_b = convergence_study(laminate_coeff, LinearScaleMap, ones, mesh_b,
                                [1, 2, 4, 8], baseline, tol=1e-8)
     log_h = np.log([row.h for row in rows_b])

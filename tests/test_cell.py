@@ -19,7 +19,6 @@ from maphom.cell import (
 from maphom.coefficients import PeriodicCoefficient
 from maphom.finescale import (
     DirichletProblem,
-    DomainMesh,
     SolutionField,
     flux_moment,
     l2_error,
@@ -33,10 +32,15 @@ from maphom.homogenize import (
 from maphom.numerics import (
     GAUSS_WEIGHTS,
     Rectangle,
-    Q1Assembly,
     UniformCellGrid,
     q1_tables,
 )
+from maphom.structure import QuadraticStretchMap
+
+
+def dirichlet_grid(n1, n2, omega=Rectangle(0.5, 1.5, 0.5, 1.5)) -> UniformCellGrid:
+    """A clamped n1 x n2 grid over ``omega``."""
+    return UniformCellGrid(n1, periodic=False, ny=n2, rectangle=omega)
 
 
 def skew_values(pts):
@@ -136,7 +140,7 @@ def test_a_bare_callable_assembles_like_its_periodic_wrapper():
     npt.assert_array_equal(bare_system.matrix.indices, wrapped_system.matrix.indices)
     for f, g in zip(bare_loads, wrapped_loads):
         npt.assert_array_equal(f, g)
-    problem = DirichletProblem(DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), 7, 4),
+    problem = DirichletProblem(dirichlet_grid(7, 4, Rectangle(0.5, 1.5, 0.25, 2.0)),
                                lambda pts: np.ones(pts.shape[0]))
     (K_bare, means_bare), (K_wrapped, means_wrapped) = (
         problem.stiffness(skew_values), problem.stiffness(wrapped))
@@ -161,9 +165,9 @@ def coefficient_uses(sine_coeff):
     """Every entry point that evaluates a coefficient, as a callable of
     the coefficient."""
     corrector = solve_corrector(sine_coeff, (1.0, 1.0), 8)
-    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 8, 8)
-    problem = DirichletProblem(mesh, lambda pts: np.ones(pts.shape[0]))
-    u = SolutionField(values=np.ones(mesh.grid.n_nodes), mesh=mesh, label="",
+    grid = dirichlet_grid(8, 8)
+    problem = DirichletProblem(grid, lambda pts: np.ones(pts.shape[0]))
+    u = SolutionField(values=np.ones(grid.n_nodes), grid=grid, label="",
                       warn_underresolved=False, iterations=0, residual=0.0,
                       energy=0.0, source_work=0.0)
     return {
@@ -185,9 +189,9 @@ def test_bad_coefficient_values_raise(coefficient_uses, use, bad):
 def test_oracles_and_error_norms_build_no_matrix_layout(coefficient_uses, sine_coeff,
                                                        monkeypatch):
     """The quadratures that assemble no matrix never pay for the
-    nine-point layout of their grid's assembly."""
-    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 8, 8)
-    u = SolutionField(values=np.ones(mesh.grid.n_nodes), mesh=mesh, label="",
+    nine-point layout of their grid."""
+    grid = dirichlet_grid(8, 8)
+    u = SolutionField(values=np.ones(grid.n_nodes), grid=grid, label="",
                       warn_underresolved=False, iterations=0, residual=0.0,
                       energy=0.0, source_work=0.0)
 
@@ -198,6 +202,31 @@ def test_oracles_and_error_norms_build_no_matrix_layout(coefficient_uses, sine_c
     for use in ("homogenized_matrix_at", "flux_moment"):
         assert np.all(np.isfinite(coefficient_uses[use](sine_coeff)))
     assert l2_error(u, u) == 0.0
+
+
+def test_oracles_and_error_norms_reuse_their_grids_quadrature(sine_coeff, monkeypatch):
+    """homogenized_matrix_at on a CellProblem's field, and l2_error and
+    flux_moment on Dirichlet solutions, read the quadrature their grid
+    built for the solves: they build no grid, points or shape tables."""
+    problem = CellProblem(sine_coeff, 8)
+    field = problem.solve(ZETA)
+    dirichlet = DirichletProblem(dirichlet_grid(8, 8), lambda pts: np.ones(pts.shape[0]))
+    u, v = (dirichlet.oscillatory(sine_coeff, QuadraticStretchMap(h)) for h in (1, 2))
+    cached = [(grid, grid.points) for grid in (problem.grid, dirichlet.grid)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or its quadrature was built again")
+
+    for owner, name in [(UniformCellGrid, "__init__"), (UniformCellGrid, "node_coords"),
+                        (numerics, "q1_tables")]:
+        monkeypatch.setattr(owner, name, refuse)
+    npt.assert_allclose(homogenized_matrix_at(sine_coeff, ZETA, field),
+                        problem.effective_matrix(field), rtol=0, atol=1e-9)
+    assert l2_error(u, v) > 0.0
+    assert np.isfinite(flux_moment(sine_coeff, u, lambda pts: np.ones((pts.shape[0], 2))))
+    assert u.grid is v.grid is dirichlet.grid and field.grid is problem.grid
+    for grid, points in cached:
+        assert grid.points is points
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +263,11 @@ def test_gradient_load_agrees_with_divergence_form(sine_coeff):
     """
     grid = UniformCellGrid(64)
     _, loads = CellProblem(sine_coeff, grid).system((1.0, 1.0))
-    assembly = Q1Assembly(grid)
-    pts = assembly.points
+    pts = grid.points
     div_g = (1.8 * np.pi * np.cos(2 * np.pi * pts[:, 0])
              * np.sin(2 * np.pi * pts[:, 1]))
-    from_source = assembly.load(div_g.reshape(grid.n_elements, -1),
-                                assembly.weights[:, None] * assembly.phi)
+    from_source = grid.load(div_g.reshape(grid.n_elements, -1),
+                            grid.weights[:, None] * grid.phi)
     assert np.abs(loads[0] - from_source).max() <= 1e-8
 
 
@@ -253,7 +281,7 @@ ZETA = (0.7, 2.6)
 def _direct_system(coeff, zeta, grid, coo_stiffness):
     """Stiffness of diag(zeta) A diag(zeta) and the loads
     -int zeta_i a_ij d_i phi, assembled at ``zeta`` without the pieces."""
-    A = coeff.evaluate(Q1Assembly(grid).points).reshape(grid.n_elements, -1, 2, 2)
+    A = coeff.evaluate(grid.points).reshape(grid.n_elements, -1, 2, 2)
     z = np.array(zeta)
     K = coo_stiffness(grid, A * z[:, None] * z[None, :])
     G = q1_tables()[1] / np.array([grid.hx, grid.hy])
@@ -262,7 +290,7 @@ def _direct_system(coeff, zeta, grid, coo_stiffness):
     for j in range(2):
         fe = -np.einsum("eqi,i,qai,q->ea", A[:, :, :, j], z, G, w)
         f = np.zeros(grid.n_nodes)
-        np.add.at(f, grid.connectivity().ravel(), fe.ravel())
+        np.add.at(f, grid.connectivity.ravel(), fe.ravel())
         loads.append(f)
     return K, loads
 
@@ -461,7 +489,7 @@ def test_rescaled_cell_geometry_defaults(sine_coeff):
     field = solve_rescaled_corrector(sine_coeff, 1.0, tol=1e-8)
     assert field.zeta == (1.0, 1.0)
     assert field.grid.periodic
-    assert field.grid.lengths == (1.0, 0.5)
+    assert field.grid.rectangle == Rectangle(0.0, 1.0, 0.0, 0.5)
     assert (field.grid.nx, field.grid.ny) == (128, 128)
 
 

@@ -208,6 +208,47 @@ def test_a_non_finite_residual_exits_3_at_once(tmp_path, capsys, monkeypatch):
     assert len(failures) == 1 and failures[0].iterations <= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--override", "dump_x2=1e-300", "corrector-dump"],
+    ["--override", "omega=[1e-300,1e-299,1e-300,1e-299]", "homogenize"],
+], ids=["corrector-dump", "homogenize"])
+def test_a_scaling_whose_mean_underflows_exits_3(tmp_path, capsys, argv):
+    """zeta2^2 <a22> underflows to 0 at zeta2 near 1e-300; the solve names
+    the preconditioner input instead of ending in a traceback."""
+    code, _ = run(tmp_path, "--override", "cell_resolution=16",
+                  "--override", "x2_samples=3", *argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "preconditioner input underflows to 0" in err and "k2 = 0.0" in err
+    assert "Traceback" not in err
+
+
+def test_preview_refuses_a_domain_the_map_overflows_on(tmp_path, capsys):
+    """h x2^2 overflows at x2 = 1e300; the preview names omega and writes
+    no sample, where it wrote nan rows before."""
+    code, out = run(tmp_path, "--override", "omega=[0.5,1,0.5,1e300]",
+                    "--override", "preview_resolution=16", "preview")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'omega'" in err and "overflows" in err
+    assert "RuntimeWarning" not in err
+    assert not (out / "preview.csv").exists()
+
+
+@pytest.mark.parametrize("omega", ["[1e-300,1e-299,1e-300,1e-299]",
+                                   "[1e299,1e300,1e299,1e300]", "[1e-10,2e-10,0.5,1e300]"])
+def test_convergence_refuses_mesh_elements_outside_the_float_range(tmp_path, capsys,
+                                                                   omega):
+    """Mesh elements whose area or aspect ratio underflows or overflows
+    are refused before any solve, naming omega, with no RuntimeWarning."""
+    code, _ = run(tmp_path, "--override", f"omega={omega}", "--override", "classical=true",
+                  "--override", "domain_resolution=16", "--override", "cell_resolution=16",
+                  "convergence")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'omega'" in err and "RuntimeWarning" not in err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -533,7 +574,9 @@ _VALID = {
     "amplitude": st.sampled_from([0.0, 0.5, 0.99]),
     "laminate_base": st.sampled_from([1.5, 1e300]),
     "delta": st.sampled_from([0.05, 1.5, 1.99]),
-    "omega": st.one_of(st.none(), _SMALL_OMEGA),
+    "omega": st.one_of(st.none(), _SMALL_OMEGA,
+                       st.sampled_from([[0.5, 1.0, 0.5, 1e300],
+                                        [1e-300, 1e-299, 1e-300, 1e-299]])),
     "scale_map": st.sampled_from(["stretch", "linear"]),
     "classical": st.booleans(),
     "x2_samples": st.one_of(st.integers(3, 4),
@@ -543,7 +586,7 @@ _VALID = {
     "aud_subdivision": st.integers(1, 4),
     "cg_tol": st.sampled_from([1e-10, 1e-6, 1e-300]),
     "fem_tol": st.sampled_from([1e-8, 1e-300]),
-    "dump_x2": st.sampled_from([0.5, 0.01, 50.0]),
+    "dump_x2": st.sampled_from([0.5, 0.01, 50.0, 1e-300]),
     "preview_h": st.integers(1, 5),
 }
 _REJECTED = {

@@ -10,7 +10,6 @@ from maphom import coefficients
 
 from maphom.finescale import (
     DirichletProblem,
-    DomainMesh,
     SolutionField,
     convergence_study,
     flux_moment,
@@ -23,10 +22,15 @@ from maphom.homogenize import (
     default_x2_samples,
     tensor_field,
 )
-from maphom.numerics import GAUSS_WEIGHTS, Q1Assembly, Rectangle, q1_tables
+from maphom.numerics import GAUSS_WEIGHTS, Rectangle, UniformCellGrid, q1_tables
 from maphom.structure import LinearScaleMap, QuadraticStretchMap
 
 OMEGA = Rectangle(0.5, 1.5, 0.5, 1.5)
+
+
+def clamped(n1, n2, omega=OMEGA):
+    """A Dirichlet mesh: the clamped n1 x n2 grid over ``omega``."""
+    return UniformCellGrid(n1, periodic=False, ny=n2, rectangle=omega)
 
 
 def ones(pts):
@@ -38,12 +42,12 @@ def constant_field(matrix):
     return HomogenizedTensor(np.array([0.6, 1.4]), np.stack([m, m]), {})
 
 
-def interpolant(mesh, fn):
+def interpolant(grid, fn):
     """A SolutionField holding the nodal interpolant of fn (no solve)."""
-    values = fn(mesh.grid.node_coords())
+    values = fn(grid.node_coords())
     values = np.asarray(values, dtype=float)
-    values[mesh.grid.boundary_mask()] = 0.0
-    return SolutionField(values=values, mesh=mesh, label="interpolant",
+    values[grid.boundary_mask()] = 0.0
+    return SolutionField(values=values, grid=grid, label="interpolant",
                          warn_underresolved=False, iterations=0, residual=0.0,
                          energy=0.0, source_work=0.0)
 
@@ -54,39 +58,41 @@ def interpolant(mesh, fn):
 
 
 def test_mesh_geometry_and_interior_count():
-    mesh = DomainMesh(OMEGA, 8, 4)
-    assert mesh.grid.n_nodes == 9 * 5
-    assert mesh.interior_mask.sum() == 7 * 3
-    assert mesh.matches(DomainMesh(OMEGA, 8, 4))
-    assert not mesh.matches(DomainMesh(OMEGA, 8, 8))
+    grid = clamped(8, 4)
+    assert grid.n_nodes == 9 * 5
+    assert (~grid.boundary_mask()).sum() == 7 * 3
+    assert grid == clamped(8, 4)
+    assert grid != clamped(8, 8)
 
 
 def test_mesh_must_sit_in_the_open_first_quadrant():
-    with pytest.raises(ValueError):
-        DomainMesh(Rectangle(0.5, 1.5, -0.5, 0.5), 8, 8)
-    with pytest.raises(ValueError):
-        DomainMesh(OMEGA, 1, 8)
+    """A Dirichlet problem needs a clamped grid with two elements per
+    direction over a first-quadrant rectangle."""
+    for grid in [clamped(8, 8, Rectangle(0.5, 1.5, -0.5, 0.5)), clamped(1, 8),
+                 UniformCellGrid(8, rectangle=OMEGA)]:
+        with pytest.raises(ValueError):
+            DirichletProblem(grid, ones)
 
 
 def test_solution_field_extracts_interior_values(identity_coeff):
-    mesh = DomainMesh(OMEGA, 16, 16)
-    u = DirichletProblem(mesh, ones).homogenized(constant_field(np.eye(2)))
-    assert u.values[mesh.interior_mask].shape == (15 * 15,)
-    boundary = u.values[mesh.grid.boundary_mask()]
+    grid = clamped(16, 16)
+    u = DirichletProblem(grid, ones).homogenized(constant_field(np.eye(2)))
+    assert u.values[~grid.boundary_mask()].shape == (15 * 15,)
+    boundary = u.values[grid.boundary_mask()]
     npt.assert_array_equal(boundary, np.zeros_like(boundary))
     assert u.values.min() >= 0.0
     assert u.iterations > 0
 
 
 def test_energy_identity_holds_at_solver_accuracy():
-    mesh = DomainMesh(OMEGA, 64, 64)
-    u = DirichletProblem(mesh, ones).homogenized(constant_field(np.eye(2)), tol=1e-10)
+    grid = clamped(64, 64)
+    u = DirichletProblem(grid, ones).homogenized(constant_field(np.eye(2)), tol=1e-10)
     assert u.energy == pytest.approx(u.source_work, rel=1e-8)
     assert u.energy > 0
 
 
 # ---------------------------------------------------------------------------
-# the Dirichlet problem built once per mesh
+# the Dirichlet problem built once per grid
 # ---------------------------------------------------------------------------
 
 
@@ -100,21 +106,20 @@ def skew_field(pts):
     return out
 
 
-def _restricted_coo(mesh, coeff_eval, coo_stiffness):
-    grid = mesh.grid
-    D = coeff_eval(Q1Assembly(grid).points)
+def _restricted_coo(grid, coeff_eval, coo_stiffness):
+    D = coeff_eval(grid.points)
     K = coo_stiffness(grid, D.reshape(grid.n_elements, -1, 2, 2))
-    interior = np.flatnonzero(mesh.interior_mask)
+    interior = np.flatnonzero(~grid.boundary_mask())
     return K[interior][:, interior].tocsr()
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 2), (3, 3), (7, 4), (16, 24)])
 def test_interior_matrix_matches_a_restricted_coo_assembly(coo_stiffness, n1, n2):
-    """Element sizes differ (hx != hy) on every mesh, and the coefficient
+    """Element sizes differ (hx != hy) on every grid, and the coefficient
     is not symmetric."""
-    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), n1, n2)
-    K, (k1, k2) = DirichletProblem(mesh, ones).stiffness(skew_field)
-    expect = _restricted_coo(mesh, skew_field, coo_stiffness)
+    grid = clamped(n1, n2, Rectangle(0.5, 1.5, 0.25, 2.0))
+    K, (k1, k2) = DirichletProblem(grid, ones).stiffness(skew_field)
+    expect = _restricted_coo(grid, skew_field, coo_stiffness)
     n_interior = (n1 - 1) * (n2 - 1)
     assert K.shape == expect.shape == (n_interior,) * 2
     assert K.nnz == 9 * n_interior
@@ -125,27 +130,26 @@ def test_interior_matrix_matches_a_restricted_coo_assembly(coo_stiffness, n1, n2
 
 
 def test_dirichlet_solve_matches_a_direct_solve_of_the_coo_system(coo_stiffness):
-    """A full tensor varying in x2, on a mesh with hx != hy."""
-    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.25, 2.0), 24, 40)
+    """A full tensor varying in x2, on a grid with hx != hy."""
+    grid = clamped(24, 40, Rectangle(0.5, 1.5, 0.25, 2.0))
     field = HomogenizedTensor(np.array([0.25, 1.0, 2.0]), np.array(
         [[[1.0, 0.3], [0.3, 0.5]], [[2.0, -0.4], [-0.4, 1.5]], [[0.7, 0.0], [0.0, 3.0]]]), {})
 
     def source(pts):
         return pts[:, 0] - pts[:, 1] ** 2
 
-    problem = DirichletProblem(mesh, source)
+    problem = DirichletProblem(grid, source)
     u = problem.homogenized(field, tol=1e-12)
-    grid = mesh.grid
     phi, _ = q1_tables()
-    s = source(Q1Assembly(grid).points).reshape(grid.n_elements, -1)
+    s = source(grid.points).reshape(grid.n_elements, -1)
     fe = np.einsum("eq,qa,q->ea", s, phi, GAUSS_WEIGHTS) * grid.hx * grid.hy
     b = np.zeros(grid.n_nodes)
-    np.add.at(b, grid.connectivity().ravel(), fe.ravel())
-    b = b[mesh.interior_mask]
+    np.add.at(b, grid.connectivity.ravel(), fe.ravel())
+    b = b[~grid.boundary_mask()]
     npt.assert_allclose(problem.load, b, rtol=1e-14, atol=1e-16)
-    K = _restricted_coo(mesh, tensor_evaluator(field), coo_stiffness)
+    K = _restricted_coo(grid, tensor_evaluator(field), coo_stiffness)
     expect = spsolve(K.tocsc(), b)
-    npt.assert_allclose(u.values[mesh.interior_mask], expect, rtol=1e-9,
+    npt.assert_allclose(u.values[~grid.boundary_mask()], expect, rtol=1e-9,
                         atol=1e-9 * np.abs(expect).max())
     assert u.assemble_s > 0 and u.solve_s > 0
 
@@ -157,11 +161,11 @@ def test_a_study_evaluates_the_source_once(identity_coeff):
         calls.append(pts.shape[0])
         return np.ones(pts.shape[0])
 
-    mesh = DomainMesh(OMEGA, 16, 16)
+    grid = clamped(16, 16)
     sols = []
-    convergence_study(identity_coeff, LinearScaleMap, counted, mesh, [1, 2, 4],
+    convergence_study(identity_coeff, LinearScaleMap, counted, grid, [1, 2, 4],
                       constant_field(np.eye(2)), on_solve=sols.append)
-    assert calls == [mesh.grid.n_elements * len(GAUSS_WEIGHTS)]
+    assert calls == [grid.n_elements * len(GAUSS_WEIGHTS)]
     assert len(sols) == 4
     for u in sols:
         record = u.diagnostics()
@@ -169,7 +173,7 @@ def test_a_study_evaluates_the_source_once(identity_coeff):
 
 
 def test_non_finite_coefficients_are_refused():
-    problem = DirichletProblem(DomainMesh(OMEGA, 8, 8), ones)
+    problem = DirichletProblem(clamped(8, 8), ones)
     field = constant_field(np.eye(2))
     field.matrices[0, 1, 1] = np.nan
     with pytest.raises(ValueError):
@@ -188,17 +192,17 @@ def test_anisotropy_is_a_change_of_variables():
     the two assembled systems is an exact power of two, so the discrete
     solutions agree bitwise.
     """
-    stretched = DirichletProblem(DomainMesh(OMEGA, 64, 64), ones).homogenized(
+    stretched = DirichletProblem(clamped(64, 64), ones).homogenized(
         constant_field(np.diag([1.0, 4.0])), tol=1e-10)
-    squashed = DirichletProblem(DomainMesh(Rectangle(0.5, 1.5, 0.25, 0.75), 64, 64),
+    squashed = DirichletProblem(clamped(64, 64, Rectangle(0.5, 1.5, 0.25, 0.75)),
                                 ones).homogenized(constant_field(np.eye(2)), tol=1e-10)
     npt.assert_array_equal(stretched.values, squashed.values)
 
 
 def test_identity_oscillation_is_no_oscillation(identity_coeff):
     """A(alpha(x)) = I collapses both solve paths onto one system."""
-    mesh = DomainMesh(OMEGA, 64, 64)
-    problem = DirichletProblem(mesh, ones)
+    grid = clamped(64, 64)
+    problem = DirichletProblem(grid, ones)
     plain = problem.homogenized(constant_field(np.eye(2)), tol=1e-10)
     oscillatory = problem.oscillatory(identity_coeff, LinearScaleMap(4), tol=1e-10)
     npt.assert_array_equal(plain.values, oscillatory.values)
@@ -207,9 +211,9 @@ def test_identity_oscillation_is_no_oscillation(identity_coeff):
 
 @pytest.mark.parametrize("amplitude,ceiling", [(0.9, 20), (0.99, 25)])
 def test_dirichlet_iterations_stay_flat_across_resolution(amplitude, ceiling):
-    """Measured: 17 at every mesh for amplitude 0.9, 20 to 22 at 0.99."""
+    """Measured: 17 at every grid for amplitude 0.9, 20 to 22 at 0.99."""
     coeff = coefficients.sine_product(amplitude)
-    counts = [DirichletProblem(DomainMesh(OMEGA, n, n), ones)
+    counts = [DirichletProblem(clamped(n, n), ones)
               .oscillatory(coeff, QuadraticStretchMap(1)).iterations
               for n in (64, 128, 256)]
     print(f"amplitude {amplitude}, 64^2 to 256^2: iterations {counts}")
@@ -218,7 +222,7 @@ def test_dirichlet_iterations_stay_flat_across_resolution(amplitude, ceiling):
 
 
 def test_resolution_warning_tracks_the_map(sine_coeff):
-    problem = DirichletProblem(DomainMesh(OMEGA, 64, 64), ones)
+    problem = DirichletProblem(clamped(64, 64), ones)
     fine = problem.oscillatory(sine_coeff, QuadraticStretchMap(2))
     coarse = problem.oscillatory(sine_coeff, QuadraticStretchMap(16))
     assert not fine.warn_underresolved
@@ -234,10 +238,10 @@ def test_l2_error_against_an_independent_mass_matrix(rng):
     """||d||_L2^2 = d' M d with M the exact bilinear mass matrix, built
     here from 1D factors as a cross-check on the quadrature path."""
     n = 16
-    mesh = DomainMesh(OMEGA, n, n)
-    d = rng.standard_normal(mesh.grid.n_nodes)
-    u = interpolant(mesh, lambda c: d)
-    zero = interpolant(mesh, lambda c: np.zeros(len(c)))
+    grid = clamped(n, n)
+    d = rng.standard_normal(grid.n_nodes)
+    u = interpolant(grid, lambda c: d)
+    zero = interpolant(grid, lambda c: np.zeros(len(c)))
     d_eff = u.values  # boundary entries were zeroed by the helper
 
     h = 1.0 / n
@@ -250,24 +254,24 @@ def test_l2_error_against_an_independent_mass_matrix(rng):
 
 
 def test_l2_error_of_a_smooth_interpolant_tends_to_the_continuum():
-    mesh = DomainMesh(OMEGA, 128, 128)
-    u = interpolant(mesh, lambda c: np.sin(np.pi * (c[:, 0] - 0.5))
+    grid = clamped(128, 128)
+    u = interpolant(grid, lambda c: np.sin(np.pi * (c[:, 0] - 0.5))
                     * np.sin(np.pi * (c[:, 1] - 0.5)))
-    zero = interpolant(mesh, lambda c: np.zeros(len(c)))
+    zero = interpolant(grid, lambda c: np.zeros(len(c)))
     assert l2_error(u, zero) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_l2_error_requires_matching_meshes():
-    u = interpolant(DomainMesh(OMEGA, 8, 8), lambda c: c[:, 0])
-    v = interpolant(DomainMesh(OMEGA, 16, 16), lambda c: c[:, 0])
+    u = interpolant(clamped(8, 8), lambda c: c[:, 0])
+    v = interpolant(clamped(16, 16), lambda c: c[:, 0])
     with pytest.raises(ValueError):
         l2_error(u, v)
 
 
 def test_flux_moment_obeys_the_divergence_identity():
     """int (grad u).phi = -int u div phi for a compactly supported phi."""
-    mesh = DomainMesh(OMEGA, 128, 128)
-    u = interpolant(mesh, lambda c: np.sin(np.pi * (c[:, 0] - 0.5))
+    grid = clamped(128, 128)
+    u = interpolant(grid, lambda c: np.sin(np.pi * (c[:, 0] - 0.5))
                     * np.sin(np.pi * (c[:, 1] - 0.5)) * (1 + 0.5 * c[:, 0]))
 
     def identity_eval(pts):
@@ -290,10 +294,8 @@ def test_flux_moment_obeys_the_divergence_identity():
         return d1 + d2
 
     lhs = flux_moment(identity_eval, u, phi)
-    grid = mesh.grid
-    assembly = Q1Assembly(grid)
-    pts = assembly.points
-    u_q = assembly.values(u.values).ravel()
+    pts = grid.points
+    u_q = grid.values(u.values).ravel()
     w = np.tile(GAUSS_WEIGHTS, grid.n_elements)
     rhs = -np.sum(u_q * div_phi(pts) * w) * grid.hx * grid.hy
     assert abs(lhs - rhs) <= 1e-8
@@ -325,12 +327,12 @@ def test_tensor_evaluator_interpolates_and_clamps():
 
 
 def test_identity_study_reports_zero_error(identity_coeff):
-    mesh = DomainMesh(OMEGA, 32, 32)
+    grid = clamped(32, 32)
     job = HomogenizationJob(coefficient=identity_coeff, omega=OMEGA,
                             x2_samples=default_x2_samples(OMEGA, 4),
                             cell_resolution=16)
     tensor = tensor_field(job)
-    rows = convergence_study(identity_coeff, QuadraticStretchMap, ones, mesh,
+    rows = convergence_study(identity_coeff, QuadraticStretchMap, ones, grid,
                              [1, 2], tensor)
     assert [row.h for row in rows] == [1, 2]
     for row in rows:
@@ -344,7 +346,7 @@ def test_study_flux_gap_narrows_with_scale(sine_coeff):
     job = HomogenizationJob(coefficient=sine_coeff, omega=OMEGA,
                             x2_samples=samples, cell_resolution=64)
     tensor = tensor_field(job)
-    problem = DirichletProblem(DomainMesh(OMEGA, 256, 256), ones)
+    problem = DirichletProblem(clamped(256, 256), ones)
     reference = problem.homogenized(tensor, tol=1e-8)
     b_eval = tensor_evaluator(tensor)
 
@@ -378,10 +380,10 @@ def test_study_flux_gap_narrows_with_scale(sine_coeff):
 
 
 def test_study_rejects_unsorted_scales(identity_coeff):
-    mesh = DomainMesh(OMEGA, 16, 16)
+    grid = clamped(16, 16)
     tensor = constant_field(np.eye(2))
     with pytest.raises(ValueError):
-        convergence_study(identity_coeff, LinearScaleMap, ones, mesh, [4, 2],
+        convergence_study(identity_coeff, LinearScaleMap, ones, grid, [4, 2],
                           tensor)
 
 
@@ -389,20 +391,20 @@ def test_study_rejects_unsorted_scales(identity_coeff):
 def test_study_refuses_a_scale_that_is_not_a_positive_integer(identity_coeff, h):
     """A fractional h is not truncated to the next integer and an
     infinite one does not overflow."""
-    mesh = DomainMesh(OMEGA, 16, 16)
+    grid = clamped(16, 16)
     with pytest.raises(ValueError, match="positive integers"):
-        convergence_study(identity_coeff, LinearScaleMap, ones, mesh, [h],
+        convergence_study(identity_coeff, LinearScaleMap, ones, grid, [h],
                           constant_field(np.eye(2)))
 
 
 def test_study_callback_sees_each_row(laminate_coeff):
-    mesh = DomainMesh(OMEGA, 32, 32)
+    grid = clamped(32, 32)
     job = HomogenizationJob(coefficient=laminate_coeff, omega=OMEGA,
                             x2_samples=default_x2_samples(OMEGA, 4),
                             cell_resolution=16, classical=True)
     tensor = tensor_field(job)
     seen = []
-    rows = convergence_study(laminate_coeff, LinearScaleMap, ones, mesh,
+    rows = convergence_study(laminate_coeff, LinearScaleMap, ones, grid,
                              [1, 2], tensor, on_row=seen.append)
     assert seen == rows
 

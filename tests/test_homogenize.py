@@ -17,7 +17,7 @@ from maphom.homogenize import (
     isotropy_scan,
     tensor_field,
 )
-from maphom.numerics import Q1Assembly, Rectangle, UniformCellGrid
+from maphom.numerics import Rectangle, UniformCellGrid
 
 OMEGA = Rectangle(0.05, 2.0, 0.05, 2.0)
 
@@ -56,11 +56,11 @@ def test_laminate_harmonic_and_arithmetic_means(laminate_coeff):
 
 
 def test_effective_matrix_sits_between_the_means(sine_coeff):
-    assembly = Q1Assembly(UniformCellGrid(64))
-    p = assembly.points
+    grid = UniformCellGrid(64)
+    p = grid.points
     a = (1 + 0.9 * np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])).reshape(64 * 64, -1)
-    harmonic = 1.0 / assembly.integral(1.0 / a)
-    arithmetic = assembly.integral(a)
+    harmonic = 1.0 / grid.integral(1.0 / a)
+    arithmetic = grid.integral(a)
     B = classical_homogenized_matrix(sine_coeff, 64)
     lo, hi = np.linalg.eigvalsh(0.5 * (B + B.T))
     assert harmonic - 1e-10 <= lo
@@ -182,6 +182,21 @@ def test_sweep_evaluates_the_coefficient_once(sine_coeff):
                                    cell_resolution=16))
     assert field.metadata["unique_scalings"] == 5
     assert calls == [16 * 16 * 4]
+
+
+def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
+    """Scalings 2e-11 apart would make the extrapolation through them
+    blow up: x2 = 0.7 then took (15, 14) iterations and the sweep 55.
+    The closer one replaces its neighbour in the history, so the sweep
+    takes 35 at 128^2 cells, one fewer than starting from the previous
+    pair alone."""
+    job = small_job(sine_coeff, cell_resolution=128,
+                    x2_samples=np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]))
+    field = tensor_field(job)
+    assert field.metadata["unique_scalings"] == 5
+    iterations = field.metadata["cg_iterations"]
+    assert sum(sum(its) for its in iterations.values()) <= 36
+    assert sum(iterations[1.4]) <= 12
 
 
 def test_repeated_sweeps_are_bytewise_identical(sine_coeff):

@@ -10,17 +10,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from maphom.finescale import DirichletProblem, DomainMesh
+from maphom.finescale import DirichletProblem
 from maphom.numerics import (
     GAUSS_POINTS,
     GAUSS_WEIGHTS,
-    Q1Assembly,
     Rectangle,
     SolverError,
     SparseSystem,
     UniformCellGrid,
     cg_solve,
     nine_point_layout,
+    nine_point_slots,
     spectral_preconditioner,
 )
 
@@ -41,8 +41,7 @@ def test_gauss_weights_sum_to_one():
 
 def integrate(f, grid):
     """The quadrature of a callable field over the grid."""
-    assembly = Q1Assembly(grid)
-    return float(assembly.integral(f(assembly.points).reshape(grid.n_elements, -1)))
+    return float(grid.integral(f(grid.points).reshape(grid.n_elements, -1)))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -76,32 +75,29 @@ def test_nodal_integration_of_bilinear_field():
     # quadrature of the interpolant is the exact integral 1/4
     grid = UniformCellGrid(8, periodic=False)
     coords = grid.node_coords()
-    assembly = Q1Assembly(grid)
-    value = assembly.integral(assembly.values(coords[:, 0] * coords[:, 1]))
+    value = grid.integral(grid.values(coords[:, 0] * coords[:, 1]))
     assert value == pytest.approx(0.25, abs=1e-15)
 
 
 def test_gradients_of_bilinear_fields_are_exact_at_the_points():
     """On a grid with hx != hy and an offset origin, the interpolant of
     a + b x + c y + d x y is the field itself."""
-    grid = UniformCellGrid(6, periodic=False, ny=5, lengths=(1.5, 0.7),
-                           origin=(0.25, -0.5))
+    grid = UniformCellGrid(6, periodic=False, ny=5,
+                           rectangle=Rectangle(0.25, 1.75, -0.5, 0.2))
     a, b, c, d = 0.3, -1.2, 2.5, 0.8
     x, y = grid.node_coords().T
-    assembly = Q1Assembly(grid)
-    gradient = assembly.gradient(a + b * x + c * y + d * x * y).reshape(-1, 2)
-    px, py = assembly.points.T
+    gradient = grid.gradient(a + b * x + c * y + d * x * y).reshape(-1, 2)
+    px, py = grid.points.T
     npt.assert_allclose(gradient, np.column_stack([b + d * py, c + d * px]),
                         rtol=0, atol=1e-13)
-    npt.assert_allclose(assembly.values(a + b * x + c * y + d * x * y).ravel(),
+    npt.assert_allclose(grid.values(a + b * x + c * y + d * x * y).ravel(),
                         a + b * px + c * py + d * px * py, rtol=0, atol=1e-13)
 
 
 def test_integrands_of_the_wrong_shape_are_refused():
     """Nodal fields must hold one value per node."""
     grid = UniformCellGrid(4)
-    assembly = Q1Assembly(grid)
-    for read in (assembly.values, assembly.gradient):
+    for read in (grid.values, grid.gradient):
         with pytest.raises(ValueError):
             read(np.ones(grid.n_nodes + 1))
 
@@ -117,7 +113,7 @@ def test_grid_counts_and_spacing():
     assert periodic.n_elements == 128 * 128
     assert (periodic.hx, periodic.hy) == (0.0078125, 0.0078125)
 
-    rectangular = UniformCellGrid(8, ny=4, lengths=(1.0, 0.5))
+    rectangular = UniformCellGrid(8, ny=4, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
     assert rectangular.n_elements == 32
     assert (rectangular.hx, rectangular.hy) == (0.125, 0.125)
 
@@ -126,6 +122,34 @@ def test_grid_counts_and_spacing():
     assert closed.boundary_mask().sum() == 32
 
     assert UniformCellGrid(np.int64(4), ny=np.int64(2)).n_elements == 8
+
+
+def test_grids_compare_by_value():
+    """Element counts, periodicity and rectangle make a grid; its cached
+    quadrature does not."""
+    omega = Rectangle(0.5, 1.5, 0.25, 2.0)
+    grid = UniformCellGrid(8, periodic=False, ny=4, rectangle=omega)
+    grid.points  # built on the first grid only
+    assert grid == UniformCellGrid(8, periodic=False, ny=4,
+                                   rectangle=Rectangle(0.5, 1.5, 0.25, 2.0))
+    for other in [UniformCellGrid(8, periodic=False, rectangle=omega),
+                  UniformCellGrid(8, ny=4, rectangle=omega),
+                  UniformCellGrid(8, periodic=False, ny=4),
+                  UniformCellGrid(4, periodic=False, ny=8, rectangle=omega)]:
+        assert grid != other
+    assert UniformCellGrid(4) == UniformCellGrid(4, rectangle=Rectangle(0.0, 1.0, 0.0, 1.0))
+    assert UniformCellGrid(4) != "grid"
+
+
+@pytest.mark.parametrize("rectangle", [Rectangle(1e-300, 1e-299, 1e-300, 1e-299),
+                                       Rectangle(1e299, 1e300, 1e299, 1e300),
+                                       Rectangle(1e-10, 2e-10, 0.5, 1e300)])
+def test_grid_refuses_elements_outside_the_floating_point_range(rectangle):
+    """Element areas that underflow to 0 or overflow to inf would make
+    every quadrature weight 0 or inf, and an aspect ratio past 1e308
+    would overflow the element tables."""
+    with pytest.raises(ValueError, match="floating-point range"):
+        UniformCellGrid(16, periodic=False, rectangle=rectangle)
 
 
 @pytest.mark.parametrize("kwargs", [{"n_per_side": 2.5}, {"n_per_side": 2, "ny": 3.7},
@@ -137,7 +161,7 @@ def test_grid_refuses_fractional_element_counts(kwargs):
 
 def test_periodic_connectivity_wraps():
     grid = UniformCellGrid(4)
-    conn = grid.connectivity()
+    conn = grid.connectivity
     last = conn[-1]  # element at (3, 3)
     assert grid.node_index(0, 0) in last
     assert grid.node_index(3, 3) in last
@@ -158,8 +182,9 @@ def test_rectangle_validation_and_area():
 
 
 def _layout_matrix(grid, Ke):
-    columns, slots = nine_point_layout(grid)
+    columns, corners = nine_point_layout(grid)
     n = columns.size // 9
+    slots = nine_point_slots(corners, columns.size)
     data = np.bincount(slots, weights=Ke.ravel(), minlength=columns.size + 1)[:-1]
     return sp.csr_matrix((data, columns, np.arange(0, columns.size + 1, 9)), shape=(n, n))
 
@@ -182,7 +207,8 @@ def test_nine_point_layout_keeps_the_interior_of_dirichlet_grids(rng, coo_stiffn
                                                                   nx, ny):
     """On a clamped grid the layout holds the interior block of the full
     matrix, nine entries per row, boundary neighbours as explicit zeros."""
-    grid = UniformCellGrid(nx, periodic=False, ny=ny, lengths=(1.0, 0.3))
+    grid = UniformCellGrid(nx, periodic=False, ny=ny,
+                           rectangle=Rectangle(0.0, 1.0, 0.0, 0.3))
     Ke = rng.standard_normal((grid.n_elements, 4, 4))
     stencil = _layout_matrix(grid, Ke)
     interior = np.flatnonzero(~grid.boundary_mask())
@@ -340,7 +366,7 @@ def _constant_operator(grid, k1, k2, assemble):
 
 def test_spectral_preconditioner_inverts_constant_periodic_operators(rng, coo_stiffness):
     """For diag(k1, k2) coefficients the preconditioner is the exact inverse."""
-    grid = UniformCellGrid(16, ny=12, lengths=(1.0, 0.5))
+    grid = UniformCellGrid(16, ny=12, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
     K = _constant_operator(grid, 3.0, 0.5, coo_stiffness)
     system = SparseSystem(K, singular=True)
     precondition = spectral_preconditioner(grid, 3.0, 0.5, K.diagonal())
@@ -351,7 +377,8 @@ def test_spectral_preconditioner_inverts_constant_periodic_operators(rng, coo_st
 
 
 def test_spectral_preconditioner_inverts_constant_dirichlet_operators(rng, coo_stiffness):
-    grid = UniformCellGrid(12, periodic=False, ny=20, lengths=(1.0, 0.6))
+    grid = UniformCellGrid(12, periodic=False, ny=20,
+                           rectangle=Rectangle(0.0, 1.0, 0.0, 0.6))
     interior = np.flatnonzero(~grid.boundary_mask())
     K = _constant_operator(grid, 0.25, 4.0, coo_stiffness)[interior][:, interior]
     precondition = spectral_preconditioner(grid, 0.25, 4.0, K.diagonal())
@@ -378,7 +405,8 @@ def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
 
 @pytest.mark.parametrize("nx,ny", [(9, 6), (5, 12)])
 def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
-    grid = UniformCellGrid(nx, periodic=False, ny=ny, lengths=(1.0, 0.7))
+    grid = UniformCellGrid(nx, periodic=False, ny=ny,
+                           rectangle=Rectangle(0.0, 1.0, 0.0, 0.7))
     diagonal = rng.uniform(0.5, 2.0, (nx - 1) * (ny - 1))
     precondition = spectral_preconditioner(grid, 0.3, 2.5, diagonal)
     dense = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, diagonal)
@@ -390,7 +418,8 @@ def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
 def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
     """Repeated and interleaved applies of preconditioners on two grids
     give what fresh preconditioners give."""
-    grids = [UniformCellGrid(9, periodic=False, ny=6, lengths=(1.0, 0.7)),
+    grids = [UniformCellGrid(9, periodic=False, ny=6,
+                             rectangle=Rectangle(0.0, 1.0, 0.0, 0.7)),
              UniformCellGrid(6, periodic=False, ny=9)]
     diagonals = [rng.uniform(0.5, 2.0, 40) for _ in grids]
     vectors = [rng.standard_normal(40) for _ in grids]
@@ -431,6 +460,6 @@ def test_spectral_preconditioner_checks_its_inputs():
 
 
 def test_source_load_rejects_non_finite_values():
-    mesh = DomainMesh(Rectangle(0.5, 1.5, 0.5, 1.5), 4, 4)
+    grid = UniformCellGrid(4, periodic=False, rectangle=Rectangle(0.5, 1.5, 0.5, 1.5))
     with pytest.raises(ValueError, match="non-finite"):
-        DirichletProblem(mesh, lambda pts: np.full(pts.shape[0], np.nan))
+        DirichletProblem(grid, lambda pts: np.full(pts.shape[0], np.nan))

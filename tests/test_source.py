@@ -28,8 +28,8 @@ def unused_imports(source: str) -> list[str]:
 def test_the_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\nimport scipy.sparse\n"
-              "from .finescale import DomainMesh, l2_error\n"
-              "def f(mesh: DomainMesh):\n    return np.zeros(1), scipy.sparse\n")
+              "from .finescale import SolutionField, l2_error\n"
+              "def f(u: SolutionField):\n    return np.zeros(1), scipy.sparse\n")
     assert unused_imports(source) == ["l2_error", "os"]
 
 
@@ -78,8 +78,8 @@ QUADRATURE = {"quad_points", "q1_tables", "connectivity",
 def quadrature_internals(source: str) -> list[str]:
     """The Q1 quadrature internals a module names: ``quad_points``,
     ``q1_tables``, ``connectivity``, the fixed Gauss rule and ``add.at``.
-    Outside ``numerics`` every integral over a grid goes through
-    ``Q1Assembly``."""
+    Outside ``numerics`` every integral over a grid goes through the
+    grid's own quadrature."""
     named = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
