@@ -25,7 +25,6 @@ from .finescale import (
     l2_error,
 )
 from .homogenize import (
-    HomogenizationJob,
     HomogenizedTensor,
     classical_homogenized_matrix,
     homogenized_matrix_at,
@@ -57,7 +56,6 @@ __all__ = [
     "CellProblem",
     "CorrectorField",
     "DirichletProblem",
-    "HomogenizationJob",
     "HomogenizedTensor",
     "LinearScaleMap",
     "PeriodicCoefficient",

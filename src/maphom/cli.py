@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,7 @@ import scipy
 from . import coefficients
 from .cell import solve_corrector
 from .finescale import convergence_study
-from .homogenize import (
-    HomogenizationJob,
-    default_x2_samples,
-    isotropy_scan,
-    tensor_field,
-)
+from .homogenize import default_x2_samples, isotropy_scan, tensor_field
 from .numerics import Rectangle, SolverError, UniformCellGrid
 from .structure import LinearScaleMap, QuadraticStretchMap, aud_verify
 
@@ -47,30 +43,6 @@ class ConfigError(Exception):
         self.key = key
 
 
-DEFAULTS: dict = {
-    "coefficient": "sine-product",
-    "amplitude": 0.9,
-    "laminate_base": 2.0,
-    "delta": 0.05,
-    "omega": None,  # [a1, b1, a2, b2]; defaults to [delta, 2, delta, 2]
-    "scale_map": "stretch",  # or "linear"
-    "classical": False,
-    "cell_resolution": 128,
-    "domain_resolution": 512,
-    "preview_resolution": 256,
-    "x2_samples": 64,  # count, or an explicit list of values
-    "h_list": [1, 2, 4, 8],
-    "aud_h_list": [4, 16, 64, 256],
-    "aud_subdivision": 4,
-    "cg_tol": 1e-7,
-    "fem_tol": 1e-8,
-    "dump_x2": 0.5,
-    "preview_h": 3,
-    "out_dir": "out",
-}
-
-_RESOLUTION_KEYS = ("cell_resolution", "domain_resolution", "preview_resolution")
-
 # caps on accepted values that would make a run huge. Meshes stop at
 # 1024 elements per side, so past h = 1024 a unit-size window has less
 # than one element per period. MAX_AUD_SCAN bounds the offsets the audit
@@ -81,9 +53,13 @@ MAX_SCALE_INDEX = 1024
 MAX_AUD_SUBDIVISION = 64
 MAX_AUD_SCAN = 10 ** 8
 
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+# the cell coefficient of each config name, built from the config
+COEFFICIENTS = {
+    "sine-product": lambda cfg: coefficients.sine_product(cfg["amplitude"]),
+    "laminate": lambda cfg: coefficients.laminate(cfg["laminate_base"], cfg["amplitude"]),
+    "identity": lambda cfg: coefficients.identity(),
+}
+SCALE_MAPS = {"stretch": QuadraticStretchMap, "linear": LinearScaleMap}
 
 
 def _typed(key: str, value, kind: type):
@@ -116,9 +92,76 @@ def _typed_list(key: str, value, kind: type) -> list:
     return [_typed(key, item, kind) for item in value]
 
 
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One config key: its default, the kind of its value (``[kind]`` for
+    a list of them) and the rule the typed value must pass, with the
+    message that says what the rule asks."""
+
+    default: object
+    kind: type | list
+    rule: Callable = lambda value: True
+    message: str = ""
+
+    def read(self, key: str, value):
+        """``value`` as this key's kind; a ConfigError naming ``key`` if it
+        is of another kind or breaks the rule."""
+        if isinstance(self.kind, list):
+            value = _typed_list(key, value, self.kind[0])
+        else:
+            value = _typed(key, value, self.kind)
+        if not self.rule(value):
+            raise ConfigError(key, self.message)
+        return value
+
+
+def _scales(top: float) -> Callable:
+    """The rule of a scale list: non-empty, strictly increasing, from 1 to
+    ``top``."""
+    return lambda hs: bool(hs) and 1 <= hs[0] and hs[-1] <= top and all(
+        a < b for a, b in zip(hs, hs[1:]))
+
+
+_RESOLUTION = (lambda n: 16 <= n <= 1024 and n & (n - 1) == 0,
+               "must be a power of two between 16 and 1024")
+_TOLERANCE = (lambda t: 0 < t < 1, "must lie in (0, 1)")
+
+KEYS = {
+    "coefficient": Key("sine-product", str, COEFFICIENTS.__contains__,
+                       "must be one of " + ", ".join(COEFFICIENTS)),
+    "amplitude": Key(0.9, float, lambda a: 0 <= a < 1, "must lie in [0, 1)"),
+    "laminate_base": Key(2.0, float),  # must exceed amplitude, see validate
+    "omega": Key([0.05, 2.0, 0.05, 2.0], [float],
+                 lambda om: len(om) == 4 and 0 < om[0] < om[1] and 0 < om[2] < om[3],
+                 "must be [a1, b1, a2, b2] with 0 < a1 < b1 and 0 < a2 < b2"),
+    "scale_map": Key("stretch", str, SCALE_MAPS.__contains__,
+                     "must be one of " + ", ".join(SCALE_MAPS)),
+    "classical": Key(False, bool),
+    "cell_resolution": Key(128, int, *_RESOLUTION),
+    "domain_resolution": Key(512, int, *_RESOLUTION),
+    "preview_resolution": Key(256, int, *_RESOLUTION),
+    # a count, or a list of values inside (a2, b2), see validate
+    "x2_samples": Key(64, int, lambda n: 3 <= n <= MAX_X2_SAMPLES,
+                      f"sample count must be an integer from 3 to {MAX_X2_SAMPLES}"),
+    "h_list": Key([1, 2, 4, 8], [int], _scales(MAX_SCALE_INDEX),
+                  "must be a non-empty, strictly increasing list of integers "
+                  f"from 1 to {MAX_SCALE_INDEX}"),
+    "aud_h_list": Key([4, 16, 64, 256], [int], _scales(math.inf),
+                      "must be a non-empty, strictly increasing list of positive integers"),
+    "aud_subdivision": Key(4, int, lambda n: 1 <= n <= MAX_AUD_SUBDIVISION,
+                           f"must be an integer from 1 to {MAX_AUD_SUBDIVISION}"),
+    "cg_tol": Key(1e-7, float, *_TOLERANCE),
+    "fem_tol": Key(1e-8, float, *_TOLERANCE),
+    "dump_x2": Key(0.5, float, lambda x: x > 0, "must be positive"),
+    "preview_h": Key(3, int, lambda h: 1 <= h <= MAX_SCALE_INDEX,
+                     f"must be an integer from 1 to {MAX_SCALE_INDEX}"),
+    "out_dir": Key("out", str),
+}
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Validated experiment settings; see DEFAULTS for the key set."""
+    """Validated experiment settings; see KEYS for the key set."""
 
     values: dict
 
@@ -127,7 +170,7 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path: str | None, overrides: list[str] | None = None) -> "ExperimentConfig":
-        values = dict(DEFAULTS)
+        values = {key: row.default for key, row in KEYS.items()}
         if path is not None:
             try:
                 with open(path) as f:
@@ -139,7 +182,7 @@ class ExperimentConfig:
             if not isinstance(data, dict):
                 raise ConfigError("config", "top level must be a JSON object")
             for key, val in data.items():
-                if key not in DEFAULTS:
+                if key not in KEYS:
                     raise ConfigError(key, "unknown key")
                 if isinstance(val, dict):
                     raise ConfigError(key, "nested objects are not allowed")
@@ -148,7 +191,7 @@ class ExperimentConfig:
             if "=" not in item:
                 raise ConfigError(item, "override must look like key=value")
             key, _, raw = item.partition("=")
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(key, "unknown key")
             try:
                 values[key] = json.loads(raw)
@@ -161,125 +204,40 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every key and replace its value by the typed one."""
         v = self.values
-        for key in ("coefficient", "scale_map", "out_dir"):
-            _typed(key, v[key], str)
-        v["classical"] = _typed("classical", v["classical"], bool)
-        if v["coefficient"] not in ("sine-product", "laminate", "identity"):
-            raise ConfigError("coefficient",
-                              "must be one of sine-product, laminate, identity")
-        v["amplitude"] = _typed("amplitude", v["amplitude"], float)
-        if not 0 <= v["amplitude"] < 1:
-            raise ConfigError("amplitude", "must lie in [0, 1)")
-        v["laminate_base"] = _typed("laminate_base", v["laminate_base"], float)
+        for key, row in KEYS.items():
+            if not (key == "x2_samples" and isinstance(v[key], (list, tuple))):
+                v[key] = row.read(key, v[key])
         if v["coefficient"] == "laminate" and not v["laminate_base"] > v["amplitude"]:
             raise ConfigError("laminate_base", "must exceed amplitude")
-        for key in _RESOLUTION_KEYS:
-            v[key] = _typed(key, v[key], int)
-            if not (_is_power_of_two(v[key]) and 16 <= v[key] <= 1024):
-                raise ConfigError(key, "must be a power of two between 16 and 1024")
-        for key in ("h_list", "aud_h_list"):
-            hs = _typed_list(key, v[key], int)
-            if not hs:
-                raise ConfigError(key, "must be a non-empty list")
-            if any(h < 1 for h in hs):
-                raise ConfigError(key, "entries must be positive integers")
-            if any(b <= a for a, b in zip(hs, hs[1:])):
-                raise ConfigError(key, "must be strictly increasing")
-            v[key] = hs
-        if max(v["h_list"]) > MAX_SCALE_INDEX:
-            raise ConfigError("h_list", f"entries must be at most {MAX_SCALE_INDEX}")
-        if v["omega"] is not None:
-            om = _typed_list("omega", v["omega"], float)
-            if len(om) != 4:
-                raise ConfigError("omega", "must be [a1, b1, a2, b2]")
-            a1, b1, a2, b2 = om
-            if not (0 < a1 < b1 and 0 < a2 < b2):
-                raise ConfigError("omega", "must satisfy 0 < a1 < b1 and 0 < a2 < b2")
-            v["omega"] = om
-        v["delta"] = _typed("delta", v["delta"], float)
-        if not v["delta"] > 0:
-            raise ConfigError("delta", "must be positive")
-        if v["omega"] is None and not v["delta"] < 2:
-            raise ConfigError("delta", "must be below 2 when omega is unset")
-        if v["scale_map"] not in ("stretch", "linear"):
-            raise ConfigError("scale_map", "must be 'stretch' or 'linear'")
         if isinstance(v["x2_samples"], (list, tuple)):
             xs = _typed_list("x2_samples", v["x2_samples"], float)
-            if not xs:
-                raise ConfigError("x2_samples", "list must not be empty")
-            count = len(xs)
-        else:
-            xs = count = _typed("x2_samples", v["x2_samples"], int)
-            if xs < 3:
-                raise ConfigError("x2_samples", "sample count must be an integer >= 3")
-        if count > MAX_X2_SAMPLES:
-            raise ConfigError("x2_samples", f"at most {MAX_X2_SAMPLES} samples")
-        v["x2_samples"] = xs
-        v["aud_subdivision"] = _typed("aud_subdivision", v["aud_subdivision"], int)
-        if not 1 <= v["aud_subdivision"] <= MAX_AUD_SUBDIVISION:
-            raise ConfigError("aud_subdivision",
-                              f"must be an integer from 1 to {MAX_AUD_SUBDIVISION}")
-        for key in ("cg_tol", "fem_tol"):
-            v[key] = _typed(key, v[key], float)
-            if not 0 < v[key] < 1:
-                raise ConfigError(key, "must lie in (0, 1)")
-        v["dump_x2"] = _typed("dump_x2", v["dump_x2"], float)
-        if not v["dump_x2"] > 0:
-            raise ConfigError("dump_x2", "must be positive")
-        v["preview_h"] = _typed("preview_h", v["preview_h"], int)
-        if not 1 <= v["preview_h"] <= MAX_SCALE_INDEX:
-            raise ConfigError("preview_h", f"must be an integer from 1 to {MAX_SCALE_INDEX}")
+            if not 1 <= len(xs) <= MAX_X2_SAMPLES:
+                raise ConfigError("x2_samples", f"a list must hold 1 to {MAX_X2_SAMPLES} values")
+            a2, b2 = v["omega"][2:]
+            outside = [x for x in xs if not a2 < x < b2]
+            if outside:
+                raise ConfigError("x2_samples",
+                                  f"sample {outside[0]} lies outside ({a2}, {b2}) of omega")
+            v["x2_samples"] = xs
 
     # -- derived objects ----------------------------------------------------
 
     def omega(self) -> Rectangle:
-        if self.values["omega"] is not None:
-            a1, b1, a2, b2 = map(float, self.values["omega"])
-        else:
-            d = float(self.values["delta"])
-            a1, b1, a2, b2 = d, 2.0, d, 2.0
-        return Rectangle(a1, b1, a2, b2)
+        return Rectangle(*self.values["omega"])
 
     def coefficient(self):
-        name = self.values["coefficient"]
-        if name == "sine-product":
-            return coefficients.sine_product(float(self.values["amplitude"]))
-        if name == "laminate":
-            return coefficients.laminate(float(self.values["laminate_base"]),
-                                         float(self.values["amplitude"]))
-        return coefficients.identity()
-
-    def map_family(self):
-        if self.values["scale_map"] == "linear":
-            return LinearScaleMap
-        return QuadraticStretchMap
+        return COEFFICIENTS[self.values["coefficient"]](self)
 
     def x2_sample_values(self) -> np.ndarray:
         xs = self.values["x2_samples"]
-        if isinstance(xs, (list, tuple)):
+        if isinstance(xs, list):
             return np.asarray(xs, dtype=float)
-        return default_x2_samples(self.omega(), int(xs))
+        return default_x2_samples(self.omega(), xs)
 
     def is_classical(self) -> bool:
         """Whether every cell is solved with zeta = (1, 1): the classical
         baseline, or the linear scale map, whose scaling is (1, 1)."""
         return self.values["classical"] or self.values["scale_map"] == "linear"
-
-    def job(self) -> HomogenizationJob:
-        """The tensor-field job. ``validate`` has checked every other key
-        the job reads, so a job that cannot be built blames the samples."""
-        coefficient, omega = self.coefficient(), self.omega()
-        try:
-            return HomogenizationJob(
-                coefficient=coefficient,
-                omega=omega,
-                x2_samples=self.x2_sample_values(),
-                cell_resolution=self.values["cell_resolution"],
-                tol=float(self.values["cg_tol"]),
-                classical=self.is_classical(),
-            )
-        except ValueError as exc:
-            raise ConfigError("x2_samples", str(exc))
 
 
 @dataclasses.dataclass
@@ -368,9 +326,16 @@ def write_tensor_csv(field, stream) -> None:
                       zip(field.x2.tolist(), *field.matrices.reshape(-1, 4).T.tolist()))
 
 
+def _tensor_field(cfg: ExperimentConfig, run: RunManifest):
+    """The timed tensor field at the configured samples."""
+    return run.stage("tensor_field", lambda: tensor_field(
+        cfg.coefficient(), cfg.x2_sample_values(), cell_resolution=cfg["cell_resolution"],
+        tol=cfg["cg_tol"], classical=cfg.is_classical()))
+
+
 def cmd_homogenize(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Tensor field over the domain, CSV curves and the isotropy scan."""
-    field = run.stage("tensor_field", lambda: tensor_field(cfg.job()))
+    field = _tensor_field(cfg, run)
     with run.csv("tensor.csv", "x2,b11,b12,b21,b22\n") as f:
         write_tensor_csv(field, f)
     if field.x2.size >= 3:
@@ -412,7 +377,7 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
                                rectangle=cfg.omega())
     except ValueError as exc:
         raise ConfigError("omega", str(exc))
-    field = run.stage("tensor_field", lambda: tensor_field(cfg.job()))
+    field = _tensor_field(cfg, run)
     dirichlet = []
     with run.csv("convergence.csv", "h,l2_error,energy,warn_underresolved\n") as f:
         f.flush()
@@ -423,8 +388,8 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
             f.flush()
 
         run.stage("solves", lambda: convergence_study(
-            cfg.coefficient(), cfg.map_family(), lambda pts: np.ones(pts.shape[0]),
-            grid, cfg["h_list"], field, tol=float(cfg["fem_tol"]), on_row=on_row,
+            cfg.coefficient(), SCALE_MAPS[cfg["scale_map"]], lambda pts: np.ones(pts.shape[0]),
+            grid, cfg["h_list"], field, tol=cfg["fem_tol"], on_row=on_row,
             on_solve=lambda u: dirichlet.append(u.diagnostics())))
     run.solver = {**_solver_record(field), "dirichlet": dirichlet}
 
@@ -432,7 +397,7 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
 def cmd_preview(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Sample the composed coefficient's (1,1) entry on a grid over omega."""
     omega = cfg.omega()
-    scale_map = cfg.map_family()(cfg["preview_h"])
+    scale_map = SCALE_MAPS[cfg["scale_map"]](cfg["preview_h"])
     coeff = cfg.coefficient()
     n = cfg["preview_resolution"]
 
@@ -455,9 +420,9 @@ def cmd_preview(cfg: ExperimentConfig, run: RunManifest) -> None:
 
 def cmd_corrector_dump(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Solve one corrector pair at the configured x2 and dump nodal values."""
-    zeta = (1.0, 1.0) if cfg.is_classical() else (1.0, 2.0 * float(cfg["dump_x2"]))
+    zeta = (1.0, 1.0) if cfg.is_classical() else (1.0, 2.0 * cfg["dump_x2"])
     field = run.stage("solve", lambda: solve_corrector(
-        cfg.coefficient(), zeta, cfg["cell_resolution"], tol=float(cfg["cg_tol"])))
+        cfg.coefficient(), zeta, cfg["cell_resolution"], tol=cfg["cg_tol"]))
     with run.csv("corrector.csv", "y1,y2,z1,z2\n") as f:
         f.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
             *field.grid.node_coords().T.tolist(), field.z1.tolist(), field.z2.tolist()))

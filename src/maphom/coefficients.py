@@ -29,10 +29,9 @@ class PeriodicCoefficient:
         bound: declared finite upper bound r with |A(y) xi| <= r |xi|.
         coercivity: declared lower bound s with xi . A(y) xi >= s |xi|^2.
         symmetric: whether A(y) is symmetric everywhere.
-        description: short label used in metadata and manifests.
     """
 
-    def __init__(self, evaluate, bound, coercivity, symmetric=True, description="custom"):
+    def __init__(self, evaluate, bound, coercivity, symmetric=True):
         if not (coercivity > 0 and np.isfinite(bound)):
             raise ValueError("declared bounds must be finite, the coercivity bound positive")
         if bound < coercivity:
@@ -41,7 +40,6 @@ class PeriodicCoefficient:
         self.bound = float(bound)
         self.coercivity = float(coercivity)
         self.symmetric = bool(symmetric)
-        self.description = str(description)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -98,7 +96,6 @@ def identity() -> PeriodicCoefficient:
         lambda pts: np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy(),
         bound=1.0,
         coercivity=1.0,
-        description="identity",
     )
 
 
@@ -116,18 +113,16 @@ def constant(matrix) -> PeriodicCoefficient:
         lambda pts: np.broadcast_to(m, (pts.shape[0], 2, 2)).copy(),
         bound=eigs[1],
         coercivity=eigs[0],
-        description="constant",
     )
 
 
-def isotropic(scalar_fn, bound, coercivity, description="isotropic") -> PeriodicCoefficient:
+def isotropic(scalar_fn, bound, coercivity) -> PeriodicCoefficient:
     """Scalar multiple of the identity, a(y) * I, from a vectorized scalar
     field on the unit cell."""
     return PeriodicCoefficient(
         lambda pts: _matrix_from_scalar(np.asarray(scalar_fn(pts), dtype=float)),
         bound=bound,
         coercivity=coercivity,
-        description=description,
     )
 
 
@@ -142,8 +137,7 @@ def sine_product(amplitude: float = 0.9) -> PeriodicCoefficient:
     def a(pts):
         return 1.0 + amplitude * np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
 
-    return isotropic(a, bound=1.0 + amplitude, coercivity=1.0 - amplitude,
-                     description=f"sine-product(amplitude={amplitude})")
+    return isotropic(a, bound=1.0 + amplitude, coercivity=1.0 - amplitude)
 
 
 def laminate(base: float = 2.0, amplitude: float = 1.0) -> PeriodicCoefficient:
@@ -158,5 +152,4 @@ def laminate(base: float = 2.0, amplitude: float = 1.0) -> PeriodicCoefficient:
     def a(pts):
         return base + amplitude * np.sin(2 * np.pi * pts[:, 0])
 
-    return isotropic(a, bound=base + amplitude, coercivity=base - amplitude,
-                     description=f"laminate(base={base}, amplitude={amplitude})")
+    return isotropic(a, bound=base + amplitude, coercivity=base - amplitude)

@@ -20,12 +20,9 @@ import math
 import numpy as np
 
 from .cell import CellProblem, CorrectorField
-from .coefficients import PeriodicCoefficient
 from .numerics import Rectangle, UniformCellGrid
-from .structure import _is_integer
 
 __all__ = [
-    "HomogenizationJob",
     "HomogenizedTensor",
     "IsotropyResult",
     "classical_homogenized_matrix",
@@ -85,43 +82,8 @@ def default_x2_samples(omega: Rectangle, count: int = 64) -> np.ndarray:
 
 
 @dataclasses.dataclass
-class HomogenizationJob:
-    """Specification of a tensor-field computation over a domain.
-
-    ``classical`` forces zeta = (1, 1) at every sample (the periodic
-    baseline); otherwise the quadratic stretch scaling (1, 2 x2) is used.
-    ``tol`` is the cells' CG tolerance. The stationary form that
-    :meth:`CellProblem.effective_matrix` reads for a symmetric
-    coefficient is second order in it, so 1e-7 gives the matrices of
-    1e-10 to rounding; the flux form of a non-symmetric one is first
-    order.
-    """
-
-    coefficient: PeriodicCoefficient
-    omega: Rectangle
-    x2_samples: np.ndarray
-    cell_resolution: int = 128
-    tol: float = 1e-7
-    classical: bool = False
-
-    def __post_init__(self):
-        if not (self.omega.a1 > 0 and self.omega.a2 > 0):
-            raise ValueError("domain must lie in the open first quadrant")
-        self.x2_samples = np.asarray(self.x2_samples, dtype=float).ravel()
-        if self.x2_samples.size == 0:
-            raise ValueError("need at least one x2 sample")
-        inside = (self.x2_samples > self.omega.a2) & (self.x2_samples < self.omega.b2)
-        if not np.all(inside):
-            bad = float(self.x2_samples[~inside][0])
-            raise ValueError(f"x2 sample {bad} lies outside ({self.omega.a2}, {self.omega.b2})")
-        if not _is_integer(self.cell_resolution, 1):
-            raise ValueError("cell resolution must be a positive integer")
-        self.cell_resolution = int(self.cell_resolution)
-
-
-@dataclasses.dataclass
 class HomogenizedTensor:
-    """Effective matrices sampled along x2, with job metadata."""
+    """Effective matrices sampled along x2, with solver metadata."""
 
     x2: np.ndarray
     matrices: np.ndarray
@@ -155,8 +117,25 @@ def _extrapolated(history, z2: float) -> tuple[np.ndarray, np.ndarray] | None:
                  for j in range(2))
 
 
-def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
-    """Solve the tensor field over the job's x2 samples.
+def tensor_field(
+    coefficient,
+    x2_samples,
+    *,
+    cell_resolution: int = 128,
+    tol: float = 1e-7,
+    classical: bool = False,
+) -> HomogenizedTensor:
+    """The effective matrices at the samples ``x2_samples``, each finite
+    and positive (others raise ValueError naming the sample), from cell
+    problems on ``cell_resolution``^2 elements.
+
+    ``classical`` forces zeta = (1, 1) at every sample (the periodic
+    baseline); otherwise the quadratic stretch scaling (1, 2 x2) is used.
+    ``tol`` is the cells' CG tolerance. The stationary form that
+    :meth:`CellProblem.effective_matrix` reads for a symmetric
+    coefficient is second order in it, so 1e-7 gives the matrices of
+    1e-10 to rounding; the flux form of a non-symmetric one is first
+    order.
 
     Samples are grouped by their scaling zeta_2 rounded to 12 significant
     digits; each group is solved once and shares bitwise-identical
@@ -169,12 +148,14 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
     for a symmetric coefficient, the flux form otherwise (the metadata's
     ``effective_matrix``).
     """
-    problem = CellProblem(job.coefficient,
-                          UniformCellGrid(job.cell_resolution, periodic=True))
-    if job.classical:
-        zeta2 = np.ones_like(job.x2_samples)
-    else:
-        zeta2 = 2.0 * job.x2_samples
+    x2 = np.array(x2_samples, dtype=float).ravel()
+    if x2.size == 0:
+        raise ValueError("need at least one x2 sample")
+    bad = x2[~(np.isfinite(x2) & (x2 > 0))]
+    if bad.size:
+        raise ValueError(f"x2 sample {float(bad[0])} is not finite and positive")
+    problem = CellProblem(coefficient, UniformCellGrid(cell_resolution, periodic=True))
+    zeta2 = np.ones_like(x2) if classical else 2.0 * x2
     keys = [_round_sig(z) for z in zeta2]
     unique = sorted(set(keys))
 
@@ -184,7 +165,7 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
     sup_norm = 0.0
     history = collections.deque(maxlen=WARM_START_DEPTH)
     for z2 in unique:
-        corr = problem.solve((1.0, z2), tol=job.tol, x0_pair=_extrapolated(history, z2))
+        corr = problem.solve((1.0, z2), tol=tol, x0_pair=_extrapolated(history, z2))
         matrices[z2] = problem.effective_matrix(corr)
         iterations[z2] = corr.iterations
         residuals[z2] = corr.residual
@@ -194,10 +175,6 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
         history.append((z2, (corr.z1, corr.z2)))
 
     metadata = {
-        "coefficient": job.coefficient.description,
-        "cell_resolution": job.cell_resolution,
-        "tol": job.tol,
-        "classical": job.classical,
         "unique_scalings": len(unique),
         "corrector_sup_norm": sup_norm,
         "preconditioner": "spectral",
@@ -205,7 +182,7 @@ def tensor_field(job: HomogenizationJob) -> HomogenizedTensor:
         "cg_iterations": iterations,
         "cg_residuals": residuals,
     }
-    return HomogenizedTensor(x2=job.x2_samples.copy(),
+    return HomogenizedTensor(x2=x2,
                              matrices=np.stack([matrices[k] for k in keys]),
                              metadata=metadata)
 

@@ -268,13 +268,15 @@ class UniformCellGrid:
         entries: Sequence[tuple[int, int]] = ((0, 0), (0, 1), (1, 0), (1, 1)),
     ) -> np.ndarray:
         """CSR data of the stiffness of the entries (i, k) of D, summed in
-        the given order."""
+        the given order. Entries that overflow are left as infinities or
+        NaN for the preconditioner to refuse."""
         columns, corners, _ = self.layout
-        Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
-        # add.at sums in index order like np.bincount, but takes the int32
-        # slots without an intp copy of them
-        data = np.zeros(columns.size + 1)
-        np.add.at(data, nine_point_slots(corners, columns.size), Ke.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
+            # add.at sums in index order like np.bincount, but takes the
+            # int32 slots without an intp copy of them
+            data = np.zeros(columns.size + 1)
+            np.add.at(data, nine_point_slots(corners, columns.size), Ke.ravel())
         return data[:-1]
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:

@@ -17,7 +17,6 @@ import pytest
 from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
 from maphom.finescale import convergence_study
 from maphom.homogenize import (
-    HomogenizationJob,
     classical_homogenized_matrix,
     default_x2_samples,
     homogenized_matrix_at,
@@ -42,20 +41,14 @@ def ones(pts):
 @pytest.fixture(scope="module")
 def stretched_field(sine_coeff):
     """The 64-sample sweep at 128^2 cells, with its wall time."""
-    job = HomogenizationJob(
-        coefficient=sine_coeff, omega=OMEGA,
-        x2_samples=default_x2_samples(OMEGA, 64), cell_resolution=128)
     start = perf_counter()
-    field = tensor_field(job)
+    field = tensor_field(sine_coeff, default_x2_samples(OMEGA, 64), cell_resolution=128)
     return field, perf_counter() - start
 
 
 def test_01_identity_field_is_exact(identity_coeff):
     start = perf_counter()
-    job = HomogenizationJob(
-        coefficient=identity_coeff, omega=OMEGA,
-        x2_samples=default_x2_samples(OMEGA, 64), cell_resolution=32)
-    field = tensor_field(job)
+    field = tensor_field(identity_coeff, default_x2_samples(OMEGA, 64), cell_resolution=32)
     elapsed = perf_counter() - start
     gap = np.abs(field.matrices - np.eye(2)).max()
     sup = field.metadata["corrector_sup_norm"]
@@ -149,10 +142,7 @@ def test_06_subcell_distribution_tightens():
 def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
     start = perf_counter()
 
-    samples = default_x2_samples(WINDOW, 64)
-    job = HomogenizationJob(coefficient=sine_coeff, omega=WINDOW,
-                            x2_samples=samples, cell_resolution=128)
-    tensor = tensor_field(job)
+    tensor = tensor_field(sine_coeff, default_x2_samples(WINDOW, 64), cell_resolution=128)
     mesh = UniformCellGrid(512, periodic=False, rectangle=WINDOW)
     rows = convergence_study(sine_coeff, QuadraticStretchMap, ones, mesh,
                              [1, 2, 4, 8], tensor, tol=1e-8)
@@ -163,10 +153,8 @@ def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
     assert errors[-1] / errors[0] <= 0.5
     assert not any(row.warn_underresolved for row in rows)
 
-    baseline_job = HomogenizationJob(coefficient=laminate_coeff, omega=OMEGA,
-                                     x2_samples=default_x2_samples(OMEGA, 64),
-                                     cell_resolution=128, classical=True)
-    baseline = tensor_field(baseline_job)
+    baseline = tensor_field(laminate_coeff, default_x2_samples(OMEGA, 64),
+                            cell_resolution=128, classical=True)
     mesh_b = UniformCellGrid(256, periodic=False, rectangle=OMEGA)
     rows_b = convergence_study(laminate_coeff, LinearScaleMap, ones, mesh_b,
                                [1, 2, 4, 8], baseline, tol=1e-8)

@@ -24,7 +24,6 @@ from maphom.finescale import (
     l2_error,
 )
 from maphom.homogenize import (
-    HomogenizationJob,
     classical_homogenized_matrix,
     homogenized_matrix_at,
     tensor_field,
@@ -56,8 +55,7 @@ def skew_values(pts):
 
 
 def skew_coefficient() -> PeriodicCoefficient:
-    return PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2,
-                               symmetric=False, description="skew")
+    return PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2, symmetric=False)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +373,8 @@ def test_the_stationary_form_is_second_order_in_the_corrector_error(sine_coeff, 
 @pytest.mark.parametrize("name, form", [("sine", "stationary"), ("skew", "flux")])
 def test_a_sweep_records_the_form_of_b(sine_coeff, name, form):
     coeff = sine_coeff if name == "sine" else skew_coefficient()
-    job = HomogenizationJob(coeff, Rectangle(0.05, 2.0, 0.05, 2.0), [0.3, 0.5, 0.7],
-                            cell_resolution=16)
-    assert tensor_field(job).metadata["effective_matrix"] == form
+    field = tensor_field(coeff, [0.3, 0.5, 0.7], cell_resolution=16)
+    assert field.metadata["effective_matrix"] == form
 
 
 def test_effective_matrix_needs_the_problem_grid(sine_coeff):

@@ -14,15 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from maphom import cli
+from maphom import cli, coefficients
 from maphom.cell import CellProblem, solve_corrector
-from maphom.cli import DEFAULTS, ExperimentConfig, ConfigError, main
+from maphom.cli import KEYS, ExperimentConfig, ConfigError, main
 from maphom.finescale import ConvergenceRow, DirichletProblem, convergence_study
 from maphom.homogenize import tensor_field
 from maphom.numerics import Rectangle, SolverError, UniformCellGrid
-from maphom.structure import aud_verify
+from maphom.structure import LinearScaleMap, QuadraticStretchMap, aud_verify
 
 
 def run(tmp_path, *argv):
@@ -59,8 +59,6 @@ def test_defaults_validate():
 @pytest.mark.parametrize("override,key", [
     ("cell_resolution=100", "cell_resolution"),     # not a power of two
     ("cell_resolution=8", "cell_resolution"),       # below the floor
-    ("delta=0", "delta"),
-    ("delta=-0.1", "delta"),
     ("coefficient=checkerboard", "coefficient"),
     ("h_list=[4,2]", "h_list"),
     ("h_list=[]", "h_list"),
@@ -70,6 +68,7 @@ def test_defaults_validate():
     ("scale_map=moebius", "scale_map"),
     ("x2_samples=2", "x2_samples"),
     ("x2_samples=4097", "x2_samples"),
+    ("x2_samples=[5.0]", "x2_samples"),            # outside (a2, b2) of omega
     pytest.param("x2_samples=" + json.dumps([0.5] * 4097), "x2_samples",
                  id="x2_samples=list of 4097-x2_samples"),
     ("aud_subdivision=65", "aud_subdivision"),
@@ -84,6 +83,20 @@ def test_bad_values_are_rejected_with_the_offending_key(override, key):
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.load(None, [override])
     assert info.value.key == key
+
+
+def test_the_readme_table_lists_every_key_with_its_default():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        rows.append((key, json.loads(default)))
+    assert rows == [(key, row.default) for key, row in KEYS.items()]
+    assert [type(default) for _, default in rows] == [type(row.default)
+                                                      for row in KEYS.values()]
 
 
 def test_caps_are_inclusive():
@@ -130,10 +143,10 @@ _WRONG = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=5),
 
 
 @settings(max_examples=400)
-@given(key=st.sampled_from(sorted(DEFAULTS)), value=_WRONG)
+@given(key=st.sampled_from(sorted(KEYS)), value=_WRONG)
 def test_any_value_passes_or_names_its_key(key, value):
     """Validation never fails with anything but a ConfigError for the key."""
-    values = copy.deepcopy(DEFAULTS)
+    values = {k: copy.deepcopy(row.default) for k, row in KEYS.items()}
     values[key] = value
     try:
         ExperimentConfig(values).validate()
@@ -174,6 +187,41 @@ def test_sample_outside_the_domain_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "--override", "x2_samples=[5.0]", "homogenize")
     assert code == 2
     assert "x2_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["aud", "preview"])
+def test_aud_and_preview_refuse_samples_outside_omega(tmp_path, capsys, command):
+    """The samples are checked against omega as the config is loaded, so
+    commands that never read them refuse them too."""
+    code, out = run(tmp_path, "--override", "omega=[0.5,1,0.5,1]",
+                    "--override", "x2_samples=[0.75,1.0]", command)
+    assert code == 2
+    assert "'x2_samples'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["override", "config file"])
+def test_delta_is_an_unknown_key(tmp_path, capsys, source):
+    """omega is the one domain key."""
+    if source == "override":
+        code, _ = run(tmp_path, "--override", "delta=0.1", "aud")
+    else:
+        code, _ = run(tmp_path, "--config", write_config(tmp_path, delta=0.1), "aud")
+    assert code == 2
+    assert "config key 'delta': unknown key" in capsys.readouterr().err
+
+
+def test_each_named_coefficient_and_scale_map_is_what_the_name_builds():
+    cfg = ExperimentConfig.load(None, ["laminate_base=3", "amplitude=0.5"])
+    pts = np.array([[0.25, 0.25], [0.5, 0.75]])
+    expected = {"sine-product": coefficients.sine_product(0.5),
+                "laminate": coefficients.laminate(3.0, 0.5),
+                "identity": coefficients.identity()}
+    assert list(cli.COEFFICIENTS) == list(expected)
+    for name, coefficient in expected.items():
+        built = cli.COEFFICIENTS[name](cfg)
+        assert np.array_equal(built(pts), coefficient(pts))
+    assert cli.SCALE_MAPS == {"stretch": QuadraticStretchMap, "linear": LinearScaleMap}
 
 
 def test_unreachable_tolerance_exits_3(tmp_path, capsys):
@@ -233,6 +281,21 @@ def test_preview_refuses_a_domain_the_map_overflows_on(tmp_path, capsys):
     assert "'omega'" in err and "overflows" in err
     assert "RuntimeWarning" not in err
     assert not (out / "preview.csv").exists()
+
+
+def test_an_overflowing_dirichlet_stiffness_exits_3(tmp_path, capsys):
+    """The laminate's 1e300 times the element tables' hy / hx of about
+    2e300 overflows as the Dirichlet stiffness is assembled; the
+    preconditioner refuses the infinite diagonal, with no RuntimeWarning."""
+    code, _ = run(tmp_path, "--override", "coefficient=laminate",
+                  "--override", "laminate_base=1e300", "--override", "omega=[0.5,1,0.5,1e300]",
+                  "--override", "classical=true", "--override", "domain_resolution=16",
+                  "--override", "cell_resolution=16", "--override", "x2_samples=3",
+                  "convergence")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "preconditioner input is not finite: diagonal" in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("omega", ["[1e-300,1e-299,1e-300,1e-299]",
@@ -479,8 +542,8 @@ def test_corrector_csv_layout(tmp_path):
 
 
 def test_tensor_csv_is_deterministic():
-    field = tensor_field(ExperimentConfig.load(None, [
-        "cell_resolution=32", "x2_samples=[0.25,0.5,0.75]"]).job())
+    field = tensor_field(ExperimentConfig.load(None).coefficient(), [0.25, 0.5, 0.75],
+                         cell_resolution=32)
     first, second = io.StringIO(), io.StringIO()
     cli.write_tensor_csv(field, first)
     cli.write_tensor_csv(field, second)
@@ -553,17 +616,6 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["aud", "preview", "homogenize", "convergence"])
-def test_delta_without_room_below_2_exits_2_naming_delta(tmp_path, capsys, command):
-    """With omega unset the domain is [delta, 2]^2, so delta >= 2 leaves none."""
-    code, _ = run(tmp_path, "--override", "delta=2.5", command)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'delta'" in err and "x2_samples" not in err
-    assert "Traceback" not in err
-    assert ExperimentConfig.load(None, ["delta=2.5", "omega=[0.5,1,0.5,1]"])["delta"] == 2.5
-
-
 _SMALL_OMEGA = st.builds(lambda a1, w1, a2, w2: [a1, a1 + w1, a2, a2 + w2],
                          st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.25, 1.0]),
                          st.sampled_from([0.05, 0.5, 1.0]), st.sampled_from([0.25, 1.0]))
@@ -573,8 +625,7 @@ _VALID = {
     "coefficient": st.sampled_from(["sine-product", "laminate", "identity"]),
     "amplitude": st.sampled_from([0.0, 0.5, 0.99]),
     "laminate_base": st.sampled_from([1.5, 1e300]),
-    "delta": st.sampled_from([0.05, 1.5, 1.99]),
-    "omega": st.one_of(st.none(), _SMALL_OMEGA,
+    "omega": st.one_of(_SMALL_OMEGA,
                        st.sampled_from([[0.5, 1.0, 0.5, 1e300],
                                         [1e-300, 1e-299, 1e-300, 1e-299]])),
     "scale_map": st.sampled_from(["stretch", "linear"]),
@@ -592,7 +643,6 @@ _VALID = {
 _REJECTED = {
     "coefficient": st.just("checkerboard"),
     "amplitude": st.sampled_from([1.0, -0.1, "x"]),
-    "delta": st.sampled_from([2.0, 3.0, 0.0]),
     "omega": st.lists(st.floats(-1.0, 3.0), min_size=3, max_size=5),
     "scale_map": st.just("moebius"),
     "cell_resolution": st.sampled_from([8, 24, 2048]),
@@ -613,7 +663,15 @@ _SMALL_SIZES = {"cell_resolution": 16, "domain_resolution": 16,
                 "aud_h_list": [1, 4]}
 
 
+# a Dirichlet stiffness that overflows: the element tables scale as
+# hy / hx, about 2e300, and the coefficient is 1e300
+_OVERFLOWING_STIFFNESS = {"coefficient": "laminate", "laminate_base": 1e300,
+                          "omega": [0.5, 1.0, 0.5, 1e300], "classical": True}
+
+
 @settings(max_examples=400)
+@example(command="convergence", overrides=_OVERFLOWING_STIFFNESS, rejected=None,
+         data=None, preview_h=None)
 @given(command=st.sampled_from(["homogenize", "aud", "convergence", "preview",
                                 "corrector-dump"]),
        overrides=st.fixed_dictionaries({}, optional=_VALID),

@@ -17,7 +17,6 @@ from maphom.finescale import (
     tensor_evaluator,
 )
 from maphom.homogenize import (
-    HomogenizationJob,
     HomogenizedTensor,
     default_x2_samples,
     tensor_field,
@@ -328,10 +327,7 @@ def test_tensor_evaluator_interpolates_and_clamps():
 
 def test_identity_study_reports_zero_error(identity_coeff):
     grid = clamped(32, 32)
-    job = HomogenizationJob(coefficient=identity_coeff, omega=OMEGA,
-                            x2_samples=default_x2_samples(OMEGA, 4),
-                            cell_resolution=16)
-    tensor = tensor_field(job)
+    tensor = tensor_field(identity_coeff, default_x2_samples(OMEGA, 4), cell_resolution=16)
     rows = convergence_study(identity_coeff, QuadraticStretchMap, ones, grid,
                              [1, 2], tensor)
     assert [row.h for row in rows] == [1, 2]
@@ -342,10 +338,7 @@ def test_identity_study_reports_zero_error(identity_coeff):
 
 def test_study_flux_gap_narrows_with_scale(sine_coeff):
     """Weighted fluxes of the fine solves approach the effective flux."""
-    samples = default_x2_samples(OMEGA, 16)
-    job = HomogenizationJob(coefficient=sine_coeff, omega=OMEGA,
-                            x2_samples=samples, cell_resolution=64)
-    tensor = tensor_field(job)
+    tensor = tensor_field(sine_coeff, default_x2_samples(OMEGA, 16), cell_resolution=64)
     problem = DirichletProblem(clamped(256, 256), ones)
     reference = problem.homogenized(tensor, tol=1e-8)
     b_eval = tensor_evaluator(tensor)
@@ -399,10 +392,8 @@ def test_study_refuses_a_scale_that_is_not_a_positive_integer(identity_coeff, h)
 
 def test_study_callback_sees_each_row(laminate_coeff):
     grid = clamped(32, 32)
-    job = HomogenizationJob(coefficient=laminate_coeff, omega=OMEGA,
-                            x2_samples=default_x2_samples(OMEGA, 4),
-                            cell_resolution=16, classical=True)
-    tensor = tensor_field(job)
+    tensor = tensor_field(laminate_coeff, default_x2_samples(OMEGA, 4),
+                          cell_resolution=16, classical=True)
     seen = []
     rows = convergence_study(laminate_coeff, LinearScaleMap, ones, grid,
                              [1, 2], tensor, on_row=seen.append)

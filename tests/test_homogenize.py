@@ -9,7 +9,6 @@ import pytest
 from maphom import coefficients
 from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
 from maphom.homogenize import (
-    HomogenizationJob,
     HomogenizedTensor,
     classical_homogenized_matrix,
     default_x2_samples,
@@ -22,11 +21,10 @@ from maphom.numerics import Rectangle, UniformCellGrid
 OMEGA = Rectangle(0.05, 2.0, 0.05, 2.0)
 
 
-def small_job(coeff, **kw):
-    kw.setdefault("omega", OMEGA)
-    kw.setdefault("x2_samples", default_x2_samples(OMEGA, 16))
-    kw.setdefault("cell_resolution", 64)
-    return HomogenizationJob(coefficient=coeff, **kw)
+def small_field(coeff, x2_samples=None, cell_resolution=64, **kw):
+    if x2_samples is None:
+        x2_samples = default_x2_samples(OMEGA, 16)
+    return tensor_field(coeff, x2_samples, cell_resolution=cell_resolution, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +137,13 @@ def test_rescaled_route_agrees_at_the_square_cell(sine_coeff):
 def test_field_depends_on_x2_only(sine_coeff):
     """Two macroscopic points with equal x2 share one bitwise matrix."""
     samples = np.array([0.4, 0.7, 0.4 + 4e-14])
-    job = small_job(sine_coeff, x2_samples=samples, cell_resolution=32)
-    field = tensor_field(job)
+    field = small_field(sine_coeff, samples, cell_resolution=32)
     npt.assert_array_equal(field.matrices[0], field.matrices[2])
     assert field.metadata["unique_scalings"] == 2
 
 
 def test_classical_flag_reduces_every_sample_to_one_solve(laminate_coeff):
-    job = small_job(laminate_coeff, x2_samples=np.array([0.3, 0.9, 1.5]),
-                    classical=True, cell_resolution=64)
-    field = tensor_field(job)
+    field = small_field(laminate_coeff, np.array([0.3, 0.9, 1.5]), classical=True)
     assert field.metadata["unique_scalings"] == 1
     npt.assert_array_equal(field.matrices[0], field.matrices[1])
     npt.assert_array_equal(field.matrices[0], field.matrices[2])
@@ -157,8 +152,7 @@ def test_classical_flag_reduces_every_sample_to_one_solve(laminate_coeff):
 
 
 def test_field_crosses_isotropy_midway(sine_coeff):
-    job = small_job(sine_coeff)
-    field = tensor_field(job)
+    field = small_field(sine_coeff)
     gap = field.entry(0, 0) - field.entry(1, 1)
     below = gap[field.x2 < 0.45]
     above = gap[field.x2 > 0.55]
@@ -178,8 +172,7 @@ def test_sweep_evaluates_the_coefficient_once(sine_coeff):
 
     coeff = coefficients.PeriodicCoefficient(counted, sine_coeff.bound,
                                              sine_coeff.coercivity)
-    field = tensor_field(small_job(coeff, x2_samples=default_x2_samples(OMEGA, 5),
-                                   cell_resolution=16))
+    field = small_field(coeff, default_x2_samples(OMEGA, 5), cell_resolution=16)
     assert field.metadata["unique_scalings"] == 5
     assert calls == [16 * 16 * 4]
 
@@ -190,9 +183,8 @@ def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
     The closer one replaces its neighbour in the history, so the sweep
     takes 35 at 128^2 cells, one fewer than starting from the previous
     pair alone."""
-    job = small_job(sine_coeff, cell_resolution=128,
-                    x2_samples=np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]))
-    field = tensor_field(job)
+    field = small_field(sine_coeff, np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]),
+                        cell_resolution=128)
     assert field.metadata["unique_scalings"] == 5
     iterations = field.metadata["cg_iterations"]
     assert sum(sum(its) for its in iterations.values()) <= 36
@@ -200,29 +192,39 @@ def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
 
 
 def test_repeated_sweeps_are_bytewise_identical(sine_coeff):
-    job = small_job(sine_coeff, x2_samples=default_x2_samples(OMEGA, 6),
-                    cell_resolution=32)
-    first, second = tensor_field(job), tensor_field(job)
+    samples = default_x2_samples(OMEGA, 6)
+    first = small_field(sine_coeff, samples, cell_resolution=32)
+    second = small_field(sine_coeff, samples, cell_resolution=32)
     assert first.matrices.tobytes() == second.matrices.tobytes()
 
 
 def test_job_validation_names_the_offending_sample(sine_coeff):
-    with pytest.raises(ValueError, match="2.5"):
-        small_job(sine_coeff, x2_samples=np.array([0.5, 2.5]))
-    with pytest.raises(ValueError):
-        small_job(sine_coeff, x2_samples=np.array([]))
+    """tensor_field refuses an empty sample list, and names the first
+    sample that is not finite and positive."""
+    for samples, message in (([], "at least one x2 sample"),
+                             ([0.5, float("nan")], "x2 sample nan "),
+                             ([0.5, -1.0], r"x2 sample -1\.0 "),
+                             ([0.5, float("inf")], "x2 sample inf ")):
+        with pytest.raises(ValueError, match=message):
+            tensor_field(sine_coeff, samples, cell_resolution=16)
 
 
-@pytest.mark.parametrize("bad", [16.5, 0, float("inf"), float("nan")])
-def test_job_refuses_a_resolution_that_is_not_a_positive_integer(sine_coeff, bad):
-    with pytest.raises(ValueError, match="cell resolution"):
-        small_job(sine_coeff, cell_resolution=bad)
+@pytest.mark.parametrize("bad, error", [
+    pytest.param(16.5, TypeError, id="16.5"), pytest.param(16.0, TypeError, id="16.0"),
+    pytest.param(0, ValueError, id="0"), pytest.param(float("inf"), TypeError, id="inf"),
+    pytest.param(float("nan"), TypeError, id="nan"),
+])
+def test_job_refuses_a_resolution_that_is_not_a_positive_integer(sine_coeff, bad, error):
+    """tensor_field leaves the check to its grid: a float, even 16.0, is no
+    element count, though the CLI reads cell_resolution=16.0 as 16."""
+    with pytest.raises(error):
+        tensor_field(sine_coeff, [0.5], cell_resolution=bad)
 
 
 def test_job_takes_integral_resolutions_as_ints(sine_coeff):
-    for good in (16.0, np.int64(16)):
-        job = small_job(sine_coeff, cell_resolution=good)
-        assert type(job.cell_resolution) is int and job.cell_resolution == 16
+    field = tensor_field(sine_coeff, [0.5], cell_resolution=np.int64(16))
+    npt.assert_array_equal(field.matrices,
+                           tensor_field(sine_coeff, [0.5], cell_resolution=16).matrices)
 
 
 def test_default_samples_stay_strictly_inside():
