@@ -127,11 +127,14 @@ class CellProblem:
                          for k in range(2)] for i in range(2)]
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
-        """The stiffness matrix and both loads at ``zeta``."""
+        """The stiffness matrix and both loads at ``zeta``. Entries that
+        overflow are left as infinities or NaN for the preconditioner to
+        refuse."""
         z1, z2 = _scaling(zeta)
         d11, d12, d22 = self._stiffness
-        K = self.grid.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
-        loads = [z1 * self._loads[0][j] + z2 * self._loads[1][j] for j in range(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = self.grid.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
+            loads = [z1 * self._loads[0][j] + z2 * self._loads[1][j] for j in range(2)]
         return SparseSystem(K, singular=True), loads
 
     def solve(
@@ -143,15 +146,23 @@ class CellProblem:
         """Both correctors at ``zeta`` by spectrally preconditioned CG.
 
         ``x0_pair`` optionally warm starts the two solves. The solutions
-        are made zero-mean once more after the solve. A scaled mean
-        ``zeta_i^2 <a_ii>`` that underflows to 0 raises ``SolverError``.
+        are made zero-mean once more after the solve. A scaling or a scaled
+        mean ``zeta_i^2 <a_ii>`` that is not finite or underflows to 0
+        raises ``SolverError`` before the system is formed.
         """
         z1, z2 = _scaling(zeta)
-        system, loads = self.system(zeta)
-        k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
+        # a scaling that is not finite makes its mean so too
+        bad = [f"{name} = {value}" for name, value in (("k1", k1), ("k2", k2))
+               if not np.isfinite(value)]
+        if bad:
+            raise SolverError("preconditioner input is not finite: " + ", ".join(bad)
+                              + f" at zeta = {(z1, z2)}", 0, float("nan"))
         if k1 == 0.0 or k2 == 0.0:
             raise SolverError(f"preconditioner input underflows to 0 at zeta = {(z1, z2)}: "
                               f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
+        system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
         results = [cg_solve(system, loads[j], precondition, tol=tol,
                             x0=None if x0_pair is None else x0_pair[j])

@@ -9,6 +9,7 @@ values, stored on the full node set with exact zeros on the boundary.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Callable, Sequence
 
@@ -44,7 +45,9 @@ class SolutionField:
     ``source_work`` the load functional int f u; the two agree to solver
     accuracy by the Galerkin identity. ``assemble_s`` is the wall time
     from the coefficient evaluation to the built preconditioner and
-    ``solve_s`` that of the CG solve.
+    ``solve_s`` that of the CG solve. ``preconditioner`` is ``"scaled"``
+    or ``"unscaled"``, as :class:`DirichletProblem` chose it from the
+    ``periods`` across the domain and the coefficient's ``contrast``.
     """
 
     values: np.ndarray
@@ -57,6 +60,9 @@ class SolutionField:
     source_work: float
     assemble_s: float = 0.0
     solve_s: float = 0.0
+    preconditioner: str = "scaled"
+    periods: float = 0.0
+    contrast: float = 1.0
 
     @property
     def energy_gap(self) -> float:
@@ -66,10 +72,12 @@ class SolutionField:
         return gap / abs(self.source_work) if self.source_work else gap
 
     def diagnostics(self) -> dict:
-        """The solve's label, under-resolution flag, CG iterations, final
+        """The solve's label, under-resolution flag, preconditioner and the
+        periods and contrast it was chosen from, CG iterations, final
         residual, energy gap and its assembly and solve times."""
         return {"label": self.label, "warn_underresolved": self.warn_underresolved,
-                "iterations": self.iterations,
+                "preconditioner": self.preconditioner, "periods": self.periods,
+                "contrast": self.contrast, "iterations": self.iterations,
                 "residual": self.residual, "energy_gap": self.energy_gap,
                 "assemble_s": round(self.assemble_s, 6),
                 "solve_s": round(self.solve_s, 6)}
@@ -84,7 +92,17 @@ class DirichletProblem:
     A solve then evaluates its coefficient once at the grid's quadrature
     points, assembles the interior stiffness and solves it by conjugate
     gradients with the DST-I spectral preconditioner of the mean diagonal
-    coefficient, scaled by the system's diagonal.
+    coefficient.
+
+    The preconditioner keeps the nodal scale by the system's diagonal iff
+    ``P ln c <= 4 sqrt(c)``. ``P`` is the number of coefficient periods
+    across the domain, the longer side of the image of its corners under
+    the scale map (0 for the homogenized solve), and ``c`` the contrast,
+    the larger of max / min of D11 and of D22 at the quadrature points.
+    With the scale, the condition number grows like ``(P ln c)^2`` as its
+    log-gradient varies across the periods; without it, it is bounded by
+    ``c``. A constant coefficient (``c = 1``) and a single period keep
+    the scale.
     """
 
     def __init__(self, grid: UniformCellGrid, f):
@@ -117,25 +135,37 @@ class DirichletProblem:
         omega = self.grid.rectangle
         need1, need2 = scale_map.required_mesh_density(omega)
         warn = self.grid.nx / omega.width < need1 or self.grid.ny / omega.height < need2
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = scale_map(np.array([[omega.a1, omega.a2], [omega.b1, omega.b2]]))
+            periods = float(np.max(high - low))
         return self._solve(lambda pts: coefficient(scale_map(pts)), tol,
-                           f"oscillatory h={scale_map.h}", warn)
+                           f"oscillatory h={scale_map.h}", warn, periods)
 
     def homogenized(self, field: HomogenizedTensor, tol: float = 1e-8) -> SolutionField:
         """Solve -div(B(x) grad u) = f for the sampled effective tensor."""
-        return self._solve(tensor_evaluator(field), tol, "homogenized", False)
+        return self._solve(tensor_evaluator(field), tol, "homogenized", False, 0.0)
 
-    def stiffness(self, coefficient) -> tuple[sp.spmatrix, tuple[float, float]]:
-        """The interior stiffness matrix of a coefficient, and the
-        quadrature means of its D11 and D22."""
+    def stiffness(self, coefficient) -> tuple[sp.spmatrix, tuple[float, float], float]:
+        """The interior stiffness matrix of a coefficient, the quadrature
+        means of its D11 and D22, and its contrast: the larger of max / min
+        of D11 and of D22 at the points, infinite where a minimum is not
+        positive."""
         D = self.grid.coefficient(coefficient)
         mean = self.grid.mean(D)
         K = self.grid.matrix(self.grid.stiffness_data(D))
-        return K, (float(mean[0, 0]), float(mean[1, 1]))
+        extremes = [(float(d.max()), float(d.min())) for d in (D[..., 0, 0], D[..., 1, 1])]
+        contrast = max(hi / lo if lo > 0 else math.inf for hi, lo in extremes)
+        return K, (float(mean[0, 0]), float(mean[1, 1])), contrast
 
-    def _solve(self, coeff_eval, tol: float, label: str, warn: bool) -> SolutionField:
+    def _solve(self, coeff_eval, tol: float, label: str, warn: bool,
+               periods: float) -> SolutionField:
         start = time.perf_counter()
-        K, (k1, k2) = self.stiffness(coeff_eval)
-        precondition = spectral_preconditioner(self.grid, k1, k2, K.diagonal())
+        K, (k1, k2), contrast = self.stiffness(coeff_eval)
+        # NaN, from a domain the map overflows on or 0 periods times an
+        # infinite contrast, keeps the scale
+        scaled = not periods * math.log(contrast) > 4.0 * math.sqrt(contrast)
+        precondition = spectral_preconditioner(self.grid, k1, k2,
+                                               K.diagonal() if scaled else None)
         assembled = time.perf_counter()
         res = cg_solve(SparseSystem(K), self.load, precondition, tol=tol)
         solved = time.perf_counter()
@@ -145,7 +175,9 @@ class DirichletProblem:
                              warn_underresolved=warn, iterations=res.iterations,
                              residual=res.residual, energy=inner(res.x, K @ res.x),
                              source_work=inner(self.load, res.x),
-                             assemble_s=assembled - start, solve_s=solved - assembled)
+                             assemble_s=assembled - start, solve_s=solved - assembled,
+                             preconditioner="scaled" if scaled else "unscaled",
+                             periods=periods, contrast=contrast)
 
 
 def tensor_evaluator(field: HomogenizedTensor) -> Callable[[np.ndarray], np.ndarray]:

@@ -155,7 +155,10 @@ def tensor_field(
     if bad.size:
         raise ValueError(f"x2 sample {float(bad[0])} is not finite and positive")
     problem = CellProblem(coefficient, UniformCellGrid(cell_resolution, periodic=True))
-    zeta2 = np.ones_like(x2) if classical else 2.0 * x2
+    # a sample above half the float range scales to inf, which the solve
+    # refuses naming zeta
+    with np.errstate(over="ignore"):
+        zeta2 = np.ones_like(x2) if classical else 2.0 * x2
     keys = [_round_sig(z) for z in zeta2]
     unique = sorted(set(keys))
 

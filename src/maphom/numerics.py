@@ -343,7 +343,7 @@ def spectral_preconditioner(
     grid: UniformCellGrid,
     k1: float,
     k2: float,
-    diagonal: np.ndarray,
+    diagonal: np.ndarray | None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Diagonally scaled inverse of a constant-coefficient Q1 operator.
 
@@ -357,7 +357,10 @@ def spectral_preconditioner(
     ``t = k pi / n``. The nodal scale ``s = sqrt(diag(K0) / diagonal)``,
     with ``diagonal`` that of the system matrix K, gives ``s K s`` the
     diagonal of ``K0``; this keeps the iteration count low at high
-    coefficient contrast.
+    coefficient contrast while each period of the coefficient spans many
+    elements. ``diagonal=None`` takes ``s = 1`` exactly, with no multiply:
+    the plain inverse ``K0^-1``, whose condition number on K is bounded by
+    the coefficient's contrast however fast it oscillates.
 
     The preconditioner keeps the inverse symbol and the nodal scale; on
     Dirichlet grids also one odd-extension and one spectrum buffer per
@@ -378,17 +381,18 @@ def spectral_preconditioner(
         shape = (ny - 1, nx - 1)
         tx = np.pi * np.arange(1, nx) / nx
         ty = np.pi * np.arange(1, ny) / ny
-    diagonal = np.asarray(diagonal, dtype=float).ravel()
-    if diagonal.size != shape[0] * shape[1]:
-        raise ValueError("matrix diagonal does not match the grid's unknowns")
     bad = [f"{name} = {value}" for name, value in (("k1", k1), ("k2", k2))
            if not np.isfinite(value)]
-    bad += [f"diagonal[{p}] = {diagonal[p]}"
-            for p in np.flatnonzero(~np.isfinite(diagonal))[:1]]
+    if diagonal is not None:
+        diagonal = np.asarray(diagonal, dtype=float).ravel()
+        if diagonal.size != shape[0] * shape[1]:
+            raise ValueError("matrix diagonal does not match the grid's unknowns")
+        bad += [f"diagonal[{p}] = {diagonal[p]}"
+                for p in np.flatnonzero(~np.isfinite(diagonal))[:1]]
     if bad:
         raise SolverError("preconditioner input is not finite: " + ", ".join(bad),
                           0, float("nan"))
-    if not (k1 > 0 and k2 > 0 and np.all(diagonal > 0)):
+    if not (k1 > 0 and k2 > 0 and (diagonal is None or np.all(diagonal > 0))):
         raise ValueError("preconditioner needs positive coefficient means and diagonal")
 
     def stiff(t, h):
@@ -403,13 +407,14 @@ def spectral_preconditioner(
     positive = symbol > 0.0
     inverse[positive] = 1.0 / symbol[positive]
     # diag(K0) combines the centre weights 2/h of S and 4h/6 of M
-    scale = np.sqrt(4.0 / 3.0 * (k1 * hy / hx + k2 * hx / hy) / diagonal)
+    scale = (None if diagonal is None else
+             np.sqrt(4.0 / 3.0 * (k1 * hy / hx + k2 * hx / hy) / diagonal).reshape(shape))
 
     if grid.periodic:
         def apply(r: np.ndarray) -> np.ndarray:
-            u = (scale * r).reshape(shape)
+            u = r.reshape(shape) if scale is None else scale * r.reshape(shape)
             u = np.fft.irfft2(np.fft.rfft2(u) * inverse, s=shape)
-            return scale * u.ravel()
+            return (u if scale is None else scale * u).ravel()
 
         return apply
 
@@ -421,7 +426,6 @@ def spectral_preconditioner(
     # inverse symbol divides that out.
     my, mx = shape
     inverse_t = (inverse / (4.0 * nx * ny)).T.copy()
-    scale = scale.reshape(shape)
     ext_x, spec_x = np.zeros((my, 2 * mx + 2)), np.empty((my, mx + 2), dtype=complex)
     ext_y, spec_y = np.zeros((mx, 2 * my + 2)), np.empty((mx, my + 2), dtype=complex)
 
@@ -432,11 +436,16 @@ def spectral_preconditioner(
         return spec.imag[:, 1:n + 1]
 
     def apply(r: np.ndarray) -> np.ndarray:
-        np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
+        if scale is None:
+            np.copyto(ext_x[:, 1:mx + 1], r.reshape(shape))
+        else:
+            np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
         np.copyto(ext_y[:, 1:my + 1], sine_pass(ext_x, spec_x).T)
         np.multiply(sine_pass(ext_y, spec_y), inverse_t, out=ext_y[:, 1:my + 1])
         np.copyto(ext_x[:, 1:mx + 1], sine_pass(ext_y, spec_y).T)
-        return (scale * sine_pass(ext_x, spec_x)).ravel()
+        u = sine_pass(ext_x, spec_x)
+        # the pass is a view of the reused spectrum buffer: copy it out
+        return u.flatten() if scale is None else (scale * u).ravel()
 
     return apply
 

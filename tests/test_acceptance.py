@@ -144,14 +144,20 @@ def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
 
     tensor = tensor_field(sine_coeff, default_x2_samples(WINDOW, 64), cell_resolution=128)
     mesh = UniformCellGrid(512, periodic=False, rectangle=WINDOW)
+    solves = []
     rows = convergence_study(sine_coeff, QuadraticStretchMap, ones, mesh,
-                             [1, 2, 4, 8], tensor, tol=1e-8)
+                             [1, 2, 4, 8], tensor, tol=1e-8, on_solve=solves.append)
     errors = [row.l2_error for row in rows]
+    iterations = [u.iterations for u in solves]
     print("stretched-map errors:",
-          ", ".join(f"h={row.h}: {row.l2_error:.6e}" for row in rows))
+          ", ".join(f"h={row.h}: {row.l2_error:.6e}" for row in rows),
+          "iterations:", iterations)
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] / errors[0] <= 0.5
     assert not any(row.warn_underresolved for row in rows)
+    # the reference, then h = 1, 2, 4, 8: larger h may not cost more than
+    # twice the h = 2 solve
+    assert max(iterations[1:]) <= 2 * iterations[2]
 
     baseline = tensor_field(laminate_coeff, default_x2_samples(OMEGA, 64),
                             cell_resolution=128, classical=True)

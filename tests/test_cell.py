@@ -140,11 +140,11 @@ def test_a_bare_callable_assembles_like_its_periodic_wrapper():
         npt.assert_array_equal(f, g)
     problem = DirichletProblem(dirichlet_grid(7, 4, Rectangle(0.5, 1.5, 0.25, 2.0)),
                                lambda pts: np.ones(pts.shape[0]))
-    (K_bare, means_bare), (K_wrapped, means_wrapped) = (
+    (K_bare, *rest_bare), (K_wrapped, *rest_wrapped) = (
         problem.stiffness(skew_values), problem.stiffness(wrapped))
     npt.assert_array_equal(K_bare.data, K_wrapped.data)
     npt.assert_array_equal(K_bare.indices, K_wrapped.indices)
-    assert means_bare == means_wrapped
+    assert rest_bare == rest_wrapped
 
 
 def _non_finite(pts):

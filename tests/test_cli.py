@@ -271,6 +271,24 @@ def test_a_scaling_whose_mean_underflows_exits_3(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--override", "omega=[0.5,1,1e308,1.7e308]", "homogenize"],
+     "not finite: k2 = inf at zeta = (1.0, inf)"),
+    (["--override", "dump_x2=6e153", "corrector-dump"], "not finite: diagonal["),
+], ids=["zeta2-overflows", "stiffness-overflows"])
+def test_a_scaling_that_overflows_exits_3(tmp_path, capsys, argv, named):
+    """2 x2 overflows above 0.9e308, and zeta2^2 times the stiffness
+    above about 1e154: the solve refuses the infinite scaling before it
+    forms the system, or the infinite diagonal after, with no
+    RuntimeWarning."""
+    code, _ = run(tmp_path, "--override", "cell_resolution=16",
+                  "--override", "x2_samples=3", *argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert named in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
 def test_preview_refuses_a_domain_the_map_overflows_on(tmp_path, capsys):
     """h x2^2 overflows at x2 = 1e300; the preview names omega and writes
     no sample, where it wrote nan rows before."""
@@ -387,6 +405,24 @@ def test_manifest_records_the_cell_solver(tmp_path):
         assert d["iterations"] > 0
         assert d["residual"] <= 1e-8
         assert d["energy_gap"] <= 1e-8
+
+
+def test_manifest_records_the_dirichlet_preconditioner(tmp_path):
+    """On a 64^2 mesh over (0.05, 2)^2 the stretch puts about 4 h periods
+    across the domain: h = 1 keeps the nodal scale, h = 8 drops it."""
+    code, out = run(tmp_path,
+                    "--override", "cell_resolution=16",
+                    "--override", "domain_resolution=64",
+                    "--override", "x2_samples=3",
+                    "--override", "h_list=[1,8]",
+                    "convergence")
+    assert code == 0
+    dirichlet = json.loads((out / "manifest.json").read_text())["solver"]["dirichlet"]
+    assert [(d["label"], d["preconditioner"]) for d in dirichlet] == [
+        ("homogenized", "scaled"), ("oscillatory h=1", "scaled"),
+        ("oscillatory h=8", "unscaled")]
+    assert [d["periods"] for d in dirichlet] == pytest.approx([0.0, 3.9975, 31.98])
+    assert all(1.0 < d["contrast"] <= 19.0 for d in dirichlet)
 
 
 def test_aud_reports_per_scale_index(tmp_path, capsys):
@@ -672,6 +708,8 @@ _OVERFLOWING_STIFFNESS = {"coefficient": "laminate", "laminate_base": 1e300,
 @settings(max_examples=400)
 @example(command="convergence", overrides=_OVERFLOWING_STIFFNESS, rejected=None,
          data=None, preview_h=None)
+@example(command="homogenize", overrides={"omega": [0.5, 1.0, 1e308, 1.7e308]},
+         rejected=None, data=None, preview_h=None)
 @given(command=st.sampled_from(["homogenize", "aud", "convergence", "preview",
                                 "corrector-dump"]),
        overrides=st.fixed_dictionaries({}, optional=_VALID),

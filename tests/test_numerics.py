@@ -390,7 +390,8 @@ def test_spectral_preconditioner_inverts_constant_dirichlet_operators(rng, coo_s
 
 def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
     """s K0^-1 s with K0 = k1 S_x (x) M_y + k2 M_x (x) S_y built densely
-    from the 1-D interior stiffness S and mass M, nodes row-major in (j, i)."""
+    from the 1-D interior stiffness S and mass M, nodes row-major in (j, i);
+    s = 1 when ``diagonal`` is None."""
 
     def tridiagonal(n, centre, side):
         return centre * np.eye(n) + side * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -399,7 +400,7 @@ def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
     S = [tridiagonal(m, 2.0, -1.0) / h for m, h in ((mx, grid.hx), (my, grid.hy))]
     M = [tridiagonal(m, 4.0, 1.0) * h / 6.0 for m, h in ((mx, grid.hx), (my, grid.hy))]
     K0 = k1 * np.kron(M[1], S[0]) + k2 * np.kron(S[1], M[0])
-    s = np.sqrt(np.diag(K0) / diagonal)
+    s = np.ones(mx * my) if diagonal is None else np.sqrt(np.diag(K0) / diagonal)
     return s[:, None] * np.linalg.inv(K0) * s[None, :]
 
 
@@ -413,6 +414,26 @@ def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
     for r in rng.standard_normal((3, diagonal.size)):
         npt.assert_allclose(precondition(r), dense @ r, rtol=1e-12,
                             atol=1e-12 * np.abs(dense @ r).max())
+
+
+def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
+    """``diagonal=None`` is the scale s = 1: the inverse of the constant
+    operator itself, on Dirichlet and periodic grids, each apply in an
+    array of its own."""
+    grid = UniformCellGrid(9, periodic=False, ny=6, rectangle=Rectangle(0.0, 1.0, 0.0, 0.7))
+    precondition = spectral_preconditioner(grid, 0.3, 2.5, None)
+    r = rng.standard_normal(40)
+    expect = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, None) @ r
+    out = precondition(r)
+    npt.assert_allclose(out, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    out[:] = np.nan
+    npt.assert_allclose(precondition(r), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+    periodic = UniformCellGrid(16, ny=12, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
+    K = _constant_operator(periodic, 3.0, 0.5, coo_stiffness)
+    b = rng.standard_normal(periodic.n_nodes)
+    npt.assert_allclose(K @ spectral_preconditioner(periodic, 3.0, 0.5, None)(b),
+                        b - b.mean(), atol=1e-10)
 
 
 def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
