@@ -118,12 +118,14 @@ class CellProblem:
         self.means = grid.mean(A)
         self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
         G, w = grid.gradients, grid.weights
-        self._stiffness = tuple(grid.stiffness_data(A, entries) for entries in
-                                ([(0, 0)], [(0, 1), (1, 0)], [(1, 1)]))
-        # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik
+        self._stiffness = tuple(grid.stiffness_data(A, np.array(entries)) for entries in
+                                ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+        # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik, which is -L_ki / |Y|
+        # when a_ik = a_ki
         self._loads = [[grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
                         for j in range(2)] for i in range(2)]
-        self._fluxes = [[grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
+        self._fluxes = [[-self._loads[k][i] / grid.area if self.symmetric else
+                         grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:

@@ -16,7 +16,7 @@ import dataclasses
 import functools
 import math
 import operator
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,6 @@ __all__ = [
     "cg_solve",
     "inner",
     "nine_point_layout",
-    "nine_point_slots",
     "spectral_preconditioner",
 ]
 
@@ -88,6 +87,15 @@ def _gauss_2x2() -> tuple[np.ndarray, np.ndarray]:
 GAUSS_POINTS, GAUSS_WEIGHTS = _gauss_2x2()
 
 
+# (dx, dy) of the corners of an element from its lower-left node, in the
+# shape function order of q1_tables
+CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# the nine-point slot 3 (dy + 1) + dx + 1 of entry (a, b) of an element
+# matrix, with (dx, dy) the step from corner a to corner b
+NINE_POINT_SLOTS = np.array([[3 * (by - ay + 1) + bx - ax + 1 for bx, by in CORNERS]
+                             for ax, ay in CORNERS])
+
+
 class UniformCellGrid:
     """Uniform quadrilateral grid on a rectangle, and the Q1 quadrature on it.
 
@@ -100,15 +108,14 @@ class UniformCellGrid:
     Every integral over the grid goes through it. It keeps the shape
     values ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the
     weights ``w_q |element|`` and the element tables
-    ``T_ik[q, (a, b)] = w_q d_i phi_a d_k phi_b``, and builds on first use
-    the ``connectivity``, the quadrature ``points`` (n_elements * nq, 2)
-    and the :func:`nine_point_layout`, which a quadrature that assembles
-    no matrix never pays for. Nodal fields are read at the points by
-    ``values`` and ``gradient``; fields at the points are integrated by
-    ``integral`` and tested against the shape functions by ``load``. The
-    element matrices of a coefficient D, ``sum_ik D_ik T_ik``, are summed
-    into CSR data on the layout. A field keeps its grid and all of this
-    alive, so the index arrays are int32.
+    ``tables[(a, b), q, i, k] = w_q d_i phi_a d_k phi_b``, and builds on
+    first use the ``connectivity``, the quadrature ``points``
+    (n_elements * nq, 2) and the :func:`nine_point_layout`, which a
+    quadrature that assembles no matrix never pays for. Nodal fields are
+    read at the points by ``values`` and ``gradient``; fields at the
+    points are integrated by ``integral``, and ``load`` and ``assemble``
+    sum element vectors and matrices at the nodes by adding (ny, nx)
+    arrays shifted by their corner, with no index arrays.
     """
 
     def __init__(
@@ -136,9 +143,9 @@ class UniformCellGrid:
         self.phi, dphi = q1_tables()
         self.gradients = dphi / np.array([hx, hy])
         self.weights = GAUSS_WEIGHTS * (hx * hy)
-        G, w, nq = self.gradients, self.weights, len(GAUSS_WEIGHTS)
-        self.tables = [[(w[:, None, None] * G[:, :, None, i] * G[:, None, :, k])
-                        .reshape(nq, 16) for k in range(2)] for i in range(2)]
+        G, w = self.gradients, self.weights
+        tables = w[:, None, None, None, None] * G[:, :, None, :, None] * G[:, None, :, None, :]
+        self.tables = tables.transpose(1, 2, 0, 3, 4).reshape(16, -1, 2, 2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniformCellGrid) and (
@@ -176,20 +183,11 @@ class UniformCellGrid:
 
     @functools.cached_property
     def connectivity(self) -> np.ndarray:
-        """(n_elements, 4) node indices per element.
-
-        Local corner order: (i,j), (i+1,j), (i+1,j+1), (i,j+1), matching the
-        reference-square shape function order.
-        """
-        ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
-        ii = ii.ravel()
-        jj = jj.ravel()
-        return np.column_stack([
-            self.node_index(ii, jj),
-            self.node_index(ii + 1, jj),
-            self.node_index(ii + 1, jj + 1),
-            self.node_index(ii, jj + 1),
-        ]).astype(np.int32)
+        """(n_elements, 4) node indices per element, corners in the order
+        of ``CORNERS``."""
+        jj, ii = np.indices((self.ny, self.nx)).reshape(2, -1)
+        return np.column_stack([self.node_index(ii + dx, jj + dy)
+                                for dx, dy in CORNERS]).astype(np.int32)
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of boundary nodes; all-False for periodic grids."""
@@ -205,17 +203,19 @@ class UniformCellGrid:
     @functools.cached_property
     def points(self) -> np.ndarray:
         """(n_elements * nq, 2) quadrature points, element by element."""
-        offsets = GAUSS_POINTS * np.array([self.hx, self.hy])
-        # each element's first corner is its lower-left node
-        return (self.node_coords()[self.connectivity[:, 0], None, :]
-                + offsets[None, :, :]).reshape(-1, 2)
+        # each element's lower-left node plus the offsets of the points
+        points = np.empty((self.ny, self.nx, len(GAUSS_WEIGHTS), 2))
+        x = self.rectangle.a1 + np.arange(self.nx) * self.hx
+        y = self.rectangle.a2 + np.arange(self.ny) * self.hy
+        points[..., 0] = x[:, None] + GAUSS_POINTS[:, 0] * self.hx
+        points[..., 1] = y[:, None, None] + GAUSS_POINTS[:, 1] * self.hy
+        return points.reshape(-1, 2)
 
     @functools.cached_property
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nine-point ``columns`` and element ``corners`` and the CSR
-        ``indptr``."""
-        columns, corners = nine_point_layout(self)
-        return columns, corners, np.arange(0, columns.size + 1, 9, dtype=np.int32)
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nine-point ``columns`` and the CSR ``indptr``."""
+        columns = nine_point_layout(self)
+        return columns, np.arange(0, columns.size + 1, 9, dtype=np.int32)
 
     def coefficient(self, coefficient) -> np.ndarray:
         """(n_elements, nq, 2, 2) values of ``coefficient`` at the quadrature
@@ -255,33 +255,57 @@ class UniformCellGrid:
         """Nodal vector of the element vectors ``values @ table``, for
         (n_elements, nq) values and an (nq, 4) table: ``weights[:, None] *
         phi`` gives the load ``int s phi_a`` of values s."""
-        return np.bincount(self.connectivity.ravel(), weights=(values @ table).ravel(),
-                           minlength=self.n_nodes)
+        element = (table.T @ values.T).reshape(4, 1, self.ny, self.nx)
+        return self._node_sums(element, np.zeros((4, 1), dtype=int), 1).ravel()
 
     def mean(self, D: np.ndarray) -> np.ndarray:
         """The 2x2 quadrature mean of coefficient values at the points."""
         return np.einsum("eqik,q->ik", D, GAUSS_WEIGHTS) / self.n_elements
 
-    def stiffness_data(
-        self,
-        D: np.ndarray,
-        entries: Sequence[tuple[int, int]] = ((0, 0), (0, 1), (1, 0), (1, 1)),
-    ) -> np.ndarray:
-        """CSR data of the stiffness of the entries (i, k) of D, summed in
-        the given order. Entries that overflow are left as infinities or
-        NaN for the preconditioner to refuse."""
-        columns, corners, _ = self.layout
+    def stiffness_data(self, D: np.ndarray, entries: np.ndarray | float = 1.0) -> np.ndarray:
+        """CSR data of the stiffness of the entries (i, k) of D that the
+        (2, 2) 0/1 mask ``entries`` picks, all of them by default. Entries
+        that overflow are left as infinities or NaN for the preconditioner
+        to refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
-            Ke = sum(D[:, :, i, k] @ self.tables[i][k] for i, k in entries)
-            # add.at sums in index order like np.bincount, but takes the
-            # int32 slots without an intp copy of them
-            data = np.zeros(columns.size + 1)
-            np.add.at(data, nine_point_slots(corners, columns.size), Ke.ravel())
-        return data[:-1]
+            # one contiguous (16, 16) by (16, n_elements) product, in which
+            # the entries left out multiply zero rows of the tables
+            return self.assemble((self.tables * entries).reshape(16, -1)
+                                 @ D.reshape(self.n_elements, -1).T)
+
+    def assemble(self, Ke: np.ndarray) -> np.ndarray:
+        """CSR data on the nine-point layout of the (16, n_elements)
+        element matrices ``Ke``, row 4 a + b holding entry (a, b) of every
+        element. Entries whose row or column is a boundary node of a
+        clamped grid drop out."""
+        total = self._node_sums(Ke.reshape(4, 4, self.ny, self.nx), NINE_POINT_SLOTS, 9)
+        if not self.periodic:
+            total = total[:, 1:-1, 1:-1]
+            # the slots of interior nodes next to the boundary that point at it
+            total[:3, 0] = total[6:, -1] = total[0::3, :, 0] = total[2::3, :, -1] = 0.0
+        return np.moveaxis(total, 0, -1).ravel()
+
+    def _node_sums(self, element: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+        """(n_slots, ny + 1, nx + 1) node sums of (4, m, ny, nx) element
+        values, ``element[a, b]`` into slot ``slots[a, b]`` at corner a; a
+        periodic grid folds them onto (n_slots, ny, nx)."""
+        nx, ny = self.nx, self.ny
+        total = np.zeros((n_slots, ny + 1, nx + 1))
+        # at an interior node, the elements that hold it as corners 2, 3, 1
+        # and 0 follow in row-major element order
+        for a in (2, 3, 1, 0):
+            dx, dy = CORNERS[a]
+            for values, slot in zip(element[a], slots[a]):
+                total[slot, dy:dy + ny, dx:dx + nx] += values
+        if self.periodic:
+            total[:, 0] += total[:, ny]
+            total[:, :, 0] += total[:, :, nx]
+            total = total[:, :ny, :nx]
+        return total
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix with the given data on the nine-point layout."""
-        columns, _, indptr = self.layout
+        columns, indptr = self.layout
         n = indptr.size - 1
         return sp.csr_matrix((data, columns, indptr), shape=(n, n))
 
@@ -289,8 +313,8 @@ class UniformCellGrid:
 def q1_tables() -> tuple[np.ndarray, np.ndarray]:
     """Bilinear shape values and reference gradients at the Gauss points.
 
-    Returns (phi, dphi) with shapes (nq, 4) and (nq, 4, 2). Corner order
-    matches UniformCellGrid.connectivity.
+    Returns (phi, dphi) with shapes (nq, 4) and (nq, 4, 2), corners in the
+    order of ``CORNERS``.
     """
     xi = GAUSS_POINTS[:, 0]
     eta = GAUSS_POINTS[:, 1]
@@ -557,18 +581,15 @@ def cg_solve(
         r -= alpha * Ap
 
 
-def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
+def nine_point_layout(grid: UniformCellGrid) -> np.ndarray:
     """The nine-point CSR layout of Q1 matrices on a grid's unknowns.
 
     The unknowns are all nodes of a periodic grid and the interior nodes
     of any other grid, numbered row-major in (j, i). Row p of a matrix in
     this layout holds nine entries, one per neighbour p + (dx, dy) with
     dx, dy in {-1, 0, 1}, in the order s = 3 (dy + 1) + dx + 1. Returns
-    ``columns``, the column indices of all rows one after another (the
-    CSR ``indices``; ``indptr`` steps by nine), and ``corners``, the
-    (n_elements, 4) unknown number of every element corner, -1 at a
-    boundary node, from which :func:`nine_point_slots` places the
-    element matrices. Both are int32.
+    ``columns``, the int32 column indices of all rows one after another
+    (the CSR ``indices``; ``indptr`` steps by nine).
 
     Every row keeps its nine entries whatever their values: a boundary
     neighbour becomes an explicit zero in the row's own column. On
@@ -579,37 +600,14 @@ def nine_point_layout(grid: UniformCellGrid) -> tuple[np.ndarray, np.ndarray]:
     nx, ny = grid.nx, grid.ny
     shifts = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
     if grid.periodic:
-        nodes = np.arange(grid.n_nodes).reshape(ny, nx)
+        nodes = np.arange(grid.n_nodes, dtype=np.int32).reshape(ny, nx)
         columns = np.stack([np.roll(nodes, (-dy, -dx), axis=(0, 1))
                             for dx, dy in shifts], axis=-1)
-        corners = grid.connectivity
     else:
         # interior numbering of all nodes, -1 on the boundary
-        number = np.full((ny + 1, nx + 1), -1)
+        number = np.full((ny + 1, nx + 1), -1, dtype=np.int32)
         number[1:-1, 1:-1] = np.arange((nx - 1) * (ny - 1)).reshape(ny - 1, nx - 1)
         columns = np.stack([number[1 + dy:ny + dy, 1 + dx:nx + dx]
                             for dx, dy in shifts], axis=-1)
         columns = np.where(columns < 0, number[1:-1, 1:-1, None], columns)
-        corners = number.ravel()[grid.connectivity]
-    return columns.ravel().astype(np.int32), corners.astype(np.int32, copy=False)
-
-
-def nine_point_slots(corners: np.ndarray, size: int) -> np.ndarray:
-    """The place 9 p + s of every entry of the (n_elements, 4, 4) element
-    matrices in the nine-point layout of ``size`` entries, given the
-    ``corners`` of :func:`nine_point_layout`: ``np.bincount(slots,
-    weights=Ke.ravel(), minlength=size + 1)[:-1]`` assembles the CSR data.
-    Entries whose row or column is a boundary node have the slot ``size``
-    and drop out. Grids build the slots on each assembly: kept, they would
-    be a grid's largest array."""
-    corner = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.int32)
-    step = corner[None, :, :] - corner[:, None, :]  # [a, b]: corner b - corner a
-    offset = 3 * (step[..., 1] + 1) + step[..., 0] + 1
-    slots = np.repeat(9 * corners, 4, axis=1)
-    slots += offset.ravel()
-    slots = slots.reshape(-1, 4, 4)
-    # only elements with a boundary corner hold entries that drop out
-    edge = np.flatnonzero((corners < 0).any(axis=1))
-    outside = corners[edge] < 0
-    slots[edge] = np.where(outside[:, :, None] | outside[:, None, :], size, slots[edge])
-    return slots.ravel()
+    return columns.ravel()

@@ -305,6 +305,34 @@ def test_affine_system_matches_a_direct_assembly(sine_coeff, coo_stiffness, name
         assert np.abs(f - g).max() <= 1e-12 * np.abs(g).max()
 
 
+def tilted_values(pts):
+    """A symmetric coefficient with off-diagonal entries, whose loads
+    L_ik and L_ki differ."""
+    out = skew_values(pts)
+    out[:, 1, 0] = out[:, 0, 1]
+    return out
+
+
+@pytest.mark.parametrize("coeff", [tilted_values, skew_values], ids=["tilted", "skew"])
+def test_fluxes_match_a_direct_assembly(coeff):
+    """The flux vectors M_ik = int a_ik d_k phi / |Y|: read off the
+    loads, -L_ki / |Y|, when A is symmetric, assembled on their own
+    otherwise."""
+    grid = UniformCellGrid(24, ny=12, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
+    problem = CellProblem(coeff, grid)
+    assert problem.symmetric == (coeff is tilted_values)
+    A = coeff(grid.points).reshape(grid.n_elements, -1, 2, 2)
+    G = q1_tables()[1] / np.array([grid.hx, grid.hy])
+    w = GAUSS_WEIGHTS * grid.hx * grid.hy
+    expect = np.zeros((2, 2, grid.n_nodes))
+    for i in range(2):
+        for k in range(2):
+            fe = np.einsum("eq,qa,q->ea", A[:, :, i, k], G[:, :, k], w) / grid.area
+            np.add.at(expect[i, k], grid.connectivity.ravel(), fe.ravel())
+    gap = np.abs(np.array(problem._fluxes) - expect).max()
+    assert gap <= 1e-14 * np.abs(expect).max()
+
+
 def test_zero_pieces_keep_the_pattern(sine_coeff):
     """K12 + K21 vanishes for a diagonal coefficient; the pattern stays
     the full nine-point one at every scaling."""

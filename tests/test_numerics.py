@@ -19,8 +19,6 @@ from maphom.numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
-    nine_point_layout,
-    nine_point_slots,
     spectral_preconditioner,
 )
 
@@ -182,11 +180,7 @@ def test_rectangle_validation_and_area():
 
 
 def _layout_matrix(grid, Ke):
-    columns, corners = nine_point_layout(grid)
-    n = columns.size // 9
-    slots = nine_point_slots(corners, columns.size)
-    data = np.bincount(slots, weights=Ke.ravel(), minlength=columns.size + 1)[:-1]
-    return sp.csr_matrix((data, columns, np.arange(0, columns.size + 1, 9)), shape=(n, n))
+    return grid.matrix(grid.assemble(Ke.reshape(grid.n_elements, 16).T))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (3, 2), (5, 4)])
@@ -217,6 +211,57 @@ def test_nine_point_layout_keeps_the_interior_of_dirichlet_grids(rng, coo_stiffn
     gap = abs(stencil - expect).max()
     assert gap <= 1e-12 * abs(expect).max()
     npt.assert_allclose(stencil.diagonal(), expect.diagonal(), rtol=1e-12)
+
+
+def _skew_values(grid):
+    """(n_elements, nq, 2, 2) coefficient values at the points whose
+    off-diagonal entries differ."""
+    x, y = grid.points.T
+    D = np.empty((x.size, 2, 2))
+    D[:, 0, 0] = 2.0 + np.sin(2 * np.pi * x)
+    D[:, 0, 1] = 0.3 + 0.2 * np.cos(2 * np.pi * y)
+    D[:, 1, 0] = -0.4 + 0.1 * x
+    D[:, 1, 1] = 1.5 + 0.5 * y * y
+    return D.reshape(grid.n_elements, -1, 2, 2)
+
+
+GRIDS = [UniformCellGrid(5, ny=4, rectangle=Rectangle(0.25, 1.0, -0.5, 0.3)),
+         UniformCellGrid(2, ny=1),
+         UniformCellGrid(5, periodic=False, ny=4, rectangle=Rectangle(0.25, 1.0, -0.5, 0.3)),
+         UniformCellGrid(2, periodic=False, ny=3)]
+GRID_IDS = ["periodic-5x4", "periodic-2x1", "clamped-5x4", "clamped-2x3"]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_stiffness_of_a_non_symmetric_coefficient_matches_triplets(coo_stiffness, grid):
+    """Each entry (i, k) of D lands in row a and column b of the element
+    matrix: a transposed element matrix or a swapped entry pair moves
+    the distinct D01 and D10 to the wrong side."""
+    D = _skew_values(grid)
+    unknowns = np.flatnonzero(~grid.boundary_mask())
+    scale = abs(coo_stiffness(grid, D)).max()
+    for entries in [np.ones((2, 2)), np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])]:
+        K = grid.matrix(grid.stiffness_data(D, entries))
+        reference = coo_stiffness(grid, D * entries)[unknowns][:, unknowns]
+        assert abs(K - reference).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("grid", GRIDS + [UniformCellGrid(1)], ids=GRID_IDS + ["periodic-1x1"])
+def test_load_matches_a_scatter_over_the_connectivity(rng, grid):
+    values = rng.standard_normal((grid.n_elements, len(GAUSS_WEIGHTS)))
+    table = rng.standard_normal((len(GAUSS_WEIGHTS), 4))
+    expect = np.zeros(grid.n_nodes)
+    np.add.at(expect, grid.connectivity.ravel(), (values @ table).ravel())
+    npt.assert_allclose(grid.load(values, table), expect, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_points_are_the_lower_left_nodes_plus_the_gauss_offsets(grid):
+    """Bit for bit the nodal coordinates of each element's first corner
+    plus the scaled Gauss points."""
+    offsets = GAUSS_POINTS * np.array([grid.hx, grid.hy])
+    expect = grid.node_coords()[grid.connectivity[:, 0], None, :] + offsets[None, :, :]
+    npt.assert_array_equal(grid.points, expect.reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,38 @@ def test_only_numerics_holds_quadrature_internals(path):
     assert quadrature_internals(path.read_text()) == []
 
 
+def scatters(source: str) -> list[str]:
+    """The scatters a module names: ``add.at`` and ``bincount``, as
+    attributes or imported names. A grid sums loads and element matrices
+    at its nodes by adding whole arrays shifted by their corner."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            inner = node.value
+            owner = inner.attr if isinstance(inner, ast.Attribute) else getattr(inner, "id", "")
+            if (owner, node.attr) == ("add", "at"):
+                found.add("add.at")
+        if "bincount" in (getattr(node, key, None) for key in ("attr", "id", "name")):
+            found.add("bincount")
+    return sorted(found)
+
+
+def test_the_scan_finds_scatters():
+    source = ("import numpy as np\nfrom numpy import add\n"
+              "def f(x, i, w, at):\n"
+              "    np.add.at(x, i, w)\n    add.at(x, i, 1)\n"
+              "    return np.bincount(i, w), np.add(x, at), np.multiply.at\n")
+    assert scatters(source) == ["add.at", "bincount"]
+    assert scatters("from numpy import bincount as count\n") == ["bincount"]
+    assert scatters("def f(np, x):\n    return np.add.at(x, 0, 1)\n") == ["add.at"]
+    assert scatters("def f(np, at, x):\n    return np.add(at, x), x.count\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_scatters(path):
+    assert scatters(path.read_text()) == []
+
+
 def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
     """The functions, classes, methods and properties that the ``package``
     modules (file name to source) define and no source names elsewhere.
