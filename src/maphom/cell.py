@@ -18,7 +18,6 @@ and agree to rounding.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +47,8 @@ class CorrectorField:
     ``z1`` and ``z2`` are nodal values of the two zero-mean periodic
     correctors; ``zeta`` is the diagonal scaling they were solved with.
     ``r1`` and ``r2`` are the true residuals ``rhs_j - K z_j`` the solves
-    ended on, and ``residual`` their relative norms.
+    ended on, and ``residual`` their relative norms; ``start_residual``
+    holds the relative residuals the solves' starts left.
     """
 
     z1: np.ndarray
@@ -59,6 +59,7 @@ class CorrectorField:
     residual: tuple[float, float]
     r1: np.ndarray
     r2: np.ndarray
+    start_residual: tuple[float, float]
 
     def component(self, j: int) -> np.ndarray:
         if j not in (1, 2):
@@ -74,6 +75,67 @@ def _scaling(zeta) -> tuple[float, float]:
     if not (z1 > 0 and z2 > 0):
         raise ValueError("scaling pair must be positive")
     return z1, z2
+
+
+# a solve starts from the Galerkin projection onto the span of the last
+# this many solved corrector pairs; deeper bases gain little
+BASIS_PAIRS = 4
+# eigenvalues of the Jacobi-scaled projected matrix below this fraction of
+# its largest are dropped, which nearly coincident scalings produce
+BASIS_CUTOFF = 1e-14
+
+
+class _CorrectorBasis:
+    """The last ``2 BASIS_PAIRS`` nonzero correctors a cell problem solved,
+    copied whole into a fixed ring, the newest in the oldest one's slot."""
+
+    size = 2 * BASIS_PAIRS
+
+    def __init__(self):
+        self._vectors = None
+        self._added = 0
+
+    def add(self, z: np.ndarray) -> None:
+        if not np.any(z):  # a zero corrector spans nothing
+            return
+        if self._vectors is None:
+            self._vectors = np.empty((self.size, z.size))
+        self._vectors[self._added % self.size] = z
+        self._added += 1
+
+    def start(self, K, loads) -> tuple[np.ndarray, np.ndarray] | None:
+        """The Galerkin projections of both systems ``K z_j = loads[j]``
+        onto the span of the kept vectors; None when none are kept or the
+        projected problem is not finite."""
+        k = min(self._added, self.size)
+        if k == 0:
+            return None
+        V = self._vectors[:k]
+        # a huge scaling may overflow the projected entries: the start is
+        # then None, and the solve fails on its own system
+        with np.errstate(over="ignore", invalid="ignore"):
+            # H = V K V^T, filled symmetrically from its upper triangle
+            H = np.empty((k, k))
+            for l, v in enumerate(V):
+                H[l, :l + 1] = H[:l + 1, l] = np.einsum("kn,n->k", V[:l + 1], K @ v)
+            f = np.einsum("jn,kn->jk", loads, V)
+            if not (np.all(np.isfinite(H)) and np.all(np.isfinite(f))):
+                return None
+            d = np.diagonal(H)
+            keep = d > 0.0  # a vector whose energy underflows carries nothing
+            if not keep.any():
+                return None
+            # Jacobi-scale, then solve by a symmetric eigen-solve that drops
+            # the directions nearly coincident scalings leave
+            scale = 1.0 / np.sqrt(d[keep])
+            w, Q = np.linalg.eigh(scale[:, None] * H[np.ix_(keep, keep)] * scale)
+            kept = w > BASIS_CUTOFF * w[-1]
+            Q, w = Q[:, kept], w[kept]
+            coeffs = np.zeros((2, k))
+            coeffs[:, keep] = scale * np.einsum(
+                "lm,jm->jl", Q, np.einsum("lm,jl->jm", Q, scale * f[:, keep]) / w)
+            x0 = np.einsum("jk,kn->jn", coeffs, V)
+        return (x0[0], x0[1]) if np.all(np.isfinite(x0)) else None
 
 
 class CellProblem:
@@ -120,13 +182,15 @@ class CellProblem:
         G, w = grid.gradients, grid.weights
         self._stiffness = tuple(grid.stiffness_data(A, np.array(entries)) for entries in
                                 ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
-        # _loads[i][j] = L_ij and _fluxes[i][k] = M_ik, which is -L_ki / |Y|
+        # _loads[i, j] = L_ij and _fluxes[i][k] = M_ik, which is -L_ki / |Y|
         # when a_ik = a_ki
-        self._loads = [[grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
-                        for j in range(2)] for i in range(2)]
-        self._fluxes = [[-self._loads[k][i] / grid.area if self.symmetric else
+        self._loads = np.empty((2, 2, grid.n_nodes))
+        for i, j in np.ndindex(2, 2):
+            self._loads[i, j] = grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
+        self._fluxes = [[-self._loads[k, i] / grid.area if self.symmetric else
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
+        self._basis = _CorrectorBasis()
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
         """The stiffness matrix and both loads at ``zeta``. Entries that
@@ -136,21 +200,23 @@ class CellProblem:
         d11, d12, d22 = self._stiffness
         with np.errstate(over="ignore", invalid="ignore"):
             K = self.grid.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
-            loads = [z1 * self._loads[0][j] + z2 * self._loads[1][j] for j in range(2)]
+            loads = [z1 * self._loads[0, j] + z2 * self._loads[1, j] for j in range(2)]
         return SparseSystem(K, singular=True), loads
 
     def solve(
         self,
         zeta: tuple[float, float],
         tol: float = 1e-10,
-        x0_pair: Sequence[np.ndarray] | None = None,
     ) -> CorrectorField:
         """Both correctors at ``zeta`` by spectrally preconditioned CG.
 
-        ``x0_pair`` optionally warm starts the two solves. The solutions
-        are made zero-mean once more after the solve. A scaling or a scaled
-        mean ``zeta_i^2 <a_ii>`` that is not finite or underflows to 0
-        raises ``SolverError`` before the system is formed.
+        The two solves start from the Galerkin projection of the problem
+        at ``zeta`` onto the span of the last ``BASIS_PAIRS`` corrector
+        pairs this problem solved: a zero start for its first solve, so a
+        problem solved once solves cold. The solutions are made zero-mean
+        once more after the solve. A scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not
+        finite or underflows to 0 raises ``SolverError`` before the system
+        is formed, and so before the projection.
         """
         z1, z2 = _scaling(zeta)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -166,15 +232,19 @@ class CellProblem:
                               f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
+        x0_pair = self._basis.start(system.matrix, loads)
         results = [cg_solve(system, loads[j], precondition, tol=tol,
                             x0=None if x0_pair is None else x0_pair[j])
                    for j in range(2)]
         sols = [res.x - res.x.mean() for res in results]
+        for z in sols:
+            self._basis.add(z)
         return CorrectorField(
             z1=sols[0], z2=sols[1], zeta=(z1, z2), grid=self.grid,
             iterations=tuple(res.iterations for res in results),
             residual=tuple(res.residual for res in results),
             r1=results[0].r, r2=results[1].r,
+            start_residual=tuple(res.start_residual for res in results),
         )
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
@@ -202,7 +272,8 @@ def solve_corrector(
 
     ``grid`` is a periodic grid or an element count per side. Builds a
     :class:`CellProblem` for this one scaling; sweeps over many scalings
-    build it once and call its ``solve``, which also takes warm starts.
+    build it once and call its ``solve``, which starts each scaling from
+    the ones solved before.
     """
     return CellProblem(coefficient, grid).solve(zeta, tol)
 

@@ -308,15 +308,18 @@ def _package_version() -> str:
 
 
 def _solver_record(field) -> dict:
-    """The cell solves' preconditioner, the form ``B`` is read off, and the
-    CG iterations and residuals per scaling."""
-    residuals = field.metadata["cg_residuals"]
+    """The cell solves' preconditioner and start, the form ``B`` is read
+    off, and per scaling the CG iterations, the final residuals and the
+    residuals the start left."""
+    meta = field.metadata
     return {
-        "preconditioner": field.metadata["preconditioner"],
-        "effective_matrix": field.metadata["effective_matrix"],
+        "preconditioner": meta["preconditioner"],
+        "warm_start": meta["warm_start"],
+        "effective_matrix": meta["effective_matrix"],
         "cg_iterations": [{"zeta2": z2, "iterations": list(its),
-                           "residuals": list(residuals[z2])}
-                          for z2, its in field.metadata["cg_iterations"].items()],
+                           "residuals": list(meta["cg_residuals"][z2]),
+                           "start_residuals": list(meta["cg_start_residuals"][z2])}
+                          for z2, its in meta["cg_iterations"].items()],
     }
 
 

@@ -13,9 +13,7 @@ solve.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import math
 
 import numpy as np
 
@@ -97,26 +95,6 @@ def _round_sig(value: float, digits: int = 12) -> float:
     return float(f"{value:.{digits}g}")
 
 
-# warm starts extrapolate through at most this many solved scalings: a
-# fourth saves a tenth of the iterations of the default sweep but doubles
-# those of a sweep to x2 = 100, whose scalings lie far apart
-WARM_START_DEPTH = 3
-# a solved scaling closer than this to the last one in the history takes
-# its place: nearly coincident nodes blow up the extrapolation weights
-WARM_START_SPACING = 1e-3
-
-
-def _extrapolated(history, z2: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The Lagrange extrapolation to ``z2`` of the solved corrector pairs
-    in ``history``, a sequence of (zeta2, (z1, z2)); None when empty."""
-    if not history:
-        return None
-    nodes = [t for t, _ in history]
-    weights = [math.prod((z2 - s) / (t - s) for s in nodes if s != t) for t in nodes]
-    return tuple(sum(w * pair[j] for w, (_, pair) in zip(weights, history))
-                 for j in range(2))
-
-
 def tensor_field(
     coefficient,
     x2_samples,
@@ -140,13 +118,13 @@ def tensor_field(
     Samples are grouped by their scaling zeta_2 rounded to 12 significant
     digits; each group is solved once and shares bitwise-identical
     matrices. One :class:`CellProblem` serves every group: the groups are
-    solved in ascending order, each warm started from the Lagrange
-    extrapolation in zeta_2 through the last ``WARM_START_DEPTH`` solved
-    pairs at least ``WARM_START_SPACING`` apart (the previous solution
-    itself after the first group), and each
-    matrix is read off the problem's dot products: the stationary form
-    for a symmetric coefficient, the flux form otherwise (the metadata's
-    ``effective_matrix``).
+    solved in ascending order, each warm started from the Galerkin
+    projection of its cell problem onto the last solved corrector pairs
+    (:meth:`CellProblem.solve`), and each matrix is read off
+    the problem's dot products: the stationary form for a symmetric
+    coefficient, the flux form otherwise (the metadata's
+    ``effective_matrix``). The metadata also holds, per scaling, the CG
+    iterations, the final residuals and the residuals the starts left.
     """
     x2 = np.array(x2_samples, dtype=float).ravel()
     if x2.size == 0:
@@ -165,25 +143,25 @@ def tensor_field(
     matrices: dict[float, np.ndarray] = {}
     iterations: dict[float, tuple[int, int]] = {}
     residuals: dict[float, tuple[float, float]] = {}
+    start_residuals: dict[float, tuple[float, float]] = {}
     sup_norm = 0.0
-    history = collections.deque(maxlen=WARM_START_DEPTH)
     for z2 in unique:
-        corr = problem.solve((1.0, z2), tol=tol, x0_pair=_extrapolated(history, z2))
+        corr = problem.solve((1.0, z2), tol=tol)
         matrices[z2] = problem.effective_matrix(corr)
         iterations[z2] = corr.iterations
         residuals[z2] = corr.residual
+        start_residuals[z2] = corr.start_residual
         sup_norm = max(sup_norm, corr.sup_norm())
-        if history and z2 - history[-1][0] < WARM_START_SPACING:
-            history.pop()
-        history.append((z2, (corr.z1, corr.z2)))
 
     metadata = {
         "unique_scalings": len(unique),
         "corrector_sup_norm": sup_norm,
         "preconditioner": "spectral",
+        "warm_start": "galerkin",
         "effective_matrix": "stationary" if problem.symmetric else "flux",
         "cg_iterations": iterations,
         "cg_residuals": residuals,
+        "cg_start_residuals": start_residuals,
     }
     return HomogenizedTensor(x2=x2,
                              matrices=np.stack([matrices[k] for k in keys]),

@@ -355,12 +355,15 @@ class SparseSystem:
 class CGResult:
     """Conjugate gradient outcome: the solution ``x``, the true residual
     ``r = rhs - K x`` it ended on (projected to zero mean on singular
-    systems) and its relative norm ``residual``."""
+    systems), its relative norm ``residual`` and the relative norm
+    ``start_residual`` of the residual the start left (1 for a zero
+    start, to rounding)."""
 
     x: np.ndarray
     iterations: int
     residual: float
     r: np.ndarray
+    start_residual: float
 
 
 def spectral_preconditioner(
@@ -523,7 +526,7 @@ def cg_solve(
         b -= b.mean()
     bnorm = math.sqrt(inner(b, b))
     if bnorm == 0.0:
-        return CGResult(np.zeros(n), 0, 0.0, np.zeros(n))
+        return CGResult(np.zeros(n), 0, 0.0, np.zeros(n), 0.0)
 
     if x0 is None:
         x = np.zeros(n)
@@ -537,6 +540,7 @@ def cg_solve(
         r = b - A @ x
     if system.singular:
         r -= r.mean()
+    start_residual = math.sqrt(inner(r, r)) / bnorm
 
     iterations = 0
     while True:
@@ -553,7 +557,7 @@ def cg_solve(
                 r -= r.mean()
             res = math.sqrt(inner(r, r))
         if res <= tol * bnorm:
-            return CGResult(x, iterations, res / bnorm, r)
+            return CGResult(x, iterations, res / bnorm, r, start_residual)
         if iterations == max_iter:
             raise SolverError(
                 f"conjugate gradient did not converge in {max_iter} iterations "

@@ -2,6 +2,7 @@
 periodic corrector solves."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -345,13 +346,14 @@ def test_zero_pieces_keep_the_pattern(sine_coeff):
 
 def unsolved_field(problem, z) -> CorrectorField:
     """The nodal pair ``z`` at ZETA as a corrector field, with the true
-    residuals ``rhs_j - K z_j`` that a solve ending there would record."""
+    residuals ``rhs_j - K z_j`` that a solve starting and ending there
+    would record."""
     system, loads = problem.system(ZETA)
     r = [loads[j] - system.matrix @ z[j] for j in range(2)]
+    residual = tuple(np.linalg.norm(r[j]) / np.linalg.norm(loads[j]) for j in range(2))
     return CorrectorField(
         z1=z[0], z2=z[1], zeta=ZETA, grid=problem.grid, iterations=(0, 0),
-        residual=tuple(np.linalg.norm(r[j]) / np.linalg.norm(loads[j]) for j in range(2)),
-        r1=r[0], r2=r[1])
+        residual=residual, r1=r[0], r2=r[1], start_residual=residual)
 
 
 @pytest.mark.parametrize("name", ["sine", "skew"])
@@ -483,11 +485,59 @@ def test_laminate_profile_matches_the_quadrature_oracle(laminate_coeff):
 
 
 def test_warm_start_from_the_solution_converges_instantly(sine_coeff):
+    """Solved again at the same scaling, a problem starts from the pair it
+    solved there and takes no iteration."""
     problem = CellProblem(sine_coeff, 32)
     field = problem.solve((1.0, 1.2))
-    again = problem.solve((1.0, 1.2), x0_pair=(field.z1, field.z2))
+    again = problem.solve((1.0, 1.2))
     assert again.iterations == (0, 0)
     npt.assert_allclose(again.z1, field.z1, atol=1e-12)
+
+
+def test_a_first_solve_starts_cold(sine_coeff):
+    """With no solved pair to project onto, a solve starts from zero, so
+    the start leaves the whole load; the pair it solves is copied into
+    the basis, where a change to the returned field does not reach."""
+    problem = CellProblem(sine_coeff, 32)
+    first = problem.solve((1.0, 1.2))
+    assert first.start_residual == pytest.approx((1.0, 1.0))
+    kept = problem._basis._vectors[:2]
+    npt.assert_array_equal(kept, [first.z1, first.z2])
+    first.z1[:] = 0.0
+    assert np.any(kept[0])
+
+
+def test_later_solves_project_onto_the_solved_pairs(sine_coeff):
+    """At a scaling already solved the projection returns that pair, so
+    the start leaves less than the tolerance; between two solved
+    scalings it leaves far less than a zero start, and the solve agrees
+    with a cold one to the tolerance."""
+    problem = CellProblem(sine_coeff, 32)
+    for z2 in (1.0, 1.4):
+        problem.solve((1.0, z2), tol=1e-10)
+    again = problem.solve((1.0, 1.4), tol=1e-10)
+    assert again.iterations == (0, 0)
+    between = problem.solve((1.0, 1.2), tol=1e-10)
+    assert max(between.start_residual) <= 1e-2
+    cold = CellProblem(sine_coeff, 32).solve((1.0, 1.2), tol=1e-10)
+    assert cold.start_residual == pytest.approx((1.0, 1.0))
+    npt.assert_allclose(between.z1, cold.z1, rtol=0, atol=1e-9)
+    npt.assert_allclose(between.z2, cold.z2, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("z2, named", [(1e153, "breakdown"), (1e154, "diagonal["),
+                                       (1e155, "k2 = inf")])
+def test_a_huge_warm_scaling_fails_as_a_cold_one(sine_coeff, z2, named):
+    """The projection is formed after the scaling's checks and refuses
+    entries that overflow, so a warm solve at a huge scaling raises the
+    cold solve's SolverError, with no RuntimeWarning."""
+    problem = CellProblem(sine_coeff, 16)
+    for small in (1.0, 2.0):
+        problem.solve((1.0, small))
+    with pytest.raises(numerics.SolverError, match=re.escape(named)):
+        CellProblem(sine_coeff, 16).solve((1.0, z2))
+    with pytest.raises(numerics.SolverError, match=re.escape(named)):
+        problem.solve((1.0, z2))
 
 
 def test_integer_shorthand_builds_the_grid(sine_coeff):

@@ -275,12 +275,15 @@ def test_a_scaling_whose_mean_underflows_exits_3(tmp_path, capsys, argv):
     (["--override", "omega=[0.5,1,1e308,1.7e308]", "homogenize"],
      "not finite: k2 = inf at zeta = (1.0, inf)"),
     (["--override", "dump_x2=6e153", "corrector-dump"], "not finite: diagonal["),
-], ids=["zeta2-overflows", "stiffness-overflows"])
+    (["--override", "omega=[0.5,1,0.4,6e152]", "--override", "x2_samples=[0.5,1,5e152]",
+      "homogenize"], "breakdown"),
+], ids=["zeta2-overflows", "stiffness-overflows", "warm-start-at-1e306"])
 def test_a_scaling_that_overflows_exits_3(tmp_path, capsys, argv, named):
     """2 x2 overflows above 0.9e308, and zeta2^2 times the stiffness
     above about 1e154: the solve refuses the infinite scaling before it
     forms the system, or the infinite diagonal after, with no
-    RuntimeWarning."""
+    RuntimeWarning. Below that, a scaling whose warm start is projected
+    with zeta2^2 = 1e306 breaks down in CG as a cold solve does."""
     code, _ = run(tmp_path, "--override", "cell_resolution=16",
                   "--override", "x2_samples=3", *argv)
     assert code == 3
@@ -376,6 +379,7 @@ def test_manifest_records_the_cell_solver(tmp_path):
     assert code == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["preconditioner"] == "spectral"
+    assert solver["warm_start"] == "galerkin"
     assert solver["effective_matrix"] == "stationary"
     rows = solver["cg_iterations"]
     assert [row["zeta2"] for row in rows] == [0.6, 1.0, 1.4]
@@ -383,6 +387,10 @@ def test_manifest_records_the_cell_solver(tmp_path):
                for row in rows)
     assert all(len(row["residuals"]) == 2 and max(row["residuals"]) <= 1e-10
                for row in rows)
+    # the first scaling starts from zero, the others from the projection
+    assert rows[0]["start_residuals"] == pytest.approx([1.0, 1.0])
+    assert all(len(row["start_residuals"]) == 2 and max(row["start_residuals"]) < 0.1
+               for row in rows[1:])
 
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",
@@ -636,12 +644,16 @@ def run_with_blas_threads(out, threads, *argv):
 
 @pytest.mark.parametrize("argv", [
     ["--override", "x2_samples=4", "homogenize"],
+    ["--override", "cell_resolution=16", "--override", "x2_samples=12", "homogenize"],
     ["--override", "cell_resolution=16", "--override", "domain_resolution=128",
      "--override", "h_list=[1,2]", "--override", "x2_samples=8", "convergence"],
-], ids=["homogenize", "convergence"])
+], ids=["homogenize", "homogenize-ring", "convergence"])
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     """The CSV bytes, the CG iteration counts and residuals and the
-    Dirichlet records are the same with one BLAS thread and with two."""
+    Dirichlet records are the same with one BLAS thread and with two, on
+    the default 128^2 cells and on a 16^2 sweep whose twelve scalings
+    fill the eight-vector ring of the Galerkin start and evict from it,
+    so its small dense solve runs under both."""
     one = run_with_blas_threads(tmp_path / "one", 1, *argv)
     two = run_with_blas_threads(tmp_path / "two", 2, *argv)
     assert one == two

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from maphom import coefficients
-from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
+from maphom.cell import CellProblem, solve_corrector, solve_rescaled_corrector, stretched
 from maphom.homogenize import (
     HomogenizedTensor,
     classical_homogenized_matrix,
@@ -178,17 +178,57 @@ def test_sweep_evaluates_the_coefficient_once(sine_coeff):
 
 
 def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
-    """Scalings 2e-11 apart would make the extrapolation through them
-    blow up: x2 = 0.7 then took (15, 14) iterations and the sweep 55.
-    The closer one replaces its neighbour in the history, so the sweep
-    takes 35 at 128^2 cells, one fewer than starting from the previous
-    pair alone."""
+    """Scalings 2e-11 apart made the former Lagrange extrapolation through
+    them blow up: x2 = 0.7 then took (15, 14) iterations and the sweep 55.
+    The Galerkin start drops the directions that nearly coincident pairs
+    leave, so the coincident scalings take no iteration and the sweep
+    takes 32 at 128^2 cells."""
     field = small_field(sine_coeff, np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]),
                         cell_resolution=128)
     assert field.metadata["unique_scalings"] == 5
     iterations = field.metadata["cg_iterations"]
     assert sum(sum(its) for its in iterations.values()) <= 36
     assert sum(iterations[1.4]) <= 12
+
+
+def test_a_wide_sweep_starts_close(sine_coeff):
+    """64 samples to x2 = 100 lie far apart in zeta2, where extrapolating
+    through the last solved pairs took 8,635 iterations at 32^2 cells.
+    The projection onto them takes about 300, and the matrices agree with
+    cold solves to 1e-10."""
+    samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, 100.0), 64)
+    field = small_field(sine_coeff, samples, cell_resolution=32)
+    iterations = field.metadata["cg_iterations"]
+    assert sum(sum(its) for its in iterations.values()) <= 600
+    for k in (0, 31, 63):
+        problem = CellProblem(sine_coeff, 32)
+        cold = problem.effective_matrix(problem.solve((1.0, 2.0 * samples[k]), tol=1e-10))
+        npt.assert_allclose(field.matrices[k], cold, rtol=0, atol=1e-10)
+
+
+def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
+    """The identity's correctors are all 0: every solve is a zero start
+    that takes no iteration and keeps no vector. The laminate's first
+    corrector depends on y1 alone, the same at every scaling, so after
+    the first scaling its start leaves about the tolerance and the column
+    takes at most one iteration; its second corrector is rounding noise
+    of the load L_22, about 1e-17, which the basis keeps like any nonzero
+    vector."""
+    problem = CellProblem(identity_coeff, 16)
+    for z2 in (0.5, 1.0, 2.0, 4.0):
+        field = problem.solve((1.0, z2), tol=1e-7)
+        assert field.iterations == (0, 0)
+        assert field.start_residual == (0.0, 0.0)
+    assert problem._basis._vectors is None
+
+    field = small_field(laminate_coeff, default_x2_samples(OMEGA, 64), cell_resolution=128)
+    iterations = list(field.metadata["cg_iterations"].values())
+    assert max(its[0] for its in iterations[1:]) <= 1
+    assert sum(sum(its) for its in iterations) <= 142
+    problem = CellProblem(laminate_coeff, 16)
+    for z2 in (0.5, 1.0, 2.0, 4.0, 8.0):
+        problem.solve((1.0, z2), tol=1e-7)
+    assert np.all(np.abs(problem._basis._vectors).max(axis=1) > 0)
 
 
 def test_repeated_sweeps_are_bytewise_identical(sine_coeff):
