@@ -18,6 +18,7 @@ and agree to rounding.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -83,42 +84,96 @@ BASIS_PAIRS = 4
 # eigenvalues of the Jacobi-scaled projected matrix below this fraction of
 # its largest are dropped, which nearly coincident scalings produce
 BASIS_CUTOFF = 1e-14
+# a load below this many eps of the problem's largest load is rounding
+# noise and is set to zero. A load that cancels in exact arithmetic, as
+# L_22 of a coefficient of y1 alone, keeps terms of size h whose sum is
+# of size h^2 in the largest load, so its noise grows with the elements
+# per side: the laminate's reads 0.16 n eps on n x n cells, 20 eps at
+# 128^2 and 163 eps at 1024^2. A genuine load this small would move B by
+# about 2e-13 relative, far below the discretization error.
+LOAD_NOISE = 1024
+
+
+# the stiffness pieces K11, K12 + K21 and K22: the scaling indices (i, k)
+# whose product zeta_i zeta_k weighs the piece, and the entries of A it takes
+PIECES = {(0, 0): [[1, 0], [0, 0]], (0, 1): [[0, 1], [1, 0]], (1, 1): [[0, 0], [0, 1]]}
+
+
+def _combination(zeta, pieces: dict) -> np.ndarray:
+    """The sum of ``zeta_i zeta_k x`` over the pieces ``(i, k): x``, in
+    their order, as a new array; a piece left out for being exactly zero
+    changes no bit."""
+    terms = [zeta[i] * zeta[k] * x for (i, k), x in pieces.items()]
+    return sum(terms[1:], terms[0])
 
 
 class _CorrectorBasis:
     """The last ``2 BASIS_PAIRS`` nonzero correctors a cell problem solved,
-    copied whole into a fixed ring, the newest in the oldest one's slot."""
+    copied whole into a fixed ring, the newest in the oldest one's slot,
+    with their projections of the problem's stiffness pieces and loads:
+    per piece p the Gram matrix ``V K_p V^T`` and the products
+    ``L_ij . v``.
+
+    The projections of a new vector are formed at the next ``start``, one
+    product ``K_p v`` per piece, so a problem solved once forms none. A
+    start combines the cached numbers at its scaling and touches whole
+    vectors only to sum its result."""
 
     size = 2 * BASIS_PAIRS
 
-    def __init__(self):
+    def __init__(self, grid: UniformCellGrid, pieces: dict, loads: np.ndarray):
+        self._grid = grid
+        self._pieces = pieces
+        self._loads = loads
         self._vectors = None
         self._added = 0
+        self._pending: list[int] = []  # slots whose projections are not formed
 
     def add(self, z: np.ndarray) -> None:
         if not np.any(z):  # a zero corrector spans nothing
             return
         if self._vectors is None:
             self._vectors = np.empty((self.size, z.size))
-        self._vectors[self._added % self.size] = z
+            self._gram = {ik: np.empty((self.size, self.size)) for ik in self._pieces}
+            self._products = np.empty((2, 2, self.size))
+        slot = self._added % self.size
+        self._vectors[slot] = z
         self._added += 1
+        if slot not in self._pending:
+            self._pending.append(slot)
 
-    def start(self, K, loads) -> tuple[np.ndarray, np.ndarray] | None:
-        """The Galerkin projections of both systems ``K z_j = loads[j]``
-        onto the span of the kept vectors; None when none are kept or the
-        projected problem is not finite."""
+    @functools.cached_property
+    def _matrices(self) -> dict:
+        return {ik: self._grid.matrix(d) for ik, d in self._pieces.items()}
+
+    def _project_pending(self, k: int) -> None:
+        V = self._vectors[:k]
+        for slot in self._pending:
+            v = V[slot]
+            # the row of the new vector against every kept one, filled
+            # symmetrically: exact when every piece is, which a symmetric A
+            # (CellProblem.symmetric) makes so; otherwise only the start's
+            # quality depends on the fill
+            for ik, K in self._matrices.items():
+                self._gram[ik][slot, :k] = self._gram[ik][:k, slot] = np.einsum(
+                    "kn,n->k", V, K @ v)
+            self._products[:, :, slot] = np.einsum("ijn,n->ij", self._loads, v)
+        self._pending.clear()
+
+    def start(self, zeta: tuple[float, float]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The Galerkin projections of both systems ``K z_j = rhs_j`` at
+        ``zeta`` onto the span of the kept vectors; None when none are kept
+        or the projected problem is not finite."""
         k = min(self._added, self.size)
         if k == 0:
             return None
+        self._project_pending(k)
         V = self._vectors[:k]
         # a huge scaling may overflow the projected entries: the start is
         # then None, and the solve fails on its own system
         with np.errstate(over="ignore", invalid="ignore"):
-            # H = V K V^T, filled symmetrically from its upper triangle
-            H = np.empty((k, k))
-            for l, v in enumerate(V):
-                H[l, :l + 1] = H[:l + 1, l] = np.einsum("kn,n->k", V[:l + 1], K @ v)
-            f = np.einsum("jn,kn->jk", loads, V)
+            H = _combination(zeta, {ik: G[:k, :k] for ik, G in self._gram.items()})
+            f = zeta[0] * self._products[0, :, :k] + zeta[1] * self._products[1, :, :k]
             if not (np.all(np.isfinite(H)) and np.all(np.isfinite(f))):
                 return None
             d = np.diagonal(H)
@@ -148,12 +203,15 @@ class CellProblem:
         rhs_j(zeta) = zeta_1 L_1j + zeta_2 L_2j,   L_ij = -int a_ij d_i phi,
 
     where K_ik is the stiffness of the single entry a_ik. The coefficient
-    is evaluated once, and the three stiffness pieces are assembled once
-    by the grid as data arrays on its nine-point CSR layout, together
-    with the four loads and the four flux vectors
-    M_ik = int a_ik d_k phi / |Y|. A scaling then costs two vector
-    combinations and the two CG solves, and the effective matrix is read
-    off dot products. The flux form
+    is evaluated once, and the stiffness pieces are assembled once by the
+    grid as data arrays on its nine-point CSR layout, together with the
+    four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|.
+    Pieces that are exactly zero, as K12 + K21 of an isotropic A, are
+    left out, and loads that are rounding noise (``LOAD_NOISE``) are set
+    to zero. A scaling then costs the combinations of the pieces, the
+    start, which combines the projections its basis cached, and the two
+    CG solves, and the effective matrix is read off dot products. The
+    flux form
 
         b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
@@ -180,26 +238,29 @@ class CellProblem:
         self.means = grid.mean(A)
         self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
         G, w = grid.gradients, grid.weights
-        self._stiffness = tuple(grid.stiffness_data(A, np.array(entries)) for entries in
-                                ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+        # a piece that is exactly zero is left out, as K12 + K21 of every
+        # isotropic A
+        pieces = {ik: grid.stiffness_data(A, np.array(entries)) for ik, entries in PIECES.items()}
+        self._stiffness = {ik: d for ik, d in pieces.items() if np.any(d)}
         # _loads[i, j] = L_ij and _fluxes[i][k] = M_ik, which is -L_ki / |Y|
         # when a_ik = a_ki
         self._loads = np.empty((2, 2, grid.n_nodes))
         for i, j in np.ndindex(2, 2):
             self._loads[i, j] = grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
+        peaks = np.abs(self._loads).max(axis=2)
+        self._loads[peaks < LOAD_NOISE * np.finfo(float).eps * peaks.max()] = 0.0
         self._fluxes = [[-self._loads[k, i] / grid.area if self.symmetric else
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
-        self._basis = _CorrectorBasis()
+        self._basis = _CorrectorBasis(grid, self._stiffness, self._loads)
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
         """The stiffness matrix and both loads at ``zeta``. Entries that
         overflow are left as infinities or NaN for the preconditioner to
         refuse."""
         z1, z2 = _scaling(zeta)
-        d11, d12, d22 = self._stiffness
         with np.errstate(over="ignore", invalid="ignore"):
-            K = self.grid.matrix(z1 * z1 * d11 + z1 * z2 * d12 + z2 * z2 * d22)
+            K = self.grid.matrix(_combination((z1, z2), self._stiffness))
             loads = [z1 * self._loads[0, j] + z2 * self._loads[1, j] for j in range(2)]
         return SparseSystem(K, singular=True), loads
 
@@ -232,7 +293,7 @@ class CellProblem:
                               f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
-        x0_pair = self._basis.start(system.matrix, loads)
+        x0_pair = self._basis.start((z1, z2))
         results = [cg_solve(system, loads[j], precondition, tol=tol,
                             x0=None if x0_pair is None else x0_pair[j])
                    for j in range(2)]

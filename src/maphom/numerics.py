@@ -109,13 +109,14 @@ class UniformCellGrid:
     values ``phi`` (nq, 4), the physical shape gradients (nq, 4, 2), the
     weights ``w_q |element|`` and the element tables
     ``tables[(a, b), q, i, k] = w_q d_i phi_a d_k phi_b``, and builds on
-    first use the ``connectivity``, the quadrature ``points``
-    (n_elements * nq, 2) and the :func:`nine_point_layout`, which a
-    quadrature that assembles no matrix never pays for. Nodal fields are
-    read at the points by ``values`` and ``gradient``; fields at the
-    points are integrated by ``integral``, and ``load`` and ``assemble``
-    sum element vectors and matrices at the nodes by adding (ny, nx)
-    arrays shifted by their corner, with no index arrays.
+    first use the quadrature ``points`` (n_elements * nq, 2) and the
+    :func:`nine_point_layout`, which a quadrature that assembles no matrix
+    never pays for. Nodal fields are read at the points by ``values`` and
+    ``gradient``; fields at the points are integrated by ``integral``, and
+    ``load`` and ``assemble`` sum element vectors and matrices at the
+    nodes. All four go through (ny, nx) arrays shifted by a corner, with
+    no index arrays; the element-to-node ``connectivity`` is there for
+    reference assemblies by scatter.
     """
 
     def __init__(
@@ -230,10 +231,19 @@ class UniformCellGrid:
         return values.reshape(self.n_elements, len(GAUSS_WEIGHTS), 2, 2)
 
     def _corners(self, nodal: np.ndarray) -> np.ndarray:
+        """(n_elements, 4) corner values, read as the nodal array shifted
+        by each corner; a periodic grid wraps its last row and column."""
         nodal = np.asarray(nodal, dtype=float).ravel()
         if nodal.size != self.n_nodes:
             raise ValueError("nodal array length does not match grid")
-        return nodal[self.connectivity]
+        nx, ny = self.nx, self.ny
+        if self.periodic:
+            nodal = np.pad(nodal.reshape(ny, nx), ((0, 1), (0, 1)), mode="wrap")
+        nodal = nodal.reshape(ny + 1, nx + 1)
+        corners = np.empty((ny, nx, 4))
+        for a, (dx, dy) in enumerate(CORNERS):
+            corners[..., a] = nodal[dy:dy + ny, dx:dx + nx]
+        return corners.reshape(-1, 4)
 
     def values(self, nodal: np.ndarray) -> np.ndarray:
         """(n_elements, nq) values of the bilinear interpolant of nodal

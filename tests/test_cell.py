@@ -7,10 +7,12 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from maphom import coefficients, numerics
+from maphom import cell, coefficients, numerics
 from maphom.cell import (
+    BASIS_CUTOFF,
     CellProblem,
     CorrectorField,
     solve_corrector,
@@ -538,6 +540,99 @@ def test_a_huge_warm_scaling_fails_as_a_cold_one(sine_coeff, z2, named):
         CellProblem(sine_coeff, 16).solve((1.0, z2))
     with pytest.raises(numerics.SolverError, match=re.escape(named)):
         problem.solve((1.0, z2))
+
+
+def _galerkin_energy(system, loads, x):
+    """Per component j, x_j . K x_j / 2 - rhs_j . x_j."""
+    x = np.asarray(x)
+    Kx = np.asarray([system.matrix @ xj for xj in x])
+    return 0.5 * np.einsum("jn,jn->j", x, Kx) - np.einsum("jn,jn->j", loads, x)
+
+
+def test_the_cached_start_is_the_direct_projection(sine_coeff):
+    """The start combines per-piece Gram matrices V K_p V^T and load
+    products cached as correctors join. Across a ring that fills and
+    evicts, they combine to the direct projection V K(zeta) V^T and
+    V rhs_j(zeta) to 1e-12 relative, and the start reaches the Galerkin
+    energy of a direct eigen-solve with the same cutoff to 1e-12. The
+    energy is compared rather than the vectors: the correctors of nearby
+    scalings are nearly dependent, so two roundings of one 8 x 8 system
+    give coefficients up to 1e-9 apart, while the energy is second order
+    in them."""
+    problem = CellProblem(sine_coeff, 32)
+    basis = problem._basis
+    for step, z2 in enumerate((0.3, 0.5, 0.9, 1.6, 2.5, 3.0, 4.0, 0.7, 1.1)):
+        zeta = (1.0, z2)
+        if step:
+            x0 = basis.start(zeta)
+            k = min(basis._added, basis.size)
+            V = basis._vectors[:k]
+            system, loads = problem.system(zeta)
+            H = V @ (system.matrix @ V.T)
+            f = np.asarray(loads) @ V.T
+            cached = sum(zeta[i] * zeta[j] * G[:k, :k] for (i, j), G in basis._gram.items())
+            assert np.abs(cached - H).max() <= 1e-12 * np.abs(H).max()
+            products = np.einsum("i,ijk->jk", zeta, basis._products[:, :, :k])
+            assert np.abs(products - f).max() <= 1e-12 * np.abs(f).max()
+            d = np.diagonal(H)
+            w, Q = np.linalg.eigh(H / np.sqrt(np.outer(d, d)))
+            kept = w > BASIS_CUTOFF * w[-1]
+            Q, w = Q[:, kept], w[kept]
+            direct = (((f / np.sqrt(d)) @ Q / w) @ Q.T / np.sqrt(d)) @ V
+            npt.assert_allclose(_galerkin_energy(system, loads, x0),
+                                _galerkin_energy(system, loads, direct), rtol=1e-12)
+        problem.solve(zeta, tol=1e-10)
+    assert basis._added == 18  # the ring of eight was filled and evicted
+
+
+def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatch):
+    """Outside CG, a sweep makes one CSR product per nonzero stiffness
+    piece (K11 and K22: K12 + K21 vanishes for the isotropic sine
+    product) for each corrector joined since the last start, so each of
+    the 15 warm starts of 16 scalings makes 2 x 2. A problem solved once
+    makes none, and builds no piece matrix."""
+    inside, products = [False], {True: 0, False: 0}
+    counted, solve = sp.csr_matrix.__matmul__, cell.cg_solve
+
+    def matmul(self, other):
+        products[inside[0]] += 1
+        return counted(self, other)
+
+    def cg_solve(*args, **kwargs):
+        inside[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", matmul)
+    monkeypatch.setattr(cell, "cg_solve", cg_solve)
+    samples = np.linspace(0.05, 2.0, 18)[1:-1]
+    field = tensor_field(sine_coeff, samples, cell_resolution=32)
+    assert field.metadata["unique_scalings"] == 16
+    assert products[False] == 2 * 2 * 15
+    assert products[True] >= sum(map(sum, field.metadata["cg_iterations"].values()))
+
+    products.update({True: 0, False: 0})
+    problem = CellProblem(sine_coeff, 32)
+    problem.solve((1.0, 1.2))
+    assert products[False] == 0 and products[True] > 0
+    assert len(problem._stiffness) == 2
+    assert "_matrices" not in vars(problem._basis)
+
+
+def test_rounding_noise_loads_are_zero(sine_coeff, laminate_coeff):
+    """The laminate's L_22 cancels in exact arithmetic and is set to zero
+    with L_12 and L_21; the sine product's loads are the grid's loads bit
+    for bit."""
+    sine = CellProblem(sine_coeff, 128)
+    grid = sine.grid
+    A, G, w = grid.coefficient(sine_coeff), grid.gradients, grid.weights
+    for i, j in np.ndindex(2, 2):
+        npt.assert_array_equal(sine._loads[i, j],
+                               grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i]))
+    laminate = CellProblem(laminate_coeff, 128)
+    assert np.any(laminate._loads[0, 0]) and not np.any(laminate._loads[[0, 1, 1], [1, 0, 1]])
 
 
 def test_integer_shorthand_builds_the_grid(sine_coeff):

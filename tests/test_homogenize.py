@@ -211,9 +211,10 @@ def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
     that takes no iteration and keeps no vector. The laminate's first
     corrector depends on y1 alone, the same at every scaling, so after
     the first scaling its start leaves about the tolerance and the column
-    takes at most one iteration; its second corrector is rounding noise
-    of the load L_22, about 1e-17, which the basis keeps like any nonzero
-    vector."""
+    takes at most one iteration. Its load L_22 (1.7e-18 against 3.8e-4
+    for L_11) is rounding noise, set to zero, so its second corrector is
+    0, takes no iteration (107 of the sweep's 115 before) and never
+    joins, and b22 is the arithmetic mean."""
     problem = CellProblem(identity_coeff, 16)
     for z2 in (0.5, 1.0, 2.0, 4.0):
         field = problem.solve((1.0, z2), tol=1e-7)
@@ -225,10 +226,44 @@ def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
     iterations = list(field.metadata["cg_iterations"].values())
     assert max(its[0] for its in iterations[1:]) <= 1
     assert sum(sum(its) for its in iterations) <= 142
+    assert sum(its[1] for its in iterations) == 0
+    npt.assert_allclose(field.entry(1, 1), 2.0, rtol=1e-14)
     problem = CellProblem(laminate_coeff, 16)
     for z2 in (0.5, 1.0, 2.0, 4.0, 8.0):
         problem.solve((1.0, z2), tol=1e-7)
-    assert np.all(np.abs(problem._basis._vectors).max(axis=1) > 0)
+    assert problem._basis._added == 5
+    assert np.all(np.abs(problem._basis._vectors[:5]).max(axis=1) > 0)
+
+
+# the sine product at amplitude 0.9 and its reciprocal, a test-local
+# coefficient with the reciprocal bounds
+RECIPROCAL = coefficients.isotropic(
+    lambda pts: 1.0 / (1.0 + 0.9 * np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])),
+    bound=10.0, coercivity=1.0 / 1.9)
+
+
+def test_keller_mendelson_duality_along_the_curve(sine_coeff):
+    """In two dimensions b11[a] b22[1/a] = 1 and b22[a] b11[1/a] = 1 for a
+    scalar periodic a, and the stretched cell is again one, so the
+    duality holds at every zeta2. The Q1 defect is O(H^2): it falls by at
+    least 3.5 from 32^2 to 64^2 cells at zeta2 = 0.1, 1 and 10 (by 4.0 in
+    a probe), and is below 1e-3 at 64^2."""
+    x2 = np.array([0.05, 0.5, 5.0])
+    defects = []
+    for n in (32, 64):
+        b = small_field(sine_coeff, x2, cell_resolution=n).matrices
+        dual = small_field(RECIPROCAL, x2, cell_resolution=n).matrices
+        defects.append(np.abs(np.concatenate([b[:, 0, 0] * dual[:, 1, 1],
+                                              b[:, 1, 1] * dual[:, 0, 0]]) - 1.0))
+    assert np.all(defects[0] >= 3.5 * defects[1])
+    assert defects[1].max() < 1e-3
+
+
+def test_the_curve_mirrors_at_its_ends(sine_coeff):
+    """The sine product is swap-symmetric, so B(1/zeta2) is B(zeta2) with
+    the axes exchanged, here at zeta2 = 0.01 and 100 in one sweep."""
+    b = small_field(sine_coeff, [0.005, 50.0]).matrices
+    npt.assert_allclose(b[0], b[1][::-1, ::-1], rtol=0, atol=1e-8)
 
 
 def test_repeated_sweeps_are_bytewise_identical(sine_coeff):

@@ -255,6 +255,20 @@ def test_load_matches_a_scatter_over_the_connectivity(rng, grid):
     npt.assert_allclose(grid.load(values, table), expect, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "clamped"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (5, 4)])
+def test_values_and_gradients_read_the_corners_of_the_gather(rng, periodic, nx, ny):
+    """The corners are read as the nodal array shifted by each corner, a
+    periodic grid wrapping its last row and column; the values and
+    gradients equal those of the gather over the connectivity bit for bit."""
+    grid = UniformCellGrid(nx, periodic, ny=ny)
+    nodal = rng.standard_normal(grid.n_nodes)
+    corners = nodal[grid.connectivity]
+    npt.assert_array_equal(grid.values(nodal), np.einsum("qa,ea->eq", grid.phi, corners))
+    npt.assert_array_equal(grid.gradient(nodal), np.einsum("qad,ea->eqd", grid.gradients,
+                                                           corners, optimize=True))
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_points_are_the_lower_left_nodes_plus_the_gauss_offsets(grid):
     """Bit for bit the nodal coordinates of each element's first corner
