@@ -20,7 +20,6 @@ from .coefficients import PeriodicCoefficient
 from .finescale import (
     DirichletProblem,
     SolutionField,
-    convergence_study,
     flux_moment,
     l2_error,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "aud_verify",
     "cg_solve",
     "classical_homogenized_matrix",
-    "convergence_study",
     "flux_moment",
     "homogenized_matrix_at",
     "isotropy_scan",

@@ -84,14 +84,12 @@ BASIS_PAIRS = 4
 # eigenvalues of the Jacobi-scaled projected matrix below this fraction of
 # its largest are dropped, which nearly coincident scalings produce
 BASIS_CUTOFF = 1e-14
-# a load below this many eps of the problem's largest load is rounding
-# noise and is set to zero. A load that cancels in exact arithmetic, as
-# L_22 of a coefficient of y1 alone, keeps terms of size h whose sum is
-# of size h^2 in the largest load, so its noise grows with the elements
-# per side: the laminate's reads 0.16 n eps on n x n cells, 20 eps at
-# 128^2 and 163 eps at 1024^2. A genuine load this small would move B by
-# about 2e-13 relative, far below the discretization error.
-LOAD_NOISE = 1024
+# a load within this many eps of the rounding bound of its sum is noise
+# and is set to zero: max|a_ij| sum_q w_q sum_a |d_i phi_a(q)| bounds the
+# absolute terms that meet at a node. A load that cancels in exact
+# arithmetic, as L_22 of a coefficient of y1 alone, reads at most 0.25 eps
+# of it at any resolution; a genuine one reads millions of eps.
+LOAD_NOISE = 16
 
 
 # the stiffness pieces K11, K12 + K21 and K22: the scaling indices (i, k)
@@ -247,8 +245,12 @@ class CellProblem:
         self._loads = np.empty((2, 2, grid.n_nodes))
         for i, j in np.ndindex(2, 2):
             self._loads[i, j] = grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
-        peaks = np.abs(self._loads).max(axis=2)
-        self._loads[peaks < LOAD_NOISE * np.finfo(float).eps * peaks.max()] = 0.0
+        # max|a_ij| entry by entry: one reduction over the leading axes of
+        # A is several times slower
+        reach = np.array([[np.abs(A[:, :, i, j]).max() for j in range(2)] for i in range(2)])
+        terms = reach * np.sum(w[:, None, None] * np.abs(G), axis=(0, 1))[:, None]
+        noise = np.abs(self._loads).max(axis=2) <= LOAD_NOISE * np.finfo(float).eps * terms
+        self._loads[noise] = 0.0
         self._fluxes = [[-self._loads[k, i] / grid.area if self.symmetric else
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]

@@ -25,7 +25,7 @@ import scipy
 
 from . import coefficients
 from .cell import solve_corrector
-from .finescale import convergence_study
+from .finescale import DirichletProblem, l2_error
 from .homogenize import default_x2_samples, isotropy_scan, tensor_field
 from .numerics import Rectangle, SolverError, UniformCellGrid
 from .structure import LinearScaleMap, QuadraticStretchMap, aud_verify
@@ -372,8 +372,12 @@ def cmd_aud(cfg: ExperimentConfig, run: RunManifest) -> None:
 def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
     """h-sweep of fine-scale solves against the effective-tensor solve.
 
-    The header and each finished row are flushed, so an aborted sweep
-    leaves the finished prefix on disk.
+    One DirichletProblem serves every solve, so the source f = 1 is
+    evaluated once. The homogenized reference is solved once; each h adds
+    one oscillatory solve, whose L2 distance to the reference, energy and
+    resolution flag make its row. The manifest holds each solve's
+    diagnostics, the reference first. The header and each finished row
+    are flushed, so an aborted sweep leaves the finished prefix on disk.
     """
     try:
         grid = UniformCellGrid(cfg["domain_resolution"], periodic=False,
@@ -385,15 +389,19 @@ def cmd_convergence(cfg: ExperimentConfig, run: RunManifest) -> None:
     with run.csv("convergence.csv", "h,l2_error,energy,warn_underresolved\n") as f:
         f.flush()
 
-        def on_row(row):
-            f.write("%d,%.17g,%.17g,%d\n" % (row.h, row.l2_error, row.energy,
-                                             row.warn_underresolved))
-            f.flush()
+        def solves():
+            coefficient, tol = cfg.coefficient(), cfg["fem_tol"]
+            problem = DirichletProblem(grid, lambda pts: np.ones(pts.shape[0]))
+            reference = problem.homogenized(field, tol)
+            dirichlet.append(reference.diagnostics())
+            for h in cfg["h_list"]:
+                u_h = problem.oscillatory(coefficient, SCALE_MAPS[cfg["scale_map"]](h), tol)
+                dirichlet.append(u_h.diagnostics())
+                f.write("%d,%.17g,%.17g,%d\n" % (h, l2_error(u_h, reference), u_h.energy,
+                                                 u_h.warn_underresolved))
+                f.flush()
 
-        run.stage("solves", lambda: convergence_study(
-            cfg.coefficient(), SCALE_MAPS[cfg["scale_map"]], lambda pts: np.ones(pts.shape[0]),
-            grid, cfg["h_list"], field, tol=cfg["fem_tol"], on_row=on_row,
-            on_solve=lambda u: dirichlet.append(u.diagnostics())))
+        run.stage("solves", solves)
     run.solver = {**_solver_record(field), "dirichlet": dirichlet}
 
 

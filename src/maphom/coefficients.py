@@ -92,11 +92,7 @@ def _matrix_from_scalar(a: np.ndarray) -> np.ndarray:
 
 def identity() -> PeriodicCoefficient:
     """The constant identity matrix."""
-    return PeriodicCoefficient(
-        lambda pts: np.broadcast_to(np.eye(2), (pts.shape[0], 2, 2)).copy(),
-        bound=1.0,
-        coercivity=1.0,
-    )
+    return constant(np.eye(2))
 
 
 def constant(matrix) -> PeriodicCoefficient:

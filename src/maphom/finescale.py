@@ -1,6 +1,5 @@
 """Dirichlet problems on a macroscopic rectangle: the oscillatory-
-coefficient solve, the effective-tensor solve, error norms and the
-h-sweep comparison table.
+coefficient solve, the effective-tensor solve and error norms.
 
 Solutions are continuous piecewise bilinear with homogeneous Dirichlet
 values, stored on the full node set with exact zeros on the boundary.
@@ -11,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,13 +23,10 @@ from .numerics import (
     inner,
     spectral_preconditioner,
 )
-from .structure import _is_integer
 
 __all__ = [
-    "ConvergenceRow",
     "DirichletProblem",
     "SolutionField",
-    "convergence_study",
     "flux_moment",
     "l2_error",
 ]
@@ -223,59 +219,3 @@ def flux_moment(coeff_eval, u: SolutionField, phi) -> float:
     sigma = np.einsum("eqik,eqk->eqi", D, grid.gradient(u.values))
     test = np.asarray(phi(grid.points), dtype=float).reshape(sigma.shape)
     return float(grid.integral(np.einsum("eqi,eqi->eq", sigma, test)))
-
-
-@dataclasses.dataclass
-class ConvergenceRow:
-    h: int
-    l2_error: float
-    energy: float
-    warn_underresolved: bool
-
-
-def convergence_study(
-    coefficient,
-    map_family,
-    f,
-    grid: UniformCellGrid,
-    h_list: Sequence[int],
-    tensor: HomogenizedTensor,
-    tol: float = 1e-8,
-    on_row=None,
-    on_solve=None,
-) -> list[ConvergenceRow]:
-    """Compare oscillatory solves against the effective-tensor solve.
-
-    ``map_family`` is a callable h -> scale map. The homogenized reference
-    is solved once; each h row records the L2 distance to it, the solve's
-    energy and the resolution flag. ``on_row`` (if given) is called with
-    each completed row, letting callers persist partial tables;
-    ``on_solve`` (if given) is called with every SolutionField, the
-    reference first. One :class:`DirichletProblem` serves every solve, so
-    ``f`` is evaluated once.
-    """
-    if not all(_is_integer(h, 1) for h in h_list):
-        raise ValueError("scale indices h must be positive integers")
-    h_list = [int(h) for h in h_list]
-    if any(b <= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly increasing")
-    problem = DirichletProblem(grid, f)
-    reference = problem.homogenized(tensor, tol)
-    if on_solve is not None:
-        on_solve(reference)
-    rows = []
-    for h in h_list:
-        u_h = problem.oscillatory(coefficient, map_family(h), tol)
-        if on_solve is not None:
-            on_solve(u_h)
-        row = ConvergenceRow(
-            h=h,
-            l2_error=l2_error(u_h, reference),
-            energy=u_h.energy,
-            warn_underresolved=u_h.warn_underresolved,
-        )
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-    return rows
-

@@ -82,13 +82,8 @@ class QuadraticStretchMap:
         out[:, 1] = np.sign(pts[:, 1]) * np.sqrt(np.abs(pts[:, 1]) / self.h)
         return out[0] if single else out
 
-    def jacobian_diag(self, x) -> tuple[float, float]:
-        """Analytic diagonal (h, 2 h x2) of the Jacobian at x."""
-        x = np.asarray(x, dtype=float).ravel()
-        return (float(self.h), 2.0 * self.h * float(x[1]))
-
     def zeta_at(self, x) -> tuple[float, float]:
-        """jacobian_diag / h with the h cancelled symbolically: (1, 2 x2)."""
+        """The Jacobian diagonal (h, 2 h x2) over h: (1, 2 x2)."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != 2:
             raise ValueError("expected a single point (x1, x2)")
@@ -122,9 +117,6 @@ class LinearScaleMap:
         pts, single = _as_points(y)
         out = pts / self.h
         return out[0] if single else out
-
-    def jacobian_diag(self, x) -> tuple[float, float]:
-        return (float(self.h), float(self.h))
 
     def zeta_at(self, x) -> tuple[float, float]:
         return (1.0, 1.0)

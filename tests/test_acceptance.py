@@ -15,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
-from maphom.finescale import convergence_study
+from maphom.finescale import DirichletProblem, l2_error
 from maphom.homogenize import (
     classical_homogenized_matrix,
     default_x2_samples,
@@ -32,6 +32,7 @@ from maphom.structure import (
 
 OMEGA = Rectangle(0.05, 2.0, 0.05, 2.0)
 WINDOW = Rectangle(0.5, 1.5, 0.5, 1.5)
+SCALES = [1, 2, 4, 8]
 
 
 def ones(pts):
@@ -139,22 +140,28 @@ def test_06_subcell_distribution_tightens():
     assert elapsed < 1.0
 
 
+def sweep(coefficient, map_family, mesh, tensor):
+    """One problem's solves on ``mesh`` at h = 1, 2, 4, 8: their L2 errors
+    against the homogenized solve, and every solve, the reference first."""
+    problem = DirichletProblem(mesh, ones)
+    solves = [problem.homogenized(tensor, tol=1e-8)]
+    solves += [problem.oscillatory(coefficient, map_family(h), tol=1e-8) for h in SCALES]
+    return [l2_error(u, solves[0]) for u in solves[1:]], solves
+
+
 def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
     start = perf_counter()
 
     tensor = tensor_field(sine_coeff, default_x2_samples(WINDOW, 64), cell_resolution=128)
     mesh = UniformCellGrid(512, periodic=False, rectangle=WINDOW)
-    solves = []
-    rows = convergence_study(sine_coeff, QuadraticStretchMap, ones, mesh,
-                             [1, 2, 4, 8], tensor, tol=1e-8, on_solve=solves.append)
-    errors = [row.l2_error for row in rows]
+    errors, solves = sweep(sine_coeff, QuadraticStretchMap, mesh, tensor)
     iterations = [u.iterations for u in solves]
     print("stretched-map errors:",
-          ", ".join(f"h={row.h}: {row.l2_error:.6e}" for row in rows),
+          ", ".join(f"h={h}: {e:.6e}" for h, e in zip(SCALES, errors)),
           "iterations:", iterations)
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] / errors[0] <= 0.5
-    assert not any(row.warn_underresolved for row in rows)
+    assert not any(u.warn_underresolved for u in solves)
     # the reference, then h = 1, 2, 4, 8: larger h may not cost more than
     # twice the h = 2 solve
     assert max(iterations[1:]) <= 2 * iterations[2]
@@ -162,14 +169,11 @@ def test_07_fine_scale_solutions_converge(sine_coeff, laminate_coeff):
     baseline = tensor_field(laminate_coeff, default_x2_samples(OMEGA, 64),
                             cell_resolution=128, classical=True)
     mesh_b = UniformCellGrid(256, periodic=False, rectangle=OMEGA)
-    rows_b = convergence_study(laminate_coeff, LinearScaleMap, ones, mesh_b,
-                               [1, 2, 4, 8], baseline, tol=1e-8)
-    log_h = np.log([row.h for row in rows_b])
-    log_e = np.log([row.l2_error for row in rows_b])
-    slope = np.polyfit(log_h, log_e, 1)[0]
+    errors_b, _ = sweep(laminate_coeff, LinearScaleMap, mesh_b, baseline)
+    slope = np.polyfit(np.log(SCALES), np.log(errors_b), 1)[0]
     elapsed = perf_counter() - start
     print("classical baseline errors:",
-          ", ".join(f"h={row.h}: {row.l2_error:.6e}" for row in rows_b),
+          ", ".join(f"h={h}: {e:.6e}" for h, e in zip(SCALES, errors_b)),
           f"slope {slope:.3f}, total {elapsed:.1f} s")
     assert slope <= -0.5
     assert elapsed <= 600.0

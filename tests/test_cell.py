@@ -28,6 +28,7 @@ from maphom.finescale import (
 )
 from maphom.homogenize import (
     classical_homogenized_matrix,
+    default_x2_samples,
     homogenized_matrix_at,
     tensor_field,
 )
@@ -633,6 +634,15 @@ def test_rounding_noise_loads_are_zero(sine_coeff, laminate_coeff):
                                grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i]))
     laminate = CellProblem(laminate_coeff, 128)
     assert np.any(laminate._loads[0, 0]) and not np.any(laminate._loads[[0, 1, 1], [1, 0, 1]])
+
+
+def test_a_weak_laminate_spends_no_iterations_on_its_noise_load():
+    """The L_22 noise of laminate(2, 0.01) is some 2,000 eps of its largest
+    load, L_11 of size 0.01, but a fraction of an eps of the terms of its
+    own sum: the default 128^2 sweep solves z2 = 0 without iterating."""
+    field = tensor_field(coefficients.laminate(2.0, 0.01),
+                         default_x2_samples(Rectangle(0.05, 2.0, 0.05, 2.0), 64))
+    assert sum(its[1] for its in field.metadata["cg_iterations"].values()) <= 5
 
 
 def test_integer_shorthand_builds_the_grid(sine_coeff):

@@ -19,7 +19,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from maphom import cli, coefficients
 from maphom.cell import CellProblem, solve_corrector
 from maphom.cli import KEYS, ExperimentConfig, ConfigError, main
-from maphom.finescale import ConvergenceRow, DirichletProblem, convergence_study
+from maphom.finescale import DirichletProblem, l2_error
 from maphom.homogenize import tensor_field
 from maphom.numerics import Rectangle, SolverError, UniformCellGrid
 from maphom.structure import LinearScaleMap, QuadraticStretchMap, aud_verify
@@ -454,24 +454,13 @@ def test_aud_flags_domains_without_interior_cells(tmp_path, capsys):
     assert "no interior cells" in capsys.readouterr().out
 
 
-def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
-    """The rows flushed one by one read back as the study's rows under
-    the header."""
-    studies = []
-
-    def recorded(*args, **kwargs):
-        studies.append(convergence_study(*args, **kwargs))
-        return studies[-1]
-
-    monkeypatch.setattr(cli, "convergence_study", recorded)
-    code, out = run(
-        tmp_path,
-        "--override", "coefficient=identity",
-        "--override", "cell_resolution=16",
-        "--override", "domain_resolution=32",
-        "--override", "x2_samples=4",
-        "--override", "h_list=[1,2]",
-        "convergence")
+def test_convergence_writes_rows_for_each_scale(tmp_path):
+    """The rows flushed one by one read back, under the header, as the
+    errors and energies of direct solves of one problem."""
+    overrides = ["coefficient=identity", "cell_resolution=16", "domain_resolution=32",
+                 "x2_samples=4", "h_list=[1,2]"]
+    code, out = run(tmp_path, *(arg for o in overrides for arg in ("--override", o)),
+                    "convergence")
     assert code == 0
     header, rows = read_csv(out / "convergence.csv")
     assert header == ["h", "l2_error", "energy", "warn_underresolved"]
@@ -479,21 +468,35 @@ def test_convergence_writes_rows_for_each_scale(tmp_path, monkeypatch):
     for row in rows:
         assert float(row[1]) <= 1e-12  # no oscillation, no gap
         assert float(row[2]) > 0
-    assert [ConvergenceRow(int(h), float(e), float(w), bool(int(flag)))
-            for h, e, w, flag in rows] == studies[0]
+    cfg = ExperimentConfig.load(None, overrides)
+    problem = DirichletProblem(UniformCellGrid(32, periodic=False, rectangle=cfg.omega()),
+                               lambda pts: np.ones(pts.shape[0]))
+    reference = problem.homogenized(
+        tensor_field(cfg.coefficient(), cfg.x2_sample_values(), cell_resolution=16,
+                     tol=cfg["cg_tol"]), cfg["fem_tol"])
+    solves = [problem.oscillatory(cfg.coefficient(), QuadraticStretchMap(h), cfg["fem_tol"])
+              for h in (1, 2)]
+    assert [(float(e), float(w), bool(int(flag))) for _, e, w, flag in rows] == [
+        (l2_error(u, reference), u.energy, u.warn_underresolved) for u in solves]
 
 
 def test_convergence_csv_layout(tmp_path, monkeypatch):
-    def study(*args, on_row, **kwargs):
-        rows = [ConvergenceRow(h=1, l2_error=0.25, energy=1.5, warn_underresolved=False),
-                ConvergenceRow(h=2, l2_error=0.125, energy=1.25, warn_underresolved=True)]
-        for row in rows:
-            on_row(row)
-        return rows
+    class Solve:
+        def __init__(self, h, energy, warn_underresolved):
+            self.h, self.energy, self.warn_underresolved = h, energy, warn_underresolved
 
-    monkeypatch.setattr(cli, "convergence_study", study)
+        def diagnostics(self):
+            return {"h": self.h}
+
+    solves = {1: Solve(1, 1.5, False), 2: Solve(2, 1.25, True)}
+    monkeypatch.setattr(DirichletProblem, "homogenized",
+                        lambda self, field, tol: Solve(0, 0.0, False))
+    monkeypatch.setattr(DirichletProblem, "oscillatory",
+                        lambda self, coefficient, scale_map, tol: solves[scale_map.h])
+    monkeypatch.setattr(cli, "l2_error", lambda u, v: 0.5 ** (u.h + 1))
     code, out = run(tmp_path, "--override", "cell_resolution=16",
-                    "--override", "x2_samples=3", "convergence")
+                    "--override", "x2_samples=3", "--override", "domain_resolution=32",
+                    "--override", "h_list=[1,2]", "convergence")
     assert code == 0
     assert (out / "convergence.csv").read_text() == (
         "h,l2_error,energy,warn_underresolved\n1,0.25,1.5,0\n2,0.125,1.25,1\n")

@@ -11,7 +11,6 @@ from maphom import coefficients
 from maphom.finescale import (
     DirichletProblem,
     SolutionField,
-    convergence_study,
     flux_moment,
     l2_error,
     tensor_evaluator,
@@ -162,6 +161,8 @@ def test_dirichlet_solve_matches_a_direct_solve_of_the_coo_system(coo_stiffness)
 
 
 def test_a_study_evaluates_the_source_once(identity_coeff):
+    """One problem serves an h-sweep: the source is evaluated when the
+    problem is built and by no solve."""
     calls = []
 
     def counted(pts):
@@ -169,11 +170,10 @@ def test_a_study_evaluates_the_source_once(identity_coeff):
         return np.ones(pts.shape[0])
 
     grid = clamped(16, 16)
-    sols = []
-    convergence_study(identity_coeff, LinearScaleMap, counted, grid, [1, 2, 4],
-                      constant_field(np.eye(2)), on_solve=sols.append)
+    problem = DirichletProblem(grid, counted)
+    sols = [problem.homogenized(constant_field(np.eye(2)))]
+    sols += [problem.oscillatory(identity_coeff, LinearScaleMap(h)) for h in (1, 2, 4)]
     assert calls == [grid.n_elements * len(GAUSS_WEIGHTS)]
-    assert len(sols) == 4
     for u in sols:
         record = u.diagnostics()
         assert record["assemble_s"] > 0 and record["solve_s"] > 0
@@ -376,12 +376,12 @@ def test_tensor_evaluator_interpolates_and_clamps():
 def test_identity_study_reports_zero_error(identity_coeff):
     grid = clamped(32, 32)
     tensor = tensor_field(identity_coeff, default_x2_samples(OMEGA, 4), cell_resolution=16)
-    rows = convergence_study(identity_coeff, QuadraticStretchMap, ones, grid,
-                             [1, 2], tensor)
-    assert [row.h for row in rows] == [1, 2]
-    for row in rows:
-        assert row.l2_error <= 1e-12
-        assert row.energy > 0
+    problem = DirichletProblem(grid, ones)
+    reference = problem.homogenized(tensor)
+    for h in (1, 2):
+        u_h = problem.oscillatory(identity_coeff, QuadraticStretchMap(h))
+        assert l2_error(u_h, reference) <= 1e-12
+        assert u_h.energy > 0
 
 
 def test_study_flux_gap_narrows_with_scale(sine_coeff):
@@ -420,30 +420,11 @@ def test_study_flux_gap_narrows_with_scale(sine_coeff):
         assert g8 < g2
 
 
-def test_study_rejects_unsorted_scales(identity_coeff):
-    grid = clamped(16, 16)
-    tensor = constant_field(np.eye(2))
-    with pytest.raises(ValueError):
-        convergence_study(identity_coeff, LinearScaleMap, ones, grid, [4, 2],
-                          tensor)
-
-
 @pytest.mark.parametrize("h", [2.5, float("inf"), 0])
-def test_study_refuses_a_scale_that_is_not_a_positive_integer(identity_coeff, h):
-    """A fractional h is not truncated to the next integer and an
-    infinite one does not overflow."""
-    grid = clamped(16, 16)
-    with pytest.raises(ValueError, match="positive integers"):
-        convergence_study(identity_coeff, LinearScaleMap, ones, grid, [h],
-                          constant_field(np.eye(2)))
-
-
-def test_study_callback_sees_each_row(laminate_coeff):
-    grid = clamped(32, 32)
-    tensor = tensor_field(laminate_coeff, default_x2_samples(OMEGA, 4),
-                          cell_resolution=16, classical=True)
-    seen = []
-    rows = convergence_study(laminate_coeff, LinearScaleMap, ones, grid,
-                             [1, 2], tensor, on_row=seen.append)
-    assert seen == rows
-
+def test_study_refuses_a_scale_that_is_not_a_positive_integer(h):
+    """An h-sweep builds one scale map per h, and both maps refuse an h
+    that is not a positive integer: a fractional h is not truncated to the
+    next integer and an infinite one does not overflow."""
+    for build in (LinearScaleMap, QuadraticStretchMap):
+        with pytest.raises(ValueError, match="positive integer"):
+            build(h)

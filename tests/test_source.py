@@ -38,6 +38,47 @@ def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names a module takes from another module of the
+    package: ``from .module import _name``, and ``module._name`` on a
+    module imported with ``from . import module``. Dunders are public."""
+    tree = ast.parse(source)
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "maphom"):
+            found.update(a.name for a in node.names if _private(a.name))
+            if node.module in (None, "maphom"):
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and getattr(node.value, "id", None) in modules):
+            found.add(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_the_scan_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from . import numerics, structure as st\n"
+              "from .structure import _is_integer, aud_ratio\n"
+              "from maphom.cell import _scaling as scaling\n"
+              "from numpy import _core\n"
+              "def f(x, self):\n"
+              "    return numerics._q1(x), st._as_points(x), self._loads, numerics.__name__\n")
+    assert private_imports(source) == ["_is_integer", "_scaling", "numerics._q1",
+                                       "st._as_points"]
+    assert private_imports("def _own(np):\n    return np._core, _own\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_modules_take_no_private_names_from_each_other(path):
+    assert private_imports(path.read_text()) == []
+
+
 def stale_exports(source: str) -> list[str]:
     """The names in a module's ``__all__`` that no module-level def,
     class, assignment or import binds."""
