@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
+    dual_norm,
     inner,
     spectral_preconditioner,
 )
@@ -78,12 +80,10 @@ def _scaling(zeta) -> tuple[float, float]:
     return z1, z2
 
 
-# a solve starts from the Galerkin projection onto the span of the last
-# this many solved corrector pairs; deeper bases gain little
-BASIS_PAIRS = 4
-# eigenvalues of the Jacobi-scaled projected matrix below this fraction of
-# its largest are dropped, which nearly coincident scalings produce
-BASIS_CUTOFF = 1e-14
+# a corrector of which less than this fraction is left after it is
+# orthogonalized against the basis lies in its span to rounding and is
+# dropped, as the pair of a scaling solved twice
+DEPENDENT = 1e-12
 # a load within this many eps of the rounding bound of its sum is noise
 # and is set to zero: max|a_ij| sum_q w_q sum_a |d_i phi_a(q)| bounds the
 # absolute terms that meet at a node. A load that cancels in exact
@@ -106,89 +106,103 @@ def _combination(zeta, pieces: dict) -> np.ndarray:
 
 
 class _CorrectorBasis:
-    """The last ``2 BASIS_PAIRS`` nonzero correctors a cell problem solved,
-    copied whole into a fixed ring, the newest in the oldest one's slot,
-    with their projections of the problem's stiffness pieces and loads:
-    per piece p the Gram matrix ``V K_p V^T`` and the products
-    ``L_ij . v``.
+    """An orthonormal basis of the span of the nonzero correctors a cell
+    problem solved, with the projections of the problem's stiffness
+    pieces and loads onto it: per piece p the Gram matrix ``V K_p V^T``
+    and the products ``L_ij . v``.
 
-    The projections of a new vector are formed at the next ``start``, one
-    product ``K_p v`` per piece, so a problem solved once forms none. A
-    start combines the cached numbers at its scaling and touches whole
-    vectors only to sum its result."""
-
-    size = 2 * BASIS_PAIRS
+    A corrector that joins is copied whole and waits for the next
+    projection, so a problem solved once does no more. There it is
+    orthogonalized against the kept vectors by two classical
+    Gram-Schmidt passes, dropped when less than ``DEPENDENT`` of it is
+    left, normalized, and its Gram rows are formed, one product ``K_p v``
+    per piece. The stored rows double as the basis grows; the products
+    ``K_p V`` are not kept. A projection combines the cached numbers at
+    its scaling and touches whole vectors only to sum its result."""
 
     def __init__(self, grid: UniformCellGrid, pieces: dict, loads: np.ndarray):
         self._grid = grid
         self._pieces = pieces
         self._loads = loads
-        self._vectors = None
-        self._added = 0
-        self._pending: list[int] = []  # slots whose projections are not formed
+        self._vectors = np.empty((0, grid.n_nodes))
+        self.size = 0  # orthonormal rows, followed by the pending correctors
+        self._pending = 0
+        self._gram = {ik: np.empty((0, 0)) for ik in pieces}
+        self._products = np.empty((2, 2, 0))
 
     def add(self, z: np.ndarray) -> None:
         if not np.any(z):  # a zero corrector spans nothing
             return
-        if self._vectors is None:
-            self._vectors = np.empty((self.size, z.size))
-            self._gram = {ik: np.empty((self.size, self.size)) for ik in self._pieces}
-            self._products = np.empty((2, 2, self.size))
-        slot = self._added % self.size
-        self._vectors[slot] = z
-        self._added += 1
-        if slot not in self._pending:
-            self._pending.append(slot)
+        row = self.size + self._pending
+        if row == len(self._vectors):
+            rows = max(8, 2 * row)
+            self._vectors = _grown(self._vectors, (rows, z.size))
+            self._gram = {ik: _grown(G, (rows, rows)) for ik, G in self._gram.items()}
+            self._products = _grown(self._products, (2, 2, rows))
+        self._vectors[row] = z
+        self._pending += 1
 
     @functools.cached_property
     def _matrices(self) -> dict:
         return {ik: self._grid.matrix(d) for ik, d in self._pieces.items()}
 
-    def _project_pending(self, k: int) -> None:
-        V = self._vectors[:k]
-        for slot in self._pending:
-            v = V[slot]
+    def _join_pending(self) -> None:
+        pending, self._pending = range(self.size, self.size + self._pending), 0
+        for row in pending:
+            k, v = self.size, self._vectors[row]
+            V = self._vectors[:k]
+            norm = math.sqrt(inner(v, v))
+            for _ in range(2):
+                v -= np.einsum("k,kn->n", np.einsum("kn,n->k", V, v), V)
+            left = math.sqrt(inner(v, v))
+            if not left > DEPENDENT * norm:
+                continue
+            v /= left
+            self._vectors[k] = v
+            V = self._vectors[:k + 1]
             # the row of the new vector against every kept one, filled
             # symmetrically: exact when every piece is, which a symmetric A
             # (CellProblem.symmetric) makes so; otherwise only the start's
             # quality depends on the fill
             for ik, K in self._matrices.items():
-                self._gram[ik][slot, :k] = self._gram[ik][:k, slot] = np.einsum(
-                    "kn,n->k", V, K @ v)
-            self._products[:, :, slot] = np.einsum("ijn,n->ij", self._loads, v)
-        self._pending.clear()
+                self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
+                    "kn,n->k", V, K @ V[k])
+            self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, V[k])
+            self.size = k + 1
 
-    def start(self, zeta: tuple[float, float]) -> tuple[np.ndarray, np.ndarray] | None:
-        """The Galerkin projections of both systems ``K z_j = rhs_j`` at
-        ``zeta`` onto the span of the kept vectors; None when none are kept
-        or the projected problem is not finite."""
-        k = min(self._added, self.size)
+    def product(self, zeta: tuple[float, float], x: np.ndarray) -> np.ndarray:
+        """``K(zeta) x``, summed from one product ``K_p x`` per piece, so
+        that no matrix is formed at ``zeta``."""
+        return _combination(zeta, {ik: K @ x for ik, K in self._matrices.items()})
+
+    def project(self, zeta: tuple[float, float]) -> np.ndarray | None:
+        """The (2, n) Galerkin projections of both systems ``K x_j =
+        rhs_j`` at ``zeta`` onto the span of the basis; None when it is
+        empty or the projected problem is not finite or singular."""
+        self._join_pending()
+        k = self.size
         if k == 0:
             return None
-        self._project_pending(k)
-        V = self._vectors[:k]
-        # a huge scaling may overflow the projected entries: the start is
-        # then None, and the solve fails on its own system
+        # a huge scaling may overflow the projected entries: the projection
+        # is then None, and a solve fails on its own system
         with np.errstate(over="ignore", invalid="ignore"):
             H = _combination(zeta, {ik: G[:k, :k] for ik, G in self._gram.items()})
             f = zeta[0] * self._products[0, :, :k] + zeta[1] * self._products[1, :, :k]
             if not (np.all(np.isfinite(H)) and np.all(np.isfinite(f))):
                 return None
-            d = np.diagonal(H)
-            keep = d > 0.0  # a vector whose energy underflows carries nothing
-            if not keep.any():
+            try:
+                coeffs = np.linalg.solve(H, f.T)
+            except np.linalg.LinAlgError:
                 return None
-            # Jacobi-scale, then solve by a symmetric eigen-solve that drops
-            # the directions nearly coincident scalings leave
-            scale = 1.0 / np.sqrt(d[keep])
-            w, Q = np.linalg.eigh(scale[:, None] * H[np.ix_(keep, keep)] * scale)
-            kept = w > BASIS_CUTOFF * w[-1]
-            Q, w = Q[:, kept], w[kept]
-            coeffs = np.zeros((2, k))
-            coeffs[:, keep] = scale * np.einsum(
-                "lm,jm->jl", Q, np.einsum("lm,jl->jm", Q, scale * f[:, keep]) / w)
-            x0 = np.einsum("jk,kn->jn", coeffs, V)
-        return (x0[0], x0[1]) if np.all(np.isfinite(x0)) else None
+            x = np.einsum("kj,kn->jn", coeffs, self._vectors[:k])
+        return x if np.all(np.isfinite(x)) else None
+
+
+def _grown(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """An uninitialized array of ``shape`` that starts with a copy of ``a``."""
+    out = np.empty(shape)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
 
 
 class CellProblem:
@@ -207,9 +221,9 @@ class CellProblem:
     Pieces that are exactly zero, as K12 + K21 of an isotropic A, are
     left out, and loads that are rounding noise (``LOAD_NOISE``) are set
     to zero. A scaling then costs the combinations of the pieces, the
-    start, which combines the projections its basis cached, and the two
-    CG solves, and the effective matrix is read off dot products. The
-    flux form
+    Galerkin projection onto the correctors solved before, which combines
+    the projections its basis cached, and the two CG solves, and the
+    effective matrix is read off dot products. The flux form
 
         b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
@@ -224,6 +238,17 @@ class CellProblem:
     is the corrector z_i itself. Its error is quadratic in the CG error,
     so the cells can be solved to a looser tolerance. A non-symmetric A
     keeps the flux form.
+
+    The stationary form of any pair x_j with true residuals r_j errs by
+    exactly -e_i . K e_j / |Y|, with e_j = z_j - x_j. Under 2x2 Gauss,
+    K(zeta) >= alpha K0(zeta) for the plain spectral operator K0 at the
+    scaled means (zeta_1^2 <a11>, zeta_2^2 <a22>) and alpha = lambda /
+    max(<a11>, <a22>), where lambda bounds the least eigenvalue of A at
+    every quadrature point from below (Gershgorin over all points:
+    min(min a11, min a22) - max |a12|).
+    So |e_j|_K^2 <= eta_j = r_j . K0^+ r_j / alpha and each entry errs by
+    at most sqrt(eta_i eta_j) / |Y| (``error_bound``). A non-symmetric A,
+    or one whose lambda is not positive, has no such bound.
     """
 
     def __init__(self, coefficient, grid: UniformCellGrid | int):
@@ -255,6 +280,12 @@ class CellProblem:
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
         self._basis = _CorrectorBasis(grid, self._stiffness, self._loads)
+        self._alpha = None
+        if self.symmetric:
+            # Gershgorin over all points at once, exact for an isotropic A
+            least = min(A[..., 0, 0].min(), A[..., 1, 1].min()) - reach[0, 1]
+            if least > 0.0:
+                self._alpha = float(least / max(self.means[0, 0], self.means[1, 1]))
 
     def system(self, zeta: tuple[float, float]) -> tuple[SparseSystem, list[np.ndarray]]:
         """The stiffness matrix and both loads at ``zeta``. Entries that
@@ -263,23 +294,29 @@ class CellProblem:
         z1, z2 = _scaling(zeta)
         with np.errstate(over="ignore", invalid="ignore"):
             K = self.grid.matrix(_combination((z1, z2), self._stiffness))
-            loads = [z1 * self._loads[0, j] + z2 * self._loads[1, j] for j in range(2)]
+            loads = self._rhs((z1, z2))
         return SparseSystem(K, singular=True), loads
+
+    def _rhs(self, zeta: tuple[float, float]) -> list[np.ndarray]:
+        return [zeta[0] * self._loads[0, j] + zeta[1] * self._loads[1, j] for j in range(2)]
 
     def solve(
         self,
         zeta: tuple[float, float],
         tol: float = 1e-10,
+        start: CorrectorField | None = None,
     ) -> CorrectorField:
         """Both correctors at ``zeta`` by spectrally preconditioned CG.
 
         The two solves start from the Galerkin projection of the problem
-        at ``zeta`` onto the span of the last ``BASIS_PAIRS`` corrector
-        pairs this problem solved: a zero start for its first solve, so a
-        problem solved once solves cold. The solutions are made zero-mean
-        once more after the solve. A scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not
-        finite or underflows to 0 raises ``SolverError`` before the system
-        is formed, and so before the projection.
+        at ``zeta`` onto the span of the correctors this problem solved
+        (``reduced``): a zero start for its first solve, so a problem
+        solved once solves cold. ``start`` is that projection when the
+        caller has formed it already. The solutions are made zero-mean
+        once more after the solve, and join the basis. A scaling or a
+        scaled mean ``zeta_i^2 <a_ii>`` that is not finite or underflows
+        to 0 raises ``SolverError`` before the system is formed, and so
+        before the projection.
         """
         z1, z2 = _scaling(zeta)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -293,11 +330,14 @@ class CellProblem:
         if k1 == 0.0 or k2 == 0.0:
             raise SolverError(f"preconditioner input underflows to 0 at zeta = {(z1, z2)}: "
                               f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
+        if start is not None and start.zeta != (z1, z2):
+            raise ValueError("start was projected at a different scaling")
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
-        x0_pair = self._basis.start((z1, z2))
+        if start is None:
+            start = self.reduced((z1, z2))
         results = [cg_solve(system, loads[j], precondition, tol=tol,
-                            x0=None if x0_pair is None else x0_pair[j])
+                            x0=None if start is None else start.component(j + 1))
                    for j in range(2)]
         sols = [res.x - res.x.mean() for res in results]
         for z in sols:
@@ -309,6 +349,49 @@ class CellProblem:
             r1=results[0].r, r2=results[1].r,
             start_residual=tuple(res.start_residual for res in results),
         )
+
+    def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
+        """The Galerkin projection of both systems at ``zeta`` onto the
+        span of the correctors this problem solved, with its true
+        residuals, as a field of 0 iterations whose residuals are its
+        start residuals. None when the problem has solved none, or when
+        the projection or its residuals are not finite, as at a huge
+        scaling, where a solve fails on its own system."""
+        zeta = _scaling(zeta)
+        x = self._basis.project(zeta)
+        if x is None:
+            return None
+        r, residual = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, b in enumerate(self._rhs(zeta)):
+                b -= b.mean()
+                rj = b - self._basis.product(zeta, x[j])
+                rj -= rj.mean()
+                bnorm = math.sqrt(inner(b, b))
+                r.append(rj)
+                residual.append(math.sqrt(inner(rj, rj)) / bnorm if bnorm else 0.0)
+        if not np.all(np.isfinite(residual)):
+            return None
+        return CorrectorField(
+            z1=x[0], z2=x[1], zeta=zeta, grid=self.grid, iterations=(0, 0),
+            residual=tuple(residual), r1=r[0], r2=r[1], start_residual=tuple(residual))
+
+    def error_bound(self, field: CorrectorField) -> float | None:
+        """A bound on every entry's error in ``effective_matrix(field)``,
+        ``max_j eta_j / |Y|`` (see the class): the stationary form's
+        error at any pair, solved or projected. None when A has no such
+        bound or the scaled means are not finite and positive."""
+        if field.grid is not self.grid:
+            raise ValueError("corrector was solved on a different grid")
+        if self._alpha is None:
+            return None
+        z1, z2 = field.zeta
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
+            if not (0.0 < k1 < math.inf and 0.0 < k2 < math.inf):
+                return None
+            eta = max(dual_norm(self.grid, k1, k2, r) for r in (field.r1, field.r2))
+        return eta / self._alpha / self.grid.area
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
         """The effective matrix of a corrector pair solved by this problem:

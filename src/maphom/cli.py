@@ -309,14 +309,18 @@ def _package_version() -> str:
 
 def _solver_record(field) -> dict:
     """The cell solves' preconditioner and start, the form ``B`` is read
-    off, and per scaling the CG iterations, the final residuals and the
+    off, the bound target and the truth scalings, and per scaling the
+    error bound, the CG iterations, the final residuals and the
     residuals the start left."""
     meta = field.metadata
     return {
         "preconditioner": meta["preconditioner"],
         "warm_start": meta["warm_start"],
         "effective_matrix": meta["effective_matrix"],
+        "bound_target": meta["bound_target"],
+        "truth_scalings": meta["truth_scalings"],
         "cg_iterations": [{"zeta2": z2, "iterations": list(its),
+                           "bound": meta["bounds"][z2],
                            "residuals": list(meta["cg_residuals"][z2]),
                            "start_residuals": list(meta["cg_start_residuals"][z2])}
                           for z2, its in meta["cg_iterations"].items()],

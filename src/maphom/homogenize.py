@@ -95,6 +95,23 @@ def _round_sig(value: float, digits: int = 12) -> float:
     return float(f"{value:.{digits}g}")
 
 
+# a sample's matrix is read off the reduced basis once its error bound is
+# at most this fraction of the largest mean diagonal entry <a_ii>: a
+# decade below the 1e-12 to which sweeps are checked
+BOUND_TARGET = 1e-13
+
+
+def _coarse_to_fine(n: int) -> list[int]:
+    """The indices ``0 .. n - 1``: both ends, then the midpoints of the
+    intervals between visited indices, level by level."""
+    order, intervals = [0, n - 1][:n], [(0, n - 1)]
+    while intervals:
+        split = [(lo, (lo + hi) // 2, hi) for lo, hi in intervals if hi - lo > 1]
+        order += [mid for _, mid, _ in split]
+        intervals = [part for lo, mid, hi in split for part in ((lo, mid), (mid, hi))]
+    return order
+
+
 def tensor_field(
     coefficient,
     x2_samples,
@@ -109,22 +126,29 @@ def tensor_field(
 
     ``classical`` forces zeta = (1, 1) at every sample (the periodic
     baseline); otherwise the quadratic stretch scaling (1, 2 x2) is used.
-    ``tol`` is the cells' CG tolerance. The stationary form that
-    :meth:`CellProblem.effective_matrix` reads for a symmetric
-    coefficient is second order in it, so 1e-7 gives the matrices of
-    1e-10 to rounding; the flux form of a non-symmetric one is first
-    order.
 
     Samples are grouped by their scaling zeta_2 rounded to 12 significant
-    digits; each group is solved once and shares bitwise-identical
-    matrices. One :class:`CellProblem` serves every group: the groups are
-    solved in ascending order, each warm started from the Galerkin
-    projection of its cell problem onto the last solved corrector pairs
-    (:meth:`CellProblem.solve`), and each matrix is read off
-    the problem's dot products: the stationary form for a symmetric
+    digits; each group shares bitwise-identical matrices. One
+    :class:`CellProblem` serves every group, and its matrices are read
+    off the problem's dot products: the stationary form for a symmetric
     coefficient, the flux form otherwise (the metadata's
-    ``effective_matrix``). The metadata also holds, per scaling, the CG
-    iterations, the final residuals and the residuals the starts left.
+    ``effective_matrix``). The groups are visited coarse to fine: the
+    smallest and largest scaling, then midpoints by bisection. At each,
+    the Galerkin projection onto the correctors solved so far
+    (:meth:`CellProblem.reduced`) is returned when its rigorous error
+    bound (:meth:`CellProblem.error_bound`) is at most ``BOUND_TARGET``
+    times the largest mean diagonal entry. Otherwise the scaling is a
+    truth solve, CG to ``tol`` started from the projection, whose pair
+    joins the basis. A coefficient with no bound, as a non-symmetric
+    one, makes every scaling a truth solve. The stationary form is
+    second order in ``tol``, so 1e-7 gives the matrices of 1e-10 to
+    rounding; the flux form is first order.
+
+    The metadata holds, per scaling, the error bound (None where none
+    applies), the CG iterations (0 for a returned projection), the
+    final residuals and the residuals the starts left; per run the
+    absolute ``bound_target`` and the ``truth_scalings`` in the order
+    they were solved.
     """
     x2 = np.array(x2_samples, dtype=float).ravel()
     if x2.size == 0:
@@ -139,29 +163,44 @@ def tensor_field(
         zeta2 = np.ones_like(x2) if classical else 2.0 * x2
     keys = [_round_sig(z) for z in zeta2]
     unique = sorted(set(keys))
+    target = BOUND_TARGET * max(problem.means[0, 0], problem.means[1, 1])
 
     matrices: dict[float, np.ndarray] = {}
+    bounds: dict[float, float | None] = {}
     iterations: dict[float, tuple[int, int]] = {}
     residuals: dict[float, tuple[float, float]] = {}
     start_residuals: dict[float, tuple[float, float]] = {}
+    truth: list[float] = []
     sup_norm = 0.0
-    for z2 in unique:
-        corr = problem.solve((1.0, z2), tol=tol)
-        matrices[z2] = problem.effective_matrix(corr)
-        iterations[z2] = corr.iterations
-        residuals[z2] = corr.residual
-        start_residuals[z2] = corr.start_residual
-        sup_norm = max(sup_norm, corr.sup_norm())
+    for z2 in (unique[i] for i in _coarse_to_fine(len(unique))):
+        field = problem.reduced((1.0, z2))
+        bound = None if field is None else problem.error_bound(field)
+        if bound is None or not bound <= target:
+            field = problem.solve((1.0, z2), tol=tol, start=field)
+            bound = problem.error_bound(field)
+            truth.append(z2)
+        matrices[z2] = problem.effective_matrix(field)
+        bounds[z2] = bound
+        iterations[z2] = field.iterations
+        residuals[z2] = field.residual
+        start_residuals[z2] = field.start_residual
+        sup_norm = max(sup_norm, field.sup_norm())
+
+    def ascending(per_scaling: dict) -> dict:
+        return {z2: per_scaling[z2] for z2 in unique}
 
     metadata = {
         "unique_scalings": len(unique),
+        "truth_scalings": truth,
+        "bound_target": target,
         "corrector_sup_norm": sup_norm,
         "preconditioner": "spectral",
-        "warm_start": "galerkin",
+        "warm_start": "reduced_basis",
         "effective_matrix": "stationary" if problem.symmetric else "flux",
-        "cg_iterations": iterations,
-        "cg_residuals": residuals,
-        "cg_start_residuals": start_residuals,
+        "bounds": ascending(bounds),
+        "cg_iterations": ascending(iterations),
+        "cg_residuals": ascending(residuals),
+        "cg_start_residuals": ascending(start_residuals),
     }
     return HomogenizedTensor(x2=x2,
                              matrices=np.stack([matrices[k] for k in keys]),

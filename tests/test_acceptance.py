@@ -88,16 +88,18 @@ def test_03_stretched_field_structure_and_budget(sine_coeff, stretched_field):
     direct = classical_homogenized_matrix(sine_coeff, 128)
     direct_gap = abs(direct[0, 0] - direct[1, 1])
     iterations = sum(sum(its) for its in field.metadata["cg_iterations"].values())
+    truth = len(field.metadata["truth_scalings"])
 
     print(f"stretched field: off-diagonal {off_diag:.3e}, recompute gap "
           f"{recompute_gap:.3e}, midline gap {mid_gap:.3e} / {direct_gap:.3e}, "
-          f"{iterations} CG iterations, {elapsed:.1f} s")
+          f"{iterations} CG iterations in {truth} truth scalings, {elapsed:.1f} s")
     assert off_diag <= 1e-3
     assert recompute_gap <= 1e-12
     assert mid_gap <= 1e-3
     assert direct_gap <= 1e-3
     assert field.metadata["unique_scalings"] == 64
     assert iterations <= 700
+    assert truth <= 16
     assert elapsed <= 60.0
 
 

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from maphom import cell, coefficients, numerics
 from maphom.cell import (
-    BASIS_CUTOFF,
     CellProblem,
     CorrectorField,
     solve_corrector,
@@ -410,10 +409,39 @@ def test_a_sweep_records_the_form_of_b(sine_coeff, name, form):
     assert field.metadata["effective_matrix"] == form
 
 
+def tilted_spd_values(pts):
+    """A symmetric coefficient, positive definite (det >= 0.71) though
+    min a11 - max |a12| = 1.2 - 1.3 is not positive."""
+    out = np.empty((pts.shape[0], 2, 2))
+    out[:, 0, 0] = 1.5 + 0.3 * np.sin(2 * np.pi * pts[:, 0])
+    out[:, 0, 1] = out[:, 1, 0] = 1.3
+    out[:, 1, 1] = 2.0
+    return out
+
+
+@pytest.mark.parametrize("coeff", [skew_coefficient(), tilted_spd_values],
+                         ids=["skew", "gershgorin-not-positive"])
+def test_a_coefficient_without_a_bound_truth_solves_every_scaling(coeff):
+    """A non-symmetric A, and a symmetric one whose Gershgorin bound
+    min(min a11, min a22) - max |a12| is not positive though it is positive
+    definite, have no error bound: every scaling of a sweep is a CG
+    solve, warm from the projection onto the pairs before."""
+    samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, 2.0), 8)
+    field = tensor_field(coeff, samples, cell_resolution=16)
+    meta = field.metadata
+    assert sorted(meta["truth_scalings"]) == list(meta["cg_iterations"]) == sorted(
+        meta["bounds"])
+    assert all(bound is None for bound in meta["bounds"].values())
+    problem = CellProblem(coeff, 16)
+    assert problem.error_bound(problem.solve(ZETA)) is None
+
+
 def test_effective_matrix_needs_the_problem_grid(sine_coeff):
     field = solve_corrector(sine_coeff, ZETA, 16)
     with pytest.raises(ValueError):
         CellProblem(sine_coeff, 16).effective_matrix(field)
+    with pytest.raises(ValueError):
+        CellProblem(sine_coeff, 16).error_bound(field)
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +579,23 @@ def _galerkin_energy(system, loads, x):
 
 
 def test_the_cached_start_is_the_direct_projection(sine_coeff):
-    """The start combines per-piece Gram matrices V K_p V^T and load
-    products cached as correctors join. Across a ring that fills and
-    evicts, they combine to the direct projection V K(zeta) V^T and
-    V rhs_j(zeta) to 1e-12 relative, and the start reaches the Galerkin
-    energy of a direct eigen-solve with the same cutoff to 1e-12. The
-    energy is compared rather than the vectors: the correctors of nearby
-    scalings are nearly dependent, so two roundings of one 8 x 8 system
-    give coefficients up to 1e-9 apart, while the energy is second order
-    in them."""
+    """The basis keeps every solved corrector, orthonormalized as it joins,
+    with per-piece Gram matrices V K_p V^T and load products. After nine
+    solved pairs, more than the former ring of eight held, V V^T is the
+    identity to 1e-13, the cached numbers combine to the direct
+    projection V K(zeta) V^T and V rhs_j(zeta) to 1e-12 relative, and the
+    projection is the Galerkin solution: its residuals are orthogonal to
+    the basis, and it reaches the Galerkin energy of a direct solve to
+    1e-12."""
     problem = CellProblem(sine_coeff, 32)
     basis = problem._basis
-    for step, z2 in enumerate((0.3, 0.5, 0.9, 1.6, 2.5, 3.0, 4.0, 0.7, 1.1)):
+    for step, z2 in enumerate((0.3, 0.5, 0.9, 1.6, 2.5, 3.0, 4.0, 0.7, 1.1, 2.0)):
         zeta = (1.0, z2)
         if step:
-            x0 = basis.start(zeta)
-            k = min(basis._added, basis.size)
+            field = problem.reduced(zeta)
+            k = basis.size
             V = basis._vectors[:k]
+            npt.assert_allclose(V @ V.T, np.eye(k), rtol=0, atol=1e-13)
             system, loads = problem.system(zeta)
             H = V @ (system.matrix @ V.T)
             f = np.asarray(loads) @ V.T
@@ -575,23 +603,36 @@ def test_the_cached_start_is_the_direct_projection(sine_coeff):
             assert np.abs(cached - H).max() <= 1e-12 * np.abs(H).max()
             products = np.einsum("i,ijk->jk", zeta, basis._products[:, :, :k])
             assert np.abs(products - f).max() <= 1e-12 * np.abs(f).max()
-            d = np.diagonal(H)
-            w, Q = np.linalg.eigh(H / np.sqrt(np.outer(d, d)))
-            kept = w > BASIS_CUTOFF * w[-1]
-            Q, w = Q[:, kept], w[kept]
-            direct = (((f / np.sqrt(d)) @ Q / w) @ Q.T / np.sqrt(d)) @ V
-            npt.assert_allclose(_galerkin_energy(system, loads, x0),
+            x = (field.z1, field.z2)
+            for j in range(2):
+                assert np.abs(V @ (field.r1, field.r2)[j]).max() <= 1e-12 * np.abs(f[j]).max()
+            direct = np.linalg.solve(H, f.T).T @ V
+            npt.assert_allclose(_galerkin_energy(system, loads, x),
                                 _galerkin_energy(system, loads, direct), rtol=1e-12)
         problem.solve(zeta, tol=1e-10)
-    assert basis._added == 18  # the ring of eight was filled and evicted
+    problem.reduced((1.0, 1.0))
+    assert basis.size == 20  # no pair was evicted or dropped
+
+
+def test_a_pair_solved_twice_is_dropped_as_dependent(sine_coeff):
+    """Solved again at the same scaling, the pair lies in the span of the
+    first to rounding: two Gram-Schmidt passes leave less than
+    ``DEPENDENT`` of it, and the basis keeps two vectors, not four."""
+    problem = CellProblem(sine_coeff, 32)
+    problem.solve((1.0, 1.2))
+    problem.solve((1.0, 1.2))
+    problem.reduced((1.0, 1.3))
+    assert problem._basis.size == 2
 
 
 def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatch):
-    """Outside CG, a sweep makes one CSR product per nonzero stiffness
-    piece (K11 and K22: K12 + K21 vanishes for the isotropic sine
-    product) for each corrector joined since the last start, so each of
-    the 15 warm starts of 16 scalings makes 2 x 2. A problem solved once
-    makes none, and builds no piece matrix."""
+    """Outside CG, a projection makes one CSR product per nonzero
+    stiffness piece (K11 and K22: K12 + K21 vanishes for the isotropic
+    sine product) for each corrector that joined since the last one, and
+    one per piece and corrector for its true residuals, forming no
+    matrix at its scaling. Three solved pairs and four further
+    projections make 3 x (2 x 2 + 2 x 2) + 3 x 2 x 2 products. A problem
+    solved once makes none, and builds no piece matrix."""
     inside, products = [False], {True: 0, False: 0}
     counted, solve = sp.csr_matrix.__matmul__, cell.cg_solve
 
@@ -608,11 +649,13 @@ def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatc
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", matmul)
     monkeypatch.setattr(cell, "cg_solve", cg_solve)
-    samples = np.linspace(0.05, 2.0, 18)[1:-1]
-    field = tensor_field(sine_coeff, samples, cell_resolution=32)
-    assert field.metadata["unique_scalings"] == 16
-    assert products[False] == 2 * 2 * 15
-    assert products[True] >= sum(map(sum, field.metadata["cg_iterations"].values()))
+    problem = CellProblem(sine_coeff, 32)
+    iterations = sum(sum(problem.solve((1.0, z2)).iterations) for z2 in (0.5, 2.0, 1.0))
+    for z2 in (0.7, 0.8, 1.5, 1.7):
+        problem.reduced((1.0, z2))
+    assert problem._basis.size == 6
+    assert products[False] == 3 * (2 * 2 + 2 * 2) + 3 * 2 * 2
+    assert products[True] >= iterations
 
     products.update({True: 0, False: 0})
     problem = CellProblem(sine_coeff, 32)

@@ -369,28 +369,37 @@ def test_homogenize_writes_tensor_and_manifest(tmp_path, capsys):
 
 
 def test_manifest_records_the_cell_solver(tmp_path):
-    """homogenize and convergence keep the form B is read off and the CG
-    iterations of every scaling."""
+    """homogenize and convergence keep the form B is read off, the truth
+    scalings, the bound target and, per scaling, the CG iterations and the
+    error bound. The ends zeta2 = 0.6 and 1.4 are solved first; a
+    scaling read off the basis has 0 iterations and its start residuals
+    are its residuals, and every bound meets the target."""
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",
-                    "--override", "x2_samples=[0.3,0.5,0.7]",
+                    "--override", "x2_samples=[0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7]",
                     "--override", "cg_tol=1e-10",
                     "homogenize")
     assert code == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert solver["preconditioner"] == "spectral"
-    assert solver["warm_start"] == "galerkin"
+    assert solver["warm_start"] == "reduced_basis"
     assert solver["effective_matrix"] == "stationary"
+    assert solver["bound_target"] == pytest.approx(1e-13)
+    truth = solver["truth_scalings"]
+    assert truth[:2] == [0.6, 1.4] and len(set(truth)) == len(truth) < 9
     rows = solver["cg_iterations"]
-    assert [row["zeta2"] for row in rows] == [0.6, 1.0, 1.4]
-    assert all(len(row["iterations"]) == 2 and min(row["iterations"]) > 0
-               for row in rows)
-    assert all(len(row["residuals"]) == 2 and max(row["residuals"]) <= 1e-10
-               for row in rows)
+    assert [row["zeta2"] for row in rows] == pytest.approx(np.arange(0.6, 1.45, 0.1))
+    assert all(0.0 <= row["bound"] <= solver["bound_target"] for row in rows)
+    for row in rows:
+        assert len(row["residuals"]) == len(row["start_residuals"]) == 2
+        if row["zeta2"] in truth:
+            assert min(row["iterations"]) > 0 and max(row["residuals"]) <= 1e-10
+        else:
+            assert row["iterations"] == [0, 0]
+            assert row["residuals"] == row["start_residuals"]
     # the first scaling starts from zero, the others from the projection
     assert rows[0]["start_residuals"] == pytest.approx([1.0, 1.0])
-    assert all(len(row["start_residuals"]) == 2 and max(row["start_residuals"]) < 0.1
-               for row in rows[1:])
+    assert all(max(row["start_residuals"]) < 0.1 for row in rows[1:])
 
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",

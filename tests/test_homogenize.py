@@ -1,6 +1,10 @@
 """Effective matrices: closed-form oracles, symmetry and the field sweep."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +13,7 @@ import pytest
 from maphom import coefficients
 from maphom.cell import CellProblem, solve_corrector, solve_rescaled_corrector, stretched
 from maphom.homogenize import (
+    BOUND_TARGET,
     HomogenizedTensor,
     classical_homogenized_matrix,
     default_x2_samples,
@@ -180,15 +185,18 @@ def test_sweep_evaluates_the_coefficient_once(sine_coeff):
 def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
     """Scalings 2e-11 apart made the former Lagrange extrapolation through
     them blow up: x2 = 0.7 then took (15, 14) iterations and the sweep 55.
-    The Galerkin start drops the directions that nearly coincident pairs
-    leave, so the coincident scalings take no iteration and the sweep
-    takes 32 at 128^2 cells."""
+    Now the ends zeta2 = 1 and 1.8 and the midpoint 1.4 are solved, each
+    warm from the projection onto the pairs before, and the two
+    scalings next to 1 are read off the basis with no iteration: the
+    sweep takes at most 36 iterations at 128^2 cells."""
     field = small_field(sine_coeff, np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]),
                         cell_resolution=128)
     assert field.metadata["unique_scalings"] == 5
+    assert field.metadata["truth_scalings"] == [1.0, 1.8, 1.4]
     iterations = field.metadata["cg_iterations"]
     assert sum(sum(its) for its in iterations.values()) <= 36
     assert sum(iterations[1.4]) <= 12
+    assert iterations[1.00000000002] == iterations[1.00000000004] == (0, 0)
 
 
 def test_a_wide_sweep_starts_close(sine_coeff):
@@ -209,30 +217,105 @@ def test_a_wide_sweep_starts_close(sine_coeff):
 def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
     """The identity's correctors are all 0: every solve is a zero start
     that takes no iteration and keeps no vector. The laminate's first
-    corrector depends on y1 alone, the same at every scaling, so after
-    the first scaling its start leaves about the tolerance and the column
-    takes at most one iteration. Its load L_22 (1.7e-18 against 3.8e-4
-    for L_11) is rounding noise, set to zero, so its second corrector is
-    0, takes no iteration (107 of the sweep's 115 before) and never
-    joins, and b22 is the arithmetic mean."""
+    corrector depends on y1 alone, the same at every scaling, and its
+    load L_22 (1.7e-18 against 3.8e-4 for L_11) is rounding noise, set
+    to zero, so its second corrector is 0. After the first solve the
+    basis holds that one profile: a second solve starts from it and takes
+    no iteration, its pair adds nothing, and a sweep solves only its
+    first scaling and reads the 63 others off the basis, with b22 the
+    arithmetic mean."""
     problem = CellProblem(identity_coeff, 16)
     for z2 in (0.5, 1.0, 2.0, 4.0):
         field = problem.solve((1.0, z2), tol=1e-7)
         assert field.iterations == (0, 0)
         assert field.start_residual == (0.0, 0.0)
-    assert problem._basis._vectors is None
+    assert problem.reduced((1.0, 8.0)) is None
+    assert len(problem._basis._vectors) == 0
 
     field = small_field(laminate_coeff, default_x2_samples(OMEGA, 64), cell_resolution=128)
+    assert field.metadata["truth_scalings"] == [0.16]
     iterations = list(field.metadata["cg_iterations"].values())
-    assert max(its[0] for its in iterations[1:]) <= 1
     assert sum(sum(its) for its in iterations) <= 142
     assert sum(its[1] for its in iterations) == 0
     npt.assert_allclose(field.entry(1, 1), 2.0, rtol=1e-14)
     problem = CellProblem(laminate_coeff, 16)
     for z2 in (0.5, 1.0, 2.0, 4.0, 8.0):
-        problem.solve((1.0, z2), tol=1e-7)
-    assert problem._basis._added == 5
-    assert np.all(np.abs(problem._basis._vectors[:5]).max(axis=1) > 0)
+        field = problem.solve((1.0, z2), tol=1e-7)
+        assert z2 == 0.5 or field.iterations == (0, 0)
+    problem.reduced((1.0, 3.0))
+    assert problem._basis.size == 1
+
+
+@pytest.mark.parametrize("coeff, b2", [
+    (coefficients.sine_product(0.9), 2.0), (coefficients.sine_product(0.99), 2.0),
+    (coefficients.laminate(), 2.0), (coefficients.sine_product(0.9), 100.0),
+], ids=["sine-0.9", "sine-0.99", "laminate", "x2-to-100"])
+def test_every_sample_is_within_its_bound_of_a_cold_solve(coeff, b2):
+    """The bound the sweep records for a sample holds: its matrix is
+    within the bound (plus 1e-14 of rounding) of a cold 1e-11 solve at
+    its scaling, 2 x2 rounded to 12 digits, and the bound meets the
+    target, 1e-13 times the largest <a_ii>."""
+    samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, b2), 16)
+    field = small_field(coeff, samples, cell_resolution=32)
+    meta = field.metadata
+    grid = UniformCellGrid(32)
+    target = BOUND_TARGET * max(np.diag(CellProblem(coeff, grid).means))
+    assert meta["bound_target"] == target
+    assert len(meta["truth_scalings"]) < 16
+    for x2, b in zip(samples, field.matrices):
+        zeta2 = float(f"{2.0 * x2:.12g}")
+        problem = CellProblem(coeff, grid)
+        cold = problem.effective_matrix(problem.solve((1.0, zeta2), tol=1e-11))
+        bound = meta["bounds"][zeta2]
+        assert bound <= target
+        assert np.abs(b - cold).max() <= bound + 1e-14
+
+
+def _quadrature_means(coeff, n):
+    """The arithmetic and harmonic quadrature means <A> and <A^-1>^-1."""
+    grid = UniformCellGrid(n)
+    A = grid.coefficient(coeff)
+    return grid.mean(A), np.linalg.inv(grid.mean(np.linalg.inv(A)))
+
+
+@pytest.mark.parametrize("name", ["sine", "laminate"])
+def test_every_matrix_lies_between_the_voigt_and_reuss_means(sine_coeff, laminate_coeff,
+                                                             name):
+    """For symmetric A the discrete B(zeta) lies between the harmonic and
+    the arithmetic quadrature means in the Loewner order: z = 0 is
+    admissible, and a Q1 gradient has zero mean under 2x2 Gauss. The
+    laminate attains the upper bound in b22. Checked to 1e-12 on every
+    sample of the default 32^2 sweep, an oracle that no solver enters."""
+    coeff = sine_coeff if name == "sine" else laminate_coeff
+    field = small_field(coeff, default_x2_samples(OMEGA, 64), cell_resolution=32)
+    voigt, reuss = _quadrature_means(coeff, 32)
+    B = 0.5 * (field.matrices + field.matrices.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(voigt - B).min() >= -1e-12
+    assert np.linalg.eigvalsh(B - reuss).min() >= -1e-12
+
+
+def test_sweeps_have_the_same_bits_under_one_and_two_blas_threads():
+    """A 16-sample 32^2 sweep in two fresh processes, with OpenBLAS on one
+    thread and on two, gives bit-identical matrices: every reduction of
+    the sweep is numpy's own or the small projected solve."""
+    script = ("import numpy as np\n"
+              "from maphom import coefficients\n"
+              "from maphom.homogenize import default_x2_samples, tensor_field\n"
+              "from maphom.numerics import Rectangle\n"
+              "x2 = default_x2_samples(Rectangle(0.05, 2.0, 0.05, 2.0), 16)\n"
+              "field = tensor_field(coefficients.sine_product(), x2, cell_resolution=32)\n"
+              "print(field.matrices.tobytes().hex())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    children = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        children.append(subprocess.Popen([sys.executable, "-c", script], env=env,
+                                         stdout=subprocess.PIPE, text=True))
+    outputs = [child.communicate(timeout=60)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(outputs[0]) == 2 * 16 * 4 * 8 + 1
+    assert outputs[0] == outputs[1]
 
 
 # the sine product at amplitude 0.9 and its reciprocal, a test-local

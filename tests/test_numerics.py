@@ -19,6 +19,8 @@ from maphom.numerics import (
     SparseSystem,
     UniformCellGrid,
     cg_solve,
+    dual_norm,
+    inner,
     spectral_preconditioner,
 )
 
@@ -493,6 +495,23 @@ def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
     b = rng.standard_normal(periodic.n_nodes)
     npt.assert_allclose(K @ spectral_preconditioner(periodic, 3.0, 0.5, None)(b),
                         b - b.mean(), atol=1e-10)
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 12), (15, 9)])
+def test_dual_norm_reads_the_plain_inverse_off_one_transform(rng, nx, ny):
+    """r . K0^+ r by Parseval over the half spectrum, for even and odd
+    nx, is the dot product of r with the plain preconditioner's apply,
+    and the constant mode of r, the kernel of K0, adds nothing. The grid
+    keeps the symbol factors it shares with the preconditioner."""
+    grid = UniformCellGrid(nx, ny=ny, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
+    r = rng.standard_normal(grid.n_nodes)
+    expect = inner(r, spectral_preconditioner(grid, 3.0, 0.5, None)(r))
+    assert dual_norm(grid, 3.0, 0.5, r) == pytest.approx(expect, rel=1e-13)
+    assert dual_norm(grid, 3.0, 0.5, r + 7.0) == pytest.approx(expect, rel=1e-13)
+    assert grid.spectral_factors is grid.spectral_factors
+    assert grid.spectral_symbol(3.0, 0.5).shape == (ny, nx // 2 + 1)
+    with pytest.raises(ValueError, match="periodic"):
+        dual_norm(UniformCellGrid(8, periodic=False), 1.0, 1.0, np.ones(49))
 
 
 def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
