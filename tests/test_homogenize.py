@@ -246,17 +246,20 @@ def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
     assert problem._basis.size == 1
 
 
-@pytest.mark.parametrize("coeff, b2", [
-    (coefficients.sine_product(0.9), 2.0), (coefficients.sine_product(0.99), 2.0),
-    (coefficients.laminate(), 2.0), (coefficients.sine_product(0.9), 100.0),
-], ids=["sine-0.9", "sine-0.99", "laminate", "x2-to-100"])
-def test_every_sample_is_within_its_bound_of_a_cold_solve(coeff, b2):
+@pytest.mark.parametrize("coeff, b2, tol", [
+    (coefficients.sine_product(0.9), 2.0, 1e-7), (coefficients.sine_product(0.99), 2.0, 1e-7),
+    (coefficients.laminate(), 2.0, 1e-7), (coefficients.sine_product(0.9), 100.0, 1e-7),
+    (coefficients.sine_product(0.99), 2.0, 1e-3),
+], ids=["sine-0.9", "sine-0.99", "laminate", "x2-to-100", "sine-0.99-tol-1e-3"])
+def test_every_sample_is_within_its_bound_of_a_cold_solve(coeff, b2, tol):
     """The bound the sweep records for a sample holds: its matrix is
     within the bound (plus 1e-14 of rounding) of a cold 1e-11 solve at
     its scaling, 2 x2 rounded to 12 digits, and the bound meets the
-    target, 1e-13 times the largest <a_ii>."""
+    target, 1e-13 times the largest <a_ii>. At a loose ``tol`` the
+    truth solves whose own bound misses the target are solved on until
+    it meets it."""
     samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, b2), 16)
-    field = small_field(coeff, samples, cell_resolution=32)
+    field = small_field(coeff, samples, cell_resolution=32, tol=tol)
     meta = field.metadata
     grid = UniformCellGrid(32)
     target = BOUND_TARGET * max(np.diag(CellProblem(coeff, grid).means))
