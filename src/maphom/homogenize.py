@@ -165,8 +165,8 @@ def tensor_field(
     truth solve, CG to ``tol`` started from the projection, whose pair
     joins the basis. When the truth solve's own bound misses the target,
     CG goes on from it to tighter tolerances until it meets it. A
-    coefficient with no bound, as a non-symmetric
-    one, makes every scaling a truth solve. The stationary form is
+    coefficient with no bound, as a non-symmetric one, makes every
+    scaling a truth solve. The stationary form is
     second order in ``tol``, so 1e-7 gives the matrices of 1e-10 to
     rounding; the flux form is first order.
 
