@@ -107,68 +107,59 @@ def _combination(zeta, pieces: dict) -> np.ndarray:
 
 class _CorrectorBasis:
     """An orthonormal basis of the span of the nonzero correctors a cell
-    problem solved, with the projections of the problem's stiffness
-    pieces and loads onto it: per piece p the Gram matrix ``V K_p V^T``
-    and the products ``L_ij . v``.
+    problem kept, with the projections of the problem's stiffness pieces
+    and loads onto it: per piece p the Gram matrix ``V K_p V^T`` and the
+    products ``L_ij . v``.
 
-    A corrector that joins is copied whole and waits for the next
-    projection, so a problem solved once does no more. There it is
-    orthogonalized against the kept vectors by two classical
-    Gram-Schmidt passes, dropped when less than ``DEPENDENT`` of it is
-    left, normalized, and its Gram rows are formed, one product ``K_p v``
-    per piece. The stored rows double as the basis grows; the products
-    ``K_p V`` are not kept. A projection combines the cached numbers at
-    its scaling and touches whole vectors only to sum its result."""
+    A corrector joins at once: it is copied, orthogonalized against the
+    kept vectors by two classical Gram-Schmidt passes, dropped when less
+    than ``DEPENDENT`` of it is left, normalized, and its Gram rows are
+    formed, one product ``K_p v`` per piece. The stored rows double as
+    the basis grows; the products ``K_p V`` are not kept. A projection
+    combines the cached numbers at its scaling and touches whole vectors
+    only to sum its result."""
 
     def __init__(self, grid: UniformCellGrid, pieces: dict, loads: np.ndarray):
         self._grid = grid
         self._pieces = pieces
         self._loads = loads
         self._vectors = np.empty((0, grid.n_nodes))
-        self.size = 0  # orthonormal rows, followed by the pending correctors
-        self._pending = 0
+        self.size = 0
         self._gram = {ik: np.empty((0, 0)) for ik in pieces}
         self._products = np.empty((2, 2, 0))
-
-    def add(self, z: np.ndarray) -> None:
-        if not np.any(z):  # a zero corrector spans nothing
-            return
-        row = self.size + self._pending
-        if row == len(self._vectors):
-            rows = max(8, 2 * row)
-            self._vectors = _grown(self._vectors, (rows, z.size))
-            self._gram = {ik: _grown(G, (rows, rows)) for ik, G in self._gram.items()}
-            self._products = _grown(self._products, (2, 2, rows))
-        self._vectors[row] = z
-        self._pending += 1
 
     @functools.cached_property
     def _matrices(self) -> dict:
         return {ik: self._grid.matrix(d) for ik, d in self._pieces.items()}
 
-    def _join_pending(self) -> None:
-        pending, self._pending = range(self.size, self.size + self._pending), 0
-        for row in pending:
-            k, v = self.size, self._vectors[row]
-            V = self._vectors[:k]
-            norm = math.sqrt(inner(v, v))
-            for _ in range(2):
-                v -= np.einsum("k,kn->n", np.einsum("kn,n->k", V, v), V)
-            left = math.sqrt(inner(v, v))
-            if not left > DEPENDENT * norm:
-                continue
-            v /= left
-            self._vectors[k] = v
-            V = self._vectors[:k + 1]
-            # the row of the new vector against every kept one, filled
-            # symmetrically: exact when every piece is, which a symmetric A
-            # (CellProblem.symmetric) makes so; otherwise only the start's
-            # quality depends on the fill
-            for ik, K in self._matrices.items():
-                self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
-                    "kn,n->k", V, K @ V[k])
-            self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, V[k])
-            self.size = k + 1
+    def add(self, z: np.ndarray) -> None:
+        k = self.size
+        if not np.any(z):  # a zero corrector spans nothing
+            return
+        if k == len(self._vectors):
+            rows = max(8, 2 * k)
+            self._vectors = _grown(self._vectors, (rows, z.size))
+            self._gram = {ik: _grown(G, (rows, rows)) for ik, G in self._gram.items()}
+            self._products = _grown(self._products, (2, 2, rows))
+        V, v = self._vectors[:k], self._vectors[k]
+        v[:] = z
+        norm = math.sqrt(inner(v, v))
+        for _ in range(2):
+            v -= np.einsum("k,kn->n", np.einsum("kn,n->k", V, v), V)
+        left = math.sqrt(inner(v, v))
+        if not left > DEPENDENT * norm:
+            return
+        v /= left
+        V = self._vectors[:k + 1]
+        # the row of the new vector against every kept one, filled
+        # symmetrically: exact when every piece is, which a symmetric A
+        # (CellProblem.symmetric) makes so; otherwise only the start's
+        # quality depends on the fill
+        for ik, K in self._matrices.items():
+            self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
+                "kn,n->k", V, K @ v)
+        self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, v)
+        self.size = k + 1
 
     def product(self, zeta: tuple[float, float], x: np.ndarray) -> np.ndarray:
         """``K(zeta) x``, summed from one product ``K_p x`` per piece, so
@@ -179,7 +170,6 @@ class _CorrectorBasis:
         """The (2, n) Galerkin projections of both systems ``K x_j =
         rhs_j`` at ``zeta`` onto the span of the basis; None when it is
         empty or the projected problem is not finite or singular."""
-        self._join_pending()
         k = self.size
         if k == 0:
             return None
@@ -220,10 +210,10 @@ class CellProblem:
     four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|.
     Pieces that are exactly zero, as K12 + K21 of an isotropic A, are
     left out, and loads that are rounding noise (``LOAD_NOISE``) are set
-    to zero. A scaling then costs the combinations of the pieces, the
-    Galerkin projection onto the correctors solved before, which combines
-    the projections its basis cached, and the two CG solves, and the
-    effective matrix is read off dot products. The flux form
+    to zero. A scaling then costs the combinations of the pieces and the
+    two CG solves, and the effective matrix is read off dot products. The
+    Galerkin projection onto the correctors the problem kept (``keep``,
+    ``reduced``) combines the projections its basis cached. The flux form
 
         b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
@@ -300,25 +290,10 @@ class CellProblem:
     def _rhs(self, zeta: tuple[float, float]) -> list[np.ndarray]:
         return [zeta[0] * self._loads[0, j] + zeta[1] * self._loads[1, j] for j in range(2)]
 
-    def solve(
-        self,
-        zeta: tuple[float, float],
-        tol: float = 1e-10,
-        start: CorrectorField | None = None,
-    ) -> CorrectorField:
-        """Both correctors at ``zeta`` by spectrally preconditioned CG.
-
-        The two solves start from the Galerkin projection of the problem
-        at ``zeta`` onto the span of the correctors this problem solved
-        (``reduced``): a zero start for its first solve, so a problem
-        solved once solves cold. ``start`` is that projection when the
-        caller has formed it already. The solutions are made zero-mean
-        once more after the solve, and join the basis. A scaling or a
-        scaled mean ``zeta_i^2 <a_ii>`` that is not finite or underflows
-        to 0 raises ``SolverError`` before the system is formed, and so
-        before the projection.
-        """
-        z1, z2 = _scaling(zeta)
+    def _scaled_means(self, zeta: tuple[float, float]) -> tuple[float, float]:
+        """The scaled means ``zeta_i^2 <a_ii>`` of the preconditioner; a
+        ``SolverError`` when one is not finite or underflows to 0."""
+        z1, z2 = zeta
         with np.errstate(over="ignore", invalid="ignore"):
             k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
         # a scaling that is not finite makes its mean so too
@@ -330,31 +305,52 @@ class CellProblem:
         if k1 == 0.0 or k2 == 0.0:
             raise SolverError(f"preconditioner input underflows to 0 at zeta = {(z1, z2)}: "
                               f"k1 = {k1}, k2 = {k2}", 0, float("nan"))
-        if start is not None and start.zeta != (z1, z2):
+        return k1, k2
+
+    def solve(
+        self,
+        zeta: tuple[float, float],
+        tol: float = 1e-10,
+        start: CorrectorField | None = None,
+    ) -> CorrectorField:
+        """Both correctors at ``zeta`` by spectrally preconditioned CG,
+        started from ``start``, a pair at the same scaling, or from zero.
+        The solutions are made zero-mean once more after the solve. A
+        scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not finite or
+        underflows to 0 raises ``SolverError`` before the system is
+        formed.
+        """
+        zeta = _scaling(zeta)
+        k1, k2 = self._scaled_means(zeta)
+        if start is not None and start.zeta != zeta:
             raise ValueError("start was projected at a different scaling")
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
-        if start is None:
-            start = self.reduced((z1, z2))
         results = [cg_solve(system, loads[j], precondition, tol=tol,
                             x0=None if start is None else start.component(j + 1))
                    for j in range(2)]
         sols = [res.x - res.x.mean() for res in results]
-        for z in sols:
-            self._basis.add(z)
         return CorrectorField(
-            z1=sols[0], z2=sols[1], zeta=(z1, z2), grid=self.grid,
+            z1=sols[0], z2=sols[1], zeta=zeta, grid=self.grid,
             iterations=tuple(res.iterations for res in results),
             residual=tuple(res.residual for res in results),
             r1=results[0].r, r2=results[1].r,
             start_residual=tuple(res.start_residual for res in results),
         )
 
+    def keep(self, field: CorrectorField) -> None:
+        """Add both correctors of ``field`` to the basis that ``reduced``
+        projects onto."""
+        if field.grid is not self.grid:
+            raise ValueError("corrector was solved on a different grid")
+        self._basis.add(field.z1)
+        self._basis.add(field.z2)
+
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
-        span of the correctors this problem solved, with its true
+        span of the correctors this problem kept, with its true
         residuals, as a field of 0 iterations whose residuals are its
-        start residuals. None when the problem has solved none, or when
+        start residuals. None when the problem has kept none, or when
         the projection or its residuals are not finite, as at a huge
         scaling, where a solve fails on its own system."""
         zeta = _scaling(zeta)
@@ -385,11 +381,11 @@ class CellProblem:
             raise ValueError("corrector was solved on a different grid")
         if self._alpha is None:
             return None
-        z1, z2 = field.zeta
+        try:
+            k1, k2 = self._scaled_means(field.zeta)
+        except SolverError:
+            return None
         with np.errstate(over="ignore", invalid="ignore"):
-            k1, k2 = z1 * z1 * self.means[0, 0], z2 * z2 * self.means[1, 1]
-            if not (0.0 < k1 < math.inf and 0.0 < k2 < math.inf):
-                return None
             eta = max(dual_norm(self.grid, k1, k2, r) for r in (field.r1, field.r2))
         return eta / self._alpha / self.grid.area
 
@@ -418,8 +414,7 @@ def solve_corrector(
 
     ``grid`` is a periodic grid or an element count per side. Builds a
     :class:`CellProblem` for this one scaling; sweeps over many scalings
-    build it once and call its ``solve``, which starts each scaling from
-    the ones solved before.
+    build it once and call its ``solve`` per scaling.
     """
     return CellProblem(coefficient, grid).solve(zeta, tol)
 

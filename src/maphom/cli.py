@@ -313,18 +313,9 @@ def _solver_record(field) -> dict:
     error bound, the CG iterations, the final residuals and the
     residuals the start left."""
     meta = field.metadata
-    return {
-        "preconditioner": meta["preconditioner"],
-        "warm_start": meta["warm_start"],
-        "effective_matrix": meta["effective_matrix"],
-        "bound_target": meta["bound_target"],
-        "truth_scalings": meta["truth_scalings"],
-        "cg_iterations": [{"zeta2": z2, "iterations": list(its),
-                           "bound": meta["bounds"][z2],
-                           "residuals": list(meta["cg_residuals"][z2]),
-                           "start_residuals": list(meta["cg_start_residuals"][z2])}
-                          for z2, its in meta["cg_iterations"].items()],
-    }
+    return {**{key: meta[key] for key in ("preconditioner", "warm_start", "effective_matrix",
+                                          "bound_target", "truth_scalings")},
+            "cg_iterations": meta["scalings"]}
 
 
 def write_tensor_csv(field, stream) -> None:

@@ -113,17 +113,20 @@ def _coarse_to_fine(n: int) -> list[int]:
     return order
 
 
-def _certified(problem: CellProblem, field: CorrectorField, bound: float,
-               target: float) -> tuple[CorrectorField, float]:
-    """A truth field whose bound misses ``target``, solved on from itself
-    to its residual times half the square root of target / bound each
-    pass, the bound being quadratic in the residual, until its bound
-    meets the target, stops falling or CG cannot reach the tolerance;
-    and its bound. Its iterations count every pass."""
-    while target < bound < math.inf:
+def _truth(problem: CellProblem, zeta: tuple[float, float], tol: float,
+           start: CorrectorField | None, target: float) -> tuple[CorrectorField, float | None]:
+    """The truth field at ``zeta``, CG to ``tol`` from ``start``, kept in
+    the problem's basis, and its bound. While the bound misses
+    ``target``, CG goes on from the field to its residual times half the
+    square root of target / bound, the bound being quadratic in the
+    residual, until the bound meets the target, stops falling or CG
+    cannot reach the tolerance. The iterations count every pass."""
+    field = problem.solve(zeta, tol=tol, start=start)
+    bound = problem.error_bound(field)
+    while bound is not None and target < bound < math.inf:
         tol = max(field.residual) * math.sqrt(target / bound) / 2
         try:
-            again = problem.solve(field.zeta, tol=tol, start=field)
+            again = problem.solve(zeta, tol=tol, start=field)
         except SolverError:
             break
         again_bound = problem.error_bound(again)
@@ -133,6 +136,7 @@ def _certified(problem: CellProblem, field: CorrectorField, bound: float,
             again, start_residual=field.start_residual,
             iterations=tuple(a + b for a, b in zip(field.iterations, again.iterations))
         ), again_bound
+    problem.keep(field)
     return field, bound
 
 
@@ -162,19 +166,20 @@ def tensor_field(
     (:meth:`CellProblem.reduced`) is returned when its rigorous error
     bound (:meth:`CellProblem.error_bound`) is at most ``BOUND_TARGET``
     times the largest mean diagonal entry. Otherwise the scaling is a
-    truth solve, CG to ``tol`` started from the projection, whose pair
-    joins the basis. When the truth solve's own bound misses the target,
-    CG goes on from it to tighter tolerances until it meets it. A
-    coefficient with no bound, as a non-symmetric one, makes every
-    scaling a truth solve. The stationary form is
-    second order in ``tol``, so 1e-7 gives the matrices of 1e-10 to
-    rounding; the flux form is first order.
+    truth solve, CG to ``tol`` started from the projection. When the
+    truth solve's own bound misses the target, CG goes on from it to
+    tighter tolerances until it meets it, and the final pair joins the
+    basis (:meth:`CellProblem.keep`). A coefficient with no bound, as a
+    non-symmetric one, makes every scaling a truth solve. The stationary
+    form is second order in ``tol``, so 1e-7 gives the matrices of 1e-10
+    to rounding; the flux form is first order.
 
-    The metadata holds, per scaling, the error bound (None where none
-    applies), the CG iterations (0 for a returned projection), the
-    final residuals and the residuals the starts left; per run the
-    absolute ``bound_target`` and the ``truth_scalings`` in the order
-    they were solved.
+    The metadata's ``scalings`` holds one record per scaling, ascending
+    in ``zeta2``: its ``iterations`` (0 for a returned projection), its
+    error ``bound`` (None where none applies), and the final
+    ``residuals`` and the ``start_residuals`` the start left. Per run it
+    holds the absolute ``bound_target`` and the ``truth_scalings`` in the
+    order they were solved.
     """
     x2 = np.array(x2_samples, dtype=float).ravel()
     if x2.size == 0:
@@ -191,47 +196,34 @@ def tensor_field(
     unique = sorted(set(keys))
     target = BOUND_TARGET * max(problem.means[0, 0], problem.means[1, 1])
 
-    matrices: dict[float, np.ndarray] = {}
-    bounds: dict[float, float | None] = {}
-    iterations: dict[float, tuple[int, int]] = {}
-    residuals: dict[float, tuple[float, float]] = {}
-    start_residuals: dict[float, tuple[float, float]] = {}
+    matrices = np.empty((len(unique), 2, 2))
+    scalings: list[dict] = [{}] * len(unique)
     truth: list[float] = []
     sup_norm = 0.0
-    for z2 in (unique[i] for i in _coarse_to_fine(len(unique))):
-        field = problem.reduced((1.0, z2))
+    for i in _coarse_to_fine(len(unique)):
+        zeta = (1.0, unique[i])
+        field = problem.reduced(zeta)
         bound = None if field is None else problem.error_bound(field)
         if bound is None or not bound <= target:
-            field = problem.solve((1.0, z2), tol=tol, start=field)
-            bound = problem.error_bound(field)
-            truth.append(z2)
-            if bound is not None:
-                field, bound = _certified(problem, field, bound, target)
-        matrices[z2] = problem.effective_matrix(field)
-        bounds[z2] = bound
-        iterations[z2] = field.iterations
-        residuals[z2] = field.residual
-        start_residuals[z2] = field.start_residual
+            field, bound = _truth(problem, zeta, tol, field, target)
+            truth.append(zeta[1])
+        matrices[i] = problem.effective_matrix(field)
+        scalings[i] = {"zeta2": zeta[1], "iterations": list(field.iterations),
+                       "bound": bound, "residuals": list(field.residual),
+                       "start_residuals": list(field.start_residual)}
         sup_norm = max(sup_norm, field.sup_norm())
 
-    def ascending(per_scaling: dict) -> dict:
-        return {z2: per_scaling[z2] for z2 in unique}
-
     metadata = {
-        "unique_scalings": len(unique),
         "truth_scalings": truth,
         "bound_target": target,
         "corrector_sup_norm": sup_norm,
         "preconditioner": "spectral",
         "warm_start": "reduced_basis",
         "effective_matrix": "stationary" if problem.symmetric else "flux",
-        "bounds": ascending(bounds),
-        "cg_iterations": ascending(iterations),
-        "cg_residuals": ascending(residuals),
-        "cg_start_residuals": ascending(start_residuals),
+        "scalings": scalings,
     }
-    return HomogenizedTensor(x2=x2,
-                             matrices=np.stack([matrices[k] for k in keys]),
+    index = {z2: i for i, z2 in enumerate(unique)}
+    return HomogenizedTensor(x2=x2, matrices=matrices[[index[k] for k in keys]],
                              metadata=metadata)
 
 

@@ -429,9 +429,8 @@ def test_a_coefficient_without_a_bound_truth_solves_every_scaling(coeff):
     samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, 2.0), 8)
     field = tensor_field(coeff, samples, cell_resolution=16)
     meta = field.metadata
-    assert sorted(meta["truth_scalings"]) == list(meta["cg_iterations"]) == sorted(
-        meta["bounds"])
-    assert all(bound is None for bound in meta["bounds"].values())
+    assert sorted(meta["truth_scalings"]) == [row["zeta2"] for row in meta["scalings"]]
+    assert all(row["bound"] is None for row in meta["scalings"])
     problem = CellProblem(coeff, 16)
     assert problem.error_bound(problem.solve(ZETA)) is None
 
@@ -516,39 +515,45 @@ def test_laminate_profile_matches_the_quadrature_oracle(laminate_coeff):
 
 
 def test_warm_start_from_the_solution_converges_instantly(sine_coeff):
-    """Solved again at the same scaling, a problem starts from the pair it
-    solved there and takes no iteration."""
+    """Solved again at the same scaling from the pair solved there, or
+    from the projection onto it once it is kept, a problem takes no
+    iteration."""
     problem = CellProblem(sine_coeff, 32)
     field = problem.solve((1.0, 1.2))
-    again = problem.solve((1.0, 1.2))
-    assert again.iterations == (0, 0)
-    npt.assert_allclose(again.z1, field.z1, atol=1e-12)
+    problem.keep(field)
+    for start in (field, problem.reduced((1.0, 1.2))):
+        again = problem.solve((1.0, 1.2), start=start)
+        assert again.iterations == (0, 0)
+        npt.assert_allclose(again.z1, field.z1, atol=1e-12)
 
 
 def test_a_first_solve_starts_cold(sine_coeff):
-    """With no solved pair to project onto, a solve starts from zero, so
-    the start leaves the whole load; the pair it solves is copied into
-    the basis, where a change to the returned field does not reach."""
+    """With no start, a solve starts from zero, so the start leaves the
+    whole load, and a later one does too: solving keeps nothing, and
+    there is nothing to project onto. A kept pair is copied into the
+    basis, where a change to the returned field does not reach."""
     problem = CellProblem(sine_coeff, 32)
     first = problem.solve((1.0, 1.2))
     assert first.start_residual == pytest.approx((1.0, 1.0))
-    kept = problem._basis._vectors[:2]
-    npt.assert_array_equal(kept, [first.z1, first.z2])
+    assert problem.solve((1.0, 1.2)).start_residual == pytest.approx((1.0, 1.0))
+    assert problem.reduced((1.0, 1.2)) is None
+    problem.keep(first)
+    z1 = first.z1.copy()
     first.z1[:] = 0.0
-    assert np.any(kept[0])
+    npt.assert_allclose(problem.reduced((1.0, 1.2)).z1, z1, rtol=0, atol=1e-12)
 
 
 def test_later_solves_project_onto_the_solved_pairs(sine_coeff):
-    """At a scaling already solved the projection returns that pair, so
-    the start leaves less than the tolerance; between two solved
-    scalings it leaves far less than a zero start, and the solve agrees
-    with a cold one to the tolerance."""
+    """At a scaling already solved and kept the projection returns that
+    pair, so a solve started there leaves less than the tolerance;
+    between two kept scalings it leaves far less than a zero start, and
+    the solve agrees with a cold one to the tolerance."""
     problem = CellProblem(sine_coeff, 32)
     for z2 in (1.0, 1.4):
-        problem.solve((1.0, z2), tol=1e-10)
-    again = problem.solve((1.0, 1.4), tol=1e-10)
+        problem.keep(problem.solve((1.0, z2), tol=1e-10))
+    again = problem.solve((1.0, 1.4), tol=1e-10, start=problem.reduced((1.0, 1.4)))
     assert again.iterations == (0, 0)
-    between = problem.solve((1.0, 1.2), tol=1e-10)
+    between = problem.solve((1.0, 1.2), tol=1e-10, start=problem.reduced((1.0, 1.2)))
     assert max(between.start_residual) <= 1e-2
     cold = CellProblem(sine_coeff, 32).solve((1.0, 1.2), tol=1e-10)
     assert cold.start_residual == pytest.approx((1.0, 1.0))
@@ -559,16 +564,17 @@ def test_later_solves_project_onto_the_solved_pairs(sine_coeff):
 @pytest.mark.parametrize("z2, named", [(1e153, "breakdown"), (1e154, "diagonal["),
                                        (1e155, "k2 = inf")])
 def test_a_huge_warm_scaling_fails_as_a_cold_one(sine_coeff, z2, named):
-    """The projection is formed after the scaling's checks and refuses
-    entries that overflow, so a warm solve at a huge scaling raises the
-    cold solve's SolverError, with no RuntimeWarning."""
+    """The projection refuses entries that overflow, and a start that
+    overflows fails on the solve's own system, so a warm solve at a huge
+    scaling raises the cold solve's SolverError, with no RuntimeWarning."""
     problem = CellProblem(sine_coeff, 16)
     for small in (1.0, 2.0):
-        problem.solve((1.0, small))
+        problem.keep(problem.solve((1.0, small)))
     with pytest.raises(numerics.SolverError, match=re.escape(named)):
         CellProblem(sine_coeff, 16).solve((1.0, z2))
+    start = problem.reduced((1.0, z2))
     with pytest.raises(numerics.SolverError, match=re.escape(named)):
-        problem.solve((1.0, z2))
+        problem.solve((1.0, z2), start=start)
 
 
 def _galerkin_energy(system, loads, x):
@@ -579,7 +585,7 @@ def _galerkin_energy(system, loads, x):
 
 
 def test_the_cached_start_is_the_direct_projection(sine_coeff):
-    """The basis keeps every solved corrector, orthonormalized as it joins,
+    """The basis keeps every kept corrector, orthonormalized as it joins,
     with per-piece Gram matrices V K_p V^T and load products. After nine
     solved pairs, more than the former ring of eight held, V V^T is the
     identity to 1e-13, the cached numbers combine to the direct
@@ -609,8 +615,7 @@ def test_the_cached_start_is_the_direct_projection(sine_coeff):
             direct = np.linalg.solve(H, f.T).T @ V
             npt.assert_allclose(_galerkin_energy(system, loads, x),
                                 _galerkin_energy(system, loads, direct), rtol=1e-12)
-        problem.solve(zeta, tol=1e-10)
-    problem.reduced((1.0, 1.0))
+        problem.keep(problem.solve(zeta, tol=1e-10))
     assert basis.size == 20  # no pair was evicted or dropped
 
 
@@ -619,20 +624,19 @@ def test_a_pair_solved_twice_is_dropped_as_dependent(sine_coeff):
     first to rounding: two Gram-Schmidt passes leave less than
     ``DEPENDENT`` of it, and the basis keeps two vectors, not four."""
     problem = CellProblem(sine_coeff, 32)
-    problem.solve((1.0, 1.2))
-    problem.solve((1.0, 1.2))
-    problem.reduced((1.0, 1.3))
+    problem.keep(problem.solve((1.0, 1.2)))
+    problem.keep(problem.solve((1.0, 1.2)))
     assert problem._basis.size == 2
 
 
 def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatch):
-    """Outside CG, a projection makes one CSR product per nonzero
+    """Outside CG, a kept corrector makes one CSR product per nonzero
     stiffness piece (K11 and K22: K12 + K21 vanishes for the isotropic
-    sine product) for each corrector that joined since the last one, and
-    one per piece and corrector for its true residuals, forming no
-    matrix at its scaling. Three solved pairs and four further
-    projections make 3 x (2 x 2 + 2 x 2) + 3 x 2 x 2 products. A problem
-    solved once makes none, and builds no piece matrix."""
+    sine product) as it joins, a projection one per piece and corrector
+    for its true residuals, and a solve none, forming no matrix at its
+    scaling. Three kept pairs and four projections make 3 x 2 x 2 +
+    4 x 2 x 2 products. A problem solved once makes none, and builds no
+    piece matrix."""
     inside, products = [False], {True: 0, False: 0}
     counted, solve = sp.csr_matrix.__matmul__, cell.cg_solve
 
@@ -650,11 +654,15 @@ def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatc
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", matmul)
     monkeypatch.setattr(cell, "cg_solve", cg_solve)
     problem = CellProblem(sine_coeff, 32)
-    iterations = sum(sum(problem.solve((1.0, z2)).iterations) for z2 in (0.5, 2.0, 1.0))
+    iterations = 0
+    for z2 in (0.5, 2.0, 1.0):
+        field = problem.solve((1.0, z2))
+        problem.keep(field)
+        iterations += sum(field.iterations)
     for z2 in (0.7, 0.8, 1.5, 1.7):
         problem.reduced((1.0, z2))
     assert problem._basis.size == 6
-    assert products[False] == 3 * (2 * 2 + 2 * 2) + 3 * 2 * 2
+    assert products[False] == 3 * 2 * 2 + 4 * 2 * 2
     assert products[True] >= iterations
 
     products.update({True: 0, False: 0})
@@ -685,7 +693,7 @@ def test_a_weak_laminate_spends_no_iterations_on_its_noise_load():
     own sum: the default 128^2 sweep solves z2 = 0 without iterating."""
     field = tensor_field(coefficients.laminate(2.0, 0.01),
                          default_x2_samples(Rectangle(0.05, 2.0, 0.05, 2.0), 64))
-    assert sum(its[1] for its in field.metadata["cg_iterations"].values()) <= 5
+    assert sum(row["iterations"][1] for row in field.metadata["scalings"]) <= 5
 
 
 def test_integer_shorthand_builds_the_grid(sine_coeff):
