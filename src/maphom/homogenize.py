@@ -92,10 +92,6 @@ class HomogenizedTensor:
         return self.matrices[:, i, j]
 
 
-def _round_sig(value: float, digits: int = 12) -> float:
-    return float(f"{value:.{digits}g}")
-
-
 # a sample's matrix is read off the reduced basis once its error bound is
 # at most this fraction of the largest mean diagonal entry <a_ii>: a
 # decade below the 1e-12 to which sweeps are checked
@@ -155,8 +151,8 @@ def tensor_field(
     ``classical`` forces zeta = (1, 1) at every sample (the periodic
     baseline); otherwise the quadratic stretch scaling (1, 2 x2) is used.
 
-    Samples are grouped by their scaling zeta_2 rounded to 12 significant
-    digits; each group shares bitwise-identical matrices. One
+    Samples are grouped by their exact scaling zeta_2, and each group
+    shares one matrix, certified at that scaling. One
     :class:`CellProblem` serves every group, and its matrices are read
     off the problem's dot products: the stationary form for a symmetric
     coefficient, the flux form otherwise (the metadata's
@@ -192,8 +188,7 @@ def tensor_field(
     # refuses naming zeta
     with np.errstate(over="ignore"):
         zeta2 = np.ones_like(x2) if classical else 2.0 * x2
-    keys = [_round_sig(z) for z in zeta2]
-    unique = sorted(set(keys))
+    unique, inverse = np.unique(zeta2, return_inverse=True)
     target = BOUND_TARGET * max(problem.means[0, 0], problem.means[1, 1])
 
     matrices = np.empty((len(unique), 2, 2))
@@ -201,7 +196,7 @@ def tensor_field(
     truth: list[float] = []
     sup_norm = 0.0
     for i in _coarse_to_fine(len(unique)):
-        zeta = (1.0, unique[i])
+        zeta = (1.0, float(unique[i]))
         field = problem.reduced(zeta)
         bound = None if field is None else problem.error_bound(field)
         if bound is None or not bound <= target:
@@ -222,9 +217,7 @@ def tensor_field(
         "effective_matrix": "stationary" if problem.symmetric else "flux",
         "scalings": scalings,
     }
-    index = {z2: i for i, z2 in enumerate(unique)}
-    return HomogenizedTensor(x2=x2, matrices=matrices[[index[k] for k in keys]],
-                             metadata=metadata)
+    return HomogenizedTensor(x2=x2, matrices=matrices[inverse], metadata=metadata)
 
 
 @dataclasses.dataclass

@@ -140,11 +140,17 @@ def test_rescaled_route_agrees_at_the_square_cell(sine_coeff):
 
 
 def test_field_depends_on_x2_only(sine_coeff):
-    """Two macroscopic points with equal x2 share one bitwise matrix."""
-    samples = np.array([0.4, 0.7, 0.4 + 4e-14])
+    """Two macroscopic points with equal x2 share one bitwise matrix. A
+    point 4e-14 away is a scaling of its own, read off the basis with no
+    iteration, and its matrix differs from the first's by less than
+    1e-12."""
+    samples = np.array([0.4, 0.7, 0.4, 0.4 + 4e-14])
     field = small_field(sine_coeff, samples, cell_resolution=32)
     npt.assert_array_equal(field.matrices[0], field.matrices[2])
-    assert len(field.metadata["scalings"]) == 2
+    rows = field.metadata["scalings"]
+    assert [row["zeta2"] for row in rows] == sorted(set((2.0 * samples).tolist()))
+    assert rows[1]["iterations"] == [0, 0]
+    assert np.abs(field.matrices[3] - field.matrices[0]).max() <= 1e-12
 
 
 def test_classical_flag_reduces_every_sample_to_one_solve(laminate_coeff):
@@ -185,18 +191,19 @@ def test_sweep_evaluates_the_coefficient_once(sine_coeff):
 def test_warm_starts_skip_nearly_coincident_scalings(sine_coeff):
     """Scalings 2e-11 apart made the former Lagrange extrapolation through
     them blow up: x2 = 0.7 then took (15, 14) iterations and the sweep 55.
-    Now the ends zeta2 = 1 and 1.8 and the midpoint 1.4 are solved, each
-    warm from the projection onto the pairs before, and the two
-    scalings next to 1 are read off the basis with no iteration: the
-    sweep takes at most 36 iterations at 128^2 cells."""
-    field = small_field(sine_coeff, np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9]),
-                        cell_resolution=128)
-    assert len(field.metadata["scalings"]) == 5
+    Now every sample is a scaling of its own, at its exact 2 x2: the
+    ends zeta2 = 1 and 1.8 and the midpoint 1.4 are solved, each warm
+    from the projection onto the pairs before, and the two scalings
+    next to 1 are read off the basis with no iteration: the sweep takes
+    at most 36 iterations at 128^2 cells."""
+    samples = np.array([0.5, 0.5 + 1e-11, 0.5 + 2e-11, 0.7, 0.9])
+    field = small_field(sine_coeff, samples, cell_resolution=128)
+    rows = field.metadata["scalings"]
+    assert [row["zeta2"] for row in rows] == (2.0 * samples).tolist()
     assert field.metadata["truth_scalings"] == [1.0, 1.8, 1.4]
-    iterations = {row["zeta2"]: row["iterations"] for row in field.metadata["scalings"]}
-    assert sum(sum(its) for its in iterations.values()) <= 36
-    assert sum(iterations[1.4]) <= 12
-    assert iterations[1.00000000002] == iterations[1.00000000004] == [0, 0]
+    assert sum(sum(row["iterations"]) for row in rows) <= 36
+    assert sum(rows[3]["iterations"]) <= 12
+    assert rows[1]["iterations"] == rows[2]["iterations"] == [0, 0]
 
 
 def test_a_wide_sweep_starts_close(sine_coeff):
@@ -255,10 +262,9 @@ def test_zero_correctors_never_join_the_basis(identity_coeff, laminate_coeff):
 def test_every_sample_is_within_its_bound_of_a_cold_solve(coeff, b2, tol):
     """The bound the sweep records for a sample holds: its matrix is
     within the bound (plus 1e-14 of rounding) of a cold 1e-11 solve at
-    its scaling, 2 x2 rounded to 12 digits, and the bound meets the
-    target, 1e-13 times the largest <a_ii>. At a loose ``tol`` the
-    truth solves whose own bound misses the target are solved on until
-    it meets it."""
+    its exact scaling 2 x2, and the bound meets the target, 1e-13 times
+    the largest <a_ii>. At a loose ``tol`` the truth solves whose own
+    bound misses the target are solved on until it meets it."""
     samples = default_x2_samples(Rectangle(0.05, 2.0, 0.05, b2), 16)
     field = small_field(coeff, samples, cell_resolution=32, tol=tol)
     meta = field.metadata
@@ -268,7 +274,7 @@ def test_every_sample_is_within_its_bound_of_a_cold_solve(coeff, b2, tol):
     assert len(meta["truth_scalings"]) < 16
     bounds = {row["zeta2"]: row["bound"] for row in meta["scalings"]}
     for x2, b in zip(samples, field.matrices):
-        zeta2 = float(f"{2.0 * x2:.12g}")
+        zeta2 = 2.0 * float(x2)
         problem = CellProblem(coeff, grid)
         cold = problem.effective_matrix(problem.solve((1.0, zeta2), tol=1e-11))
         bound = bounds[zeta2]
