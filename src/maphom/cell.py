@@ -119,20 +119,15 @@ class _CorrectorBasis:
     combines the cached numbers at its scaling and touches whole vectors
     only to sum its result."""
 
-    def __init__(self, grid: UniformCellGrid, pieces: dict, loads: np.ndarray):
-        self._grid = grid
-        self._pieces = pieces
+    def __init__(self, pieces: dict, loads: np.ndarray):
         self._loads = loads
-        self._vectors = np.empty((0, grid.n_nodes))
+        self._vectors = np.empty((0, loads.shape[-1]))
         self.size = 0
         self._gram = {ik: np.empty((0, 0)) for ik in pieces}
         self._products = np.empty((2, 2, 0))
 
-    @functools.cached_property
-    def _matrices(self) -> dict:
-        return {ik: self._grid.matrix(d) for ik, d in self._pieces.items()}
-
-    def add(self, z: np.ndarray) -> None:
+    def add(self, z: np.ndarray, matrices: dict) -> None:
+        """Join ``z``, with its Gram rows against the piece ``matrices``."""
         k = self.size
         if not np.any(z):  # a zero corrector spans nothing
             return
@@ -155,16 +150,11 @@ class _CorrectorBasis:
         # symmetrically: exact when every piece is, which a symmetric A
         # (CellProblem.symmetric) makes so; otherwise only the start's
         # quality depends on the fill
-        for ik, K in self._matrices.items():
+        for ik, K in matrices.items():
             self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
                 "kn,n->k", V, K @ v)
         self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, v)
         self.size = k + 1
-
-    def product(self, zeta: tuple[float, float], x: np.ndarray) -> np.ndarray:
-        """``K(zeta) x``, summed from one product ``K_p x`` per piece, so
-        that no matrix is formed at ``zeta``."""
-        return _combination(zeta, {ik: K @ x for ik, K in self._matrices.items()})
 
     def project(self, zeta: tuple[float, float]) -> np.ndarray | None:
         """The (2, n) Galerkin projections of both systems ``K x_j =
@@ -269,7 +259,7 @@ class CellProblem:
         self._fluxes = [[-self._loads[k, i] / grid.area if self.symmetric else
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
-        self._basis = _CorrectorBasis(grid, self._stiffness, self._loads)
+        self._basis = _CorrectorBasis(self._stiffness, self._loads)
         self._alpha = None
         if self.symmetric:
             # Gershgorin over all points at once, exact for an isotropic A
@@ -286,6 +276,11 @@ class CellProblem:
             K = self.grid.matrix(_combination((z1, z2), self._stiffness))
             loads = self._rhs((z1, z2))
         return SparseSystem(K, singular=True), loads
+
+    @functools.cached_property
+    def _matrices(self) -> dict:
+        """The nonzero stiffness pieces as matrices, built on first use."""
+        return {ik: self.grid.matrix(d) for ik, d in self._stiffness.items()}
 
     def _rhs(self, zeta: tuple[float, float]) -> list[np.ndarray]:
         return [zeta[0] * self._loads[0, j] + zeta[1] * self._loads[1, j] for j in range(2)]
@@ -343,8 +338,8 @@ class CellProblem:
         projects onto."""
         if field.grid is not self.grid:
             raise ValueError("corrector was solved on a different grid")
-        self._basis.add(field.z1)
-        self._basis.add(field.z2)
+        self._basis.add(field.z1, self._matrices)
+        self._basis.add(field.z2, self._matrices)
 
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
@@ -361,7 +356,8 @@ class CellProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             for j, b in enumerate(self._rhs(zeta)):
                 b -= b.mean()
-                rj = b - self._basis.product(zeta, x[j])
+                # K(zeta) x_j from one product per piece, forming no matrix
+                rj = b - _combination(zeta, {ik: K @ x[j] for ik, K in self._matrices.items()})
                 rj -= rj.mean()
                 bnorm = math.sqrt(inner(b, b))
                 r.append(rj)

@@ -308,10 +308,8 @@ def _package_version() -> str:
 
 
 def _solver_record(field) -> dict:
-    """The cell solves' preconditioner and start, the form ``B`` is read
-    off, the bound target and the truth scalings, and per scaling the
-    error bound, the CG iterations, the final residuals and the
-    residuals the start left."""
+    """A sweep's manifest ``solver`` entry: its run-wide metadata, and its
+    per-scaling records under ``cg_iterations``."""
     meta = field.metadata
     return {**{key: meta[key] for key in ("preconditioner", "warm_start", "effective_matrix",
                                           "bound_target", "truth_scalings")},

@@ -158,7 +158,7 @@ def tensor_field(
     coefficient, the flux form otherwise (the metadata's
     ``effective_matrix``). The groups are visited coarse to fine: the
     smallest and largest scaling, then midpoints by bisection. At each,
-    the Galerkin projection onto the correctors solved so far
+    the Galerkin projection onto the correctors kept so far
     (:meth:`CellProblem.reduced`) is returned when its rigorous error
     bound (:meth:`CellProblem.error_bound`) is at most ``BOUND_TARGET``
     times the largest mean diagonal entry. Otherwise the scaling is a

@@ -441,6 +441,8 @@ def test_effective_matrix_needs_the_problem_grid(sine_coeff):
         CellProblem(sine_coeff, 16).effective_matrix(field)
     with pytest.raises(ValueError):
         CellProblem(sine_coeff, 16).error_bound(field)
+    with pytest.raises(ValueError):
+        CellProblem(sine_coeff, 16).keep(field)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +587,9 @@ def _galerkin_energy(system, loads, x):
 
 
 def test_the_cached_start_is_the_direct_projection(sine_coeff):
-    """The basis keeps every kept corrector, orthonormalized as it joins,
+    """The basis holds every kept corrector, orthonormalized as it joins,
     with per-piece Gram matrices V K_p V^T and load products. After nine
-    solved pairs, more than the former ring of eight held, V V^T is the
+    kept pairs, more than the former ring of eight held, V V^T is the
     identity to 1e-13, the cached numbers combine to the direct
     projection V K(zeta) V^T and V rhs_j(zeta) to 1e-12 relative, and the
     projection is the Galerkin solution: its residuals are orthogonal to
@@ -670,7 +672,7 @@ def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatc
     problem.solve((1.0, 1.2))
     assert products[False] == 0 and products[True] > 0
     assert len(problem._stiffness) == 2
-    assert "_matrices" not in vars(problem._basis)
+    assert "_matrices" not in vars(problem)
 
 
 def test_rounding_noise_loads_are_zero(sine_coeff, laminate_coeff):

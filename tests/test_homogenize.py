@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import ellipe
 
 from maphom import coefficients
 from maphom.cell import CellProblem, solve_corrector, solve_rescaled_corrector, stretched
@@ -358,6 +359,25 @@ def test_the_curve_mirrors_at_its_ends(sine_coeff):
     the axes exchanged, here at zeta2 = 0.01 and 100 in one sweep."""
     b = small_field(sine_coeff, [0.005, 50.0]).matrices
     npt.assert_allclose(b[0], b[1][::-1, ::-1], rtol=0, atol=1e-8)
+
+
+def test_the_curve_tends_to_the_layered_limits(sine_coeff):
+    """As zeta2 grows the cell becomes a stack of layers across y2: b22
+    tends to the mean over y1 of the harmonic mean over y2, which for the
+    sine product at 0.9 is (2/pi) E(0.81) = 0.745925511, and b11 to the
+    harmonic mean over y1 of the mean over y2, 1. As zeta2 falls the axes
+    are exchanged. At zeta2 = 400 and 0.005 the other diagonal entry is
+    within 1e-5 of 1, and the gap to the limit is positive and falls by
+    at least 3.5 per doubling from 16^2 to 64^2 cells (by 4.0 in a
+    probe)."""
+    limit = 2.0 / math.pi * ellipe(0.81)
+    gaps = []
+    for n in (16, 32, 64):
+        b = small_field(sine_coeff, [0.0025, 200.0], cell_resolution=n).matrices
+        npt.assert_allclose([b[0, 1, 1], b[1, 0, 0]], 1.0, rtol=0, atol=1e-5)
+        gaps.append(np.array([b[0, 0, 0], b[1, 1, 1]]) - limit)
+    assert np.all(gaps[-1] > 0)
+    assert np.all(gaps[0] >= 3.5 * gaps[1]) and np.all(gaps[1] >= 3.5 * gaps[2])
 
 
 def test_repeated_sweeps_are_bytewise_identical(sine_coeff):
