@@ -47,30 +47,23 @@ __all__ = [
 class CorrectorField:
     """Corrector pair on a periodic grid with solver diagnostics.
 
-    ``z1`` and ``z2`` are nodal values of the two zero-mean periodic
-    correctors; ``zeta`` is the diagonal scaling they were solved with.
-    ``r1`` and ``r2`` are the true residuals ``rhs_j - K z_j`` the solves
-    ended on, and ``residual`` their relative norms; ``start_residual``
-    holds the relative residuals the solves' starts left.
+    ``z`` and ``r`` hold, as ``(2, n)`` rows, the nodal values of the two
+    zero-mean periodic correctors and the true residuals ``rhs_j - K z_j``
+    the solves ended on; ``zeta`` is the diagonal scaling they were solved
+    with, ``residual`` the residuals' relative norms and ``start_residual``
+    the relative residuals the solves' starts left.
     """
 
-    z1: np.ndarray
-    z2: np.ndarray
+    z: np.ndarray
     zeta: tuple[float, float]
     grid: UniformCellGrid
     iterations: tuple[int, int]
     residual: tuple[float, float]
-    r1: np.ndarray
-    r2: np.ndarray
+    r: np.ndarray
     start_residual: tuple[float, float]
 
-    def component(self, j: int) -> np.ndarray:
-        if j not in (1, 2):
-            raise ValueError("component index must be 1 or 2")
-        return self.z1 if j == 1 else self.z2
-
     def sup_norm(self) -> float:
-        return float(max(np.abs(self.z1).max(), np.abs(self.z2).max()))
+        return float(np.abs(self.z).max())
 
 
 def _scaling(zeta) -> tuple[float, float]:
@@ -105,79 +98,6 @@ def _combination(zeta, pieces: dict) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-class _CorrectorBasis:
-    """An orthonormal basis of the span of the nonzero correctors a cell
-    problem kept, with the projections of the problem's stiffness pieces
-    and loads onto it: per piece p the Gram matrix ``V K_p V^T`` and the
-    products ``L_ij . v``.
-
-    A corrector joins at once: it is copied, orthogonalized against the
-    kept vectors by two classical Gram-Schmidt passes, dropped when less
-    than ``DEPENDENT`` of it is left, normalized, and its Gram rows are
-    formed, one product ``K_p v`` per piece. The stored rows double as
-    the basis grows; the products ``K_p V`` are not kept. A projection
-    combines the cached numbers at its scaling and touches whole vectors
-    only to sum its result."""
-
-    def __init__(self, pieces: dict, loads: np.ndarray):
-        self._loads = loads
-        self._vectors = np.empty((0, loads.shape[-1]))
-        self.size = 0
-        self._gram = {ik: np.empty((0, 0)) for ik in pieces}
-        self._products = np.empty((2, 2, 0))
-
-    def add(self, z: np.ndarray, matrices: dict) -> None:
-        """Join ``z``, with its Gram rows against the piece ``matrices``."""
-        k = self.size
-        if not np.any(z):  # a zero corrector spans nothing
-            return
-        if k == len(self._vectors):
-            rows = max(8, 2 * k)
-            self._vectors = _grown(self._vectors, (rows, z.size))
-            self._gram = {ik: _grown(G, (rows, rows)) for ik, G in self._gram.items()}
-            self._products = _grown(self._products, (2, 2, rows))
-        V, v = self._vectors[:k], self._vectors[k]
-        v[:] = z
-        norm = math.sqrt(inner(v, v))
-        for _ in range(2):
-            v -= np.einsum("k,kn->n", np.einsum("kn,n->k", V, v), V)
-        left = math.sqrt(inner(v, v))
-        if not left > DEPENDENT * norm:
-            return
-        v /= left
-        V = self._vectors[:k + 1]
-        # the row of the new vector against every kept one, filled
-        # symmetrically: exact when every piece is, which a symmetric A
-        # (CellProblem.symmetric) makes so; otherwise only the start's
-        # quality depends on the fill
-        for ik, K in matrices.items():
-            self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
-                "kn,n->k", V, K @ v)
-        self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, v)
-        self.size = k + 1
-
-    def project(self, zeta: tuple[float, float]) -> np.ndarray | None:
-        """The (2, n) Galerkin projections of both systems ``K x_j =
-        rhs_j`` at ``zeta`` onto the span of the basis; None when it is
-        empty or the projected problem is not finite or singular."""
-        k = self.size
-        if k == 0:
-            return None
-        # a huge scaling may overflow the projected entries: the projection
-        # is then None, and a solve fails on its own system
-        with np.errstate(over="ignore", invalid="ignore"):
-            H = _combination(zeta, {ik: G[:k, :k] for ik, G in self._gram.items()})
-            f = zeta[0] * self._products[0, :, :k] + zeta[1] * self._products[1, :, :k]
-            if not (np.all(np.isfinite(H)) and np.all(np.isfinite(f))):
-                return None
-            try:
-                coeffs = np.linalg.solve(H, f.T)
-            except np.linalg.LinAlgError:
-                return None
-            x = np.einsum("kj,kn->jn", coeffs, self._vectors[:k])
-        return x if np.all(np.isfinite(x)) else None
-
-
 def _grown(a: np.ndarray, shape: tuple) -> np.ndarray:
     """An uninitialized array of ``shape`` that starts with a copy of ``a``."""
     out = np.empty(shape)
@@ -202,8 +122,10 @@ class CellProblem:
     left out, and loads that are rounding noise (``LOAD_NOISE``) are set
     to zero. A scaling then costs the combinations of the pieces and the
     two CG solves, and the effective matrix is read off dot products. The
-    Galerkin projection onto the correctors the problem kept (``keep``,
-    ``reduced``) combines the projections its basis cached. The flux form
+    correctors the problem kept (``keep``) span an orthonormal basis V,
+    with per piece p the Gram matrix ``V K_p V^T`` and the load products
+    ``L_ij . v``; the Galerkin projection onto it (``reduced``) combines
+    these cached numbers at its scaling. The flux form
 
         b_ij = <a_ij> + sum_k zeta_k M_ik . z_j
 
@@ -259,7 +181,12 @@ class CellProblem:
         self._fluxes = [[-self._loads[k, i] / grid.area if self.symmetric else
                          grid.load(A[:, :, i, k], w[:, None] * G[:, :, k] / grid.area)
                          for k in range(2)] for i in range(2)]
-        self._basis = _CorrectorBasis(self._stiffness, self._loads)
+        # the kept basis: orthonormal rows, their Gram matrices per piece
+        # and load products, stored with room to grow (``_grown``)
+        self._vectors = np.empty((0, grid.n_nodes))
+        self._gram = {ik: np.empty((0, 0)) for ik in self._stiffness}
+        self._products = np.empty((2, 2, 0))
+        self._size = 0
         self._alpha = None
         if self.symmetric:
             # Gershgorin over all points at once, exact for an isotropic A
@@ -322,51 +249,92 @@ class CellProblem:
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
         results = [cg_solve(system, loads[j], precondition, tol=tol,
-                            x0=None if start is None else start.component(j + 1))
+                            x0=None if start is None else start.z[j])
                    for j in range(2)]
-        sols = [res.x - res.x.mean() for res in results]
         return CorrectorField(
-            z1=sols[0], z2=sols[1], zeta=zeta, grid=self.grid,
+            z=np.array([res.x - res.x.mean() for res in results]), zeta=zeta, grid=self.grid,
             iterations=tuple(res.iterations for res in results),
             residual=tuple(res.residual for res in results),
-            r1=results[0].r, r2=results[1].r,
+            r=np.array([res.r for res in results]),
             start_residual=tuple(res.start_residual for res in results),
         )
 
     def keep(self, field: CorrectorField) -> None:
-        """Add both correctors of ``field`` to the basis that ``reduced``
-        projects onto."""
+        """Join both correctors of ``field`` to the basis that ``reduced``
+        projects onto. Each is copied, orthogonalized against the kept
+        vectors by two classical Gram-Schmidt passes, dropped when it is
+        zero or less than ``DEPENDENT`` of it is left, normalized, and its
+        Gram rows are formed, one product ``K_p v`` per piece. The stored
+        rows double as the basis grows; the products ``K_p V`` are not
+        kept."""
         if field.grid is not self.grid:
             raise ValueError("corrector was solved on a different grid")
-        self._basis.add(field.z1, self._matrices)
-        self._basis.add(field.z2, self._matrices)
+        for z in field.z:
+            k = self._size
+            if not np.any(z):  # a zero corrector spans nothing
+                continue
+            if k == len(self._vectors):
+                rows = max(8, 2 * k)
+                self._vectors = _grown(self._vectors, (rows, z.size))
+                self._gram = {ik: _grown(G, (rows, rows)) for ik, G in self._gram.items()}
+                self._products = _grown(self._products, (2, 2, rows))
+            V, v = self._vectors[:k], self._vectors[k]
+            v[:] = z
+            norm = math.sqrt(inner(v, v))
+            for _ in range(2):
+                v -= np.einsum("k,kn->n", np.einsum("kn,n->k", V, v), V)
+            left = math.sqrt(inner(v, v))
+            if not left > DEPENDENT * norm:
+                continue
+            v /= left
+            V = self._vectors[:k + 1]
+            # the row of the new vector against every kept one, filled
+            # symmetrically: exact when every piece is, which a symmetric A
+            # (``symmetric``) makes so; otherwise only the start's quality
+            # depends on the fill
+            for ik, K in self._matrices.items():
+                self._gram[ik][k, :k + 1] = self._gram[ik][:k + 1, k] = np.einsum(
+                    "kn,n->k", V, K @ v)
+            self._products[:, :, k] = np.einsum("ijn,n->ij", self._loads, v)
+            self._size = k + 1
 
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
         span of the correctors this problem kept, with its true
         residuals, as a field of 0 iterations whose residuals are its
         start residuals. None when the problem has kept none, or when
-        the projection or its residuals are not finite, as at a huge
-        scaling, where a solve fails on its own system."""
+        the projected system is singular or the projection or its
+        residuals are not finite, as at a huge scaling, where a solve
+        fails on its own system."""
         zeta = _scaling(zeta)
-        x = self._basis.project(zeta)
-        if x is None:
+        k = self._size
+        if k == 0:
             return None
-        r, residual = [], []
         with np.errstate(over="ignore", invalid="ignore"):
+            H = _combination(zeta, {ik: G[:k, :k] for ik, G in self._gram.items()})
+            f = zeta[0] * self._products[0, :, :k] + zeta[1] * self._products[1, :, :k]
+            if not (np.all(np.isfinite(H)) and np.all(np.isfinite(f))):
+                return None
+            try:
+                coeffs = np.linalg.solve(H, f.T)
+            except np.linalg.LinAlgError:
+                return None
+            x = np.einsum("kj,kn->jn", coeffs, self._vectors[:k])
+            if not np.all(np.isfinite(x)):
+                return None
+            r, residual = np.empty_like(x), []
             for j, b in enumerate(self._rhs(zeta)):
                 b -= b.mean()
                 # K(zeta) x_j from one product per piece, forming no matrix
-                rj = b - _combination(zeta, {ik: K @ x[j] for ik, K in self._matrices.items()})
-                rj -= rj.mean()
+                r[j] = b - _combination(zeta, {ik: K @ x[j] for ik, K in self._matrices.items()})
+                r[j] -= r[j].mean()
                 bnorm = math.sqrt(inner(b, b))
-                r.append(rj)
-                residual.append(math.sqrt(inner(rj, rj)) / bnorm if bnorm else 0.0)
+                residual.append(math.sqrt(inner(r[j], r[j])) / bnorm if bnorm else 0.0)
         if not np.all(np.isfinite(residual)):
             return None
         return CorrectorField(
-            z1=x[0], z2=x[1], zeta=zeta, grid=self.grid, iterations=(0, 0),
-            residual=tuple(residual), r1=r[0], r2=r[1], start_residual=tuple(residual))
+            z=x, zeta=zeta, grid=self.grid, iterations=(0, 0),
+            residual=tuple(residual), r=r, start_residual=tuple(residual))
 
     def error_bound(self, field: CorrectorField) -> float | None:
         """A bound on every entry's error in ``effective_matrix(field)``,
@@ -382,7 +350,7 @@ class CellProblem:
         except SolverError:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = max(dual_norm(self.grid, k1, k2, r) for r in (field.r1, field.r2))
+            eta = max(dual_norm(self.grid, k1, k2, r) for r in field.r)
         return eta / self._alpha / self.grid.area
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
@@ -390,7 +358,7 @@ class CellProblem:
         the stationary form for symmetric A, otherwise the flux form."""
         if field.grid is not self.grid:
             raise ValueError("corrector was solved on a different grid")
-        z, r = (field.z1, field.z2), (field.r1, field.r2)
+        z, r = field.z, field.r
         b = self.means.copy()
         for i in range(2):
             for j in range(2):

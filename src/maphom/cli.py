@@ -429,7 +429,7 @@ def cmd_corrector_dump(cfg: ExperimentConfig, run: RunManifest) -> None:
         cfg.coefficient(), zeta, cfg["cell_resolution"], tol=cfg["cg_tol"]))
     with run.csv("corrector.csv", "y1,y2,z1,z2\n") as f:
         f.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
-            *field.grid.node_coords().T.tolist(), field.z1.tolist(), field.z2.tolist()))
+            *field.grid.node_coords().T.tolist(), *field.z.tolist()))
 
 
 COMMANDS = {

@@ -53,7 +53,7 @@ def homogenized_matrix_at(
     b = np.empty((2, 2))
     for j in range(2):
         # integrand_i = a_ij + sum_k a_ik zeta_k dz_j/dy_k
-        scaled = grid.gradient(corrector.component(j + 1)) * zvec
+        scaled = grid.gradient(corrector.z[j]) * zvec
         b[:, j] = grid.integral(A[:, :, :, j] + np.einsum("eqik,eqk->eqi", A, scaled))
     return b / grid.area
 
@@ -96,17 +96,6 @@ class HomogenizedTensor:
 # at most this fraction of the largest mean diagonal entry <a_ii>: a
 # decade below the 1e-12 to which sweeps are checked
 BOUND_TARGET = 1e-13
-
-
-def _coarse_to_fine(n: int) -> list[int]:
-    """The indices ``0 .. n - 1``: both ends, then the midpoints of the
-    intervals between visited indices, level by level."""
-    order, intervals = [0, n - 1][:n], [(0, n - 1)]
-    while intervals:
-        split = [(lo, (lo + hi) // 2, hi) for lo, hi in intervals if hi - lo > 1]
-        order += [mid for _, mid, _ in split]
-        intervals = [part for lo, mid, hi in split for part in ((lo, mid), (mid, hi))]
-    return order
 
 
 def _truth(problem: CellProblem, zeta: tuple[float, float], tol: float,
@@ -156,9 +145,11 @@ def tensor_field(
     :class:`CellProblem` serves every group, and its matrices are read
     off the problem's dot products: the stationary form for a symmetric
     coefficient, the flux form otherwise (the metadata's
-    ``effective_matrix``). The groups are visited coarse to fine: the
-    smallest and largest scaling, then midpoints by bisection. At each,
-    the Galerkin projection onto the correctors kept so far
+    ``effective_matrix``). The groups are visited in dyadic order of
+    their index among the ascending scalings: index 0, then the others by
+    decreasing lowest set bit (32; 16, 48; 8, 24, 40, 56; ...), each level
+    ascending; for 2^m + 1 scalings this is bisection from both ends. At
+    each, the Galerkin projection onto the correctors kept so far
     (:meth:`CellProblem.reduced`) is returned when its rigorous error
     bound (:meth:`CellProblem.error_bound`) is at most ``BOUND_TARGET``
     times the largest mean diagonal entry. Otherwise the scaling is a
@@ -195,7 +186,8 @@ def tensor_field(
     scalings: list[dict] = [{}] * len(unique)
     truth: list[float] = []
     sup_norm = 0.0
-    for i in _coarse_to_fine(len(unique)):
+    # index 0 first, then by decreasing lowest set bit; the sort is stable
+    for i in sorted(range(len(unique)), key=lambda i: -(i & -i or len(unique))):
         zeta = (1.0, float(unique[i]))
         field = problem.reduced(zeta)
         bound = None if field is None else problem.error_bound(field)
@@ -236,11 +228,6 @@ def isotropy_scan(field: HomogenizedTensor) -> IsotropyResult:
     if field.x2.size < 3:
         raise ValueError("isotropy scan needs at least three samples")
     gaps = np.abs(field.entry(0, 0) - field.entry(1, 1))
-    best = 0
-    for i in range(1, gaps.size):
-        better = gaps[i] < gaps[best]
-        tie = gaps[i] == gaps[best] and field.x2[i] < field.x2[best]
-        if better or tie:
-            best = i
+    best = int(np.lexsort((field.x2, gaps))[0])
     return IsotropyResult(x2=float(field.x2[best]), gap=float(gaps[best]), index=best)
 

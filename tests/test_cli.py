@@ -593,8 +593,8 @@ def test_corrector_csv_layout(tmp_path):
     cfg = ExperimentConfig.load(None)
     field = solve_corrector(cfg.coefficient(), (1.0, 1.0), 16, tol=cfg["cg_tol"])
     assert np.array_equal(table[:, :2], UniformCellGrid(16).node_coords())
-    assert np.array_equal(table[:, 2], field.z1)
-    assert np.array_equal(table[:, 3], field.z2)
+    assert np.array_equal(table[:, 2], field.z[0])
+    assert np.array_equal(table[:, 3], field.z[1])
 
 
 def test_tensor_csv_is_deterministic():
