@@ -51,7 +51,8 @@ class CorrectorField:
     zero-mean periodic correctors and the true residuals ``rhs_j - K z_j``
     the solves ended on; ``zeta`` is the diagonal scaling they were solved
     with, ``residual`` the residuals' relative norms and ``start_residual``
-    the relative residuals the solves' starts left.
+    the relative residuals the solves' starts left, and ``bound`` the
+    bound a certified solve stopped on (None for any other field).
     """
 
     z: np.ndarray
@@ -61,6 +62,7 @@ class CorrectorField:
     residual: tuple[float, float]
     r: np.ndarray
     start_residual: tuple[float, float]
+    bound: float | None = None
 
     def sup_norm(self) -> float:
         return float(np.abs(self.z).max())
@@ -234,9 +236,13 @@ class CellProblem:
         zeta: tuple[float, float],
         tol: float = 1e-10,
         start: CorrectorField | None = None,
+        target: float | None = None,
     ) -> CorrectorField:
         """Both correctors at ``zeta`` by spectrally preconditioned CG,
-        started from ``start``, a pair at the same scaling, or from zero.
+        started from ``start``, a pair at the same scaling, or from zero,
+        to the relative residual ``tol``. Given a ``target``, a problem with
+        a bound stops each corrector once its own ``eta_j / |Y|`` is at
+        most ``target``, and records the larger as the field's ``bound``.
         The solutions are made zero-mean once more after the solve. A
         scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not finite or
         underflows to 0 raises ``SolverError`` before the system is
@@ -246,9 +252,13 @@ class CellProblem:
         k1, k2 = self._scaled_means(zeta)
         if start is not None and start.zeta != zeta:
             raise ValueError("start was projected at a different scaling")
+        if target is not None and not target > 0:
+            raise ValueError(f"target must be positive, got {target}")
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
-        results = [cg_solve(system, loads[j], precondition, tol=tol,
+        stop = (None if target is None or self._alpha is None else
+                lambda r: self._certificate(k1, k2, r) / target)
+        results = [cg_solve(system, loads[j], precondition, tol=tol, stop=stop,
                             x0=None if start is None else start.z[j])
                    for j in range(2)]
         return CorrectorField(
@@ -257,6 +267,7 @@ class CellProblem:
             residual=tuple(res.residual for res in results),
             r=np.array([res.r for res in results]),
             start_residual=tuple(res.start_residual for res in results),
+            bound=None if stop is None else max(res.measure for res in results) * target,
         )
 
     def keep(self, field: CorrectorField) -> None:
@@ -349,9 +360,12 @@ class CellProblem:
             k1, k2 = self._scaled_means(field.zeta)
         except SolverError:
             return None
+        return max(self._certificate(k1, k2, r) for r in field.r)
+
+    def _certificate(self, k1: float, k2: float, r: np.ndarray) -> float:
+        """``eta / |Y|`` of one residual at the scaled means ``k1``, ``k2``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = max(dual_norm(self.grid, k1, k2, r) for r in field.r)
-        return eta / self._alpha / self.grid.area
+            return dual_norm(self.grid, k1, k2, r) / self._alpha / self.grid.area
 
     def effective_matrix(self, field: CorrectorField) -> np.ndarray:
         """The effective matrix of a corrector pair solved by this problem:

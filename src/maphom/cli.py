@@ -124,7 +124,6 @@ def _scales(top: float) -> Callable:
 
 _RESOLUTION = (lambda n: 16 <= n <= 1024 and n & (n - 1) == 0,
                "must be a power of two between 16 and 1024")
-_TOLERANCE = (lambda t: 0 < t < 1, "must lie in (0, 1)")
 
 KEYS = {
     "coefficient": Key("sine-product", str, COEFFICIENTS.__contains__,
@@ -150,8 +149,7 @@ KEYS = {
                       "must be a non-empty, strictly increasing list of positive integers"),
     "aud_subdivision": Key(4, int, lambda n: 1 <= n <= MAX_AUD_SUBDIVISION,
                            f"must be an integer from 1 to {MAX_AUD_SUBDIVISION}"),
-    "cg_tol": Key(1e-7, float, *_TOLERANCE),
-    "fem_tol": Key(1e-8, float, *_TOLERANCE),
+    "fem_tol": Key(1e-8, float, lambda t: 0 < t < 1, "must lie in (0, 1)"),
     "dump_x2": Key(0.5, float, lambda x: x > 0, "must be positive"),
     "preview_h": Key(3, int, lambda h: 1 <= h <= MAX_SCALE_INDEX,
                      f"must be an integer from 1 to {MAX_SCALE_INDEX}"),
@@ -326,7 +324,7 @@ def _tensor_field(cfg: ExperimentConfig, run: RunManifest):
     """The timed tensor field at the configured samples."""
     return run.stage("tensor_field", lambda: tensor_field(
         cfg.coefficient(), cfg.x2_sample_values(), cell_resolution=cfg["cell_resolution"],
-        tol=cfg["cg_tol"], classical=cfg.is_classical()))
+        classical=cfg.is_classical()))
 
 
 def cmd_homogenize(cfg: ExperimentConfig, run: RunManifest) -> None:
@@ -426,7 +424,7 @@ def cmd_corrector_dump(cfg: ExperimentConfig, run: RunManifest) -> None:
     """Solve one corrector pair at the configured x2 and dump nodal values."""
     zeta = (1.0, 1.0) if cfg.is_classical() else (1.0, 2.0 * cfg["dump_x2"])
     field = run.stage("solve", lambda: solve_corrector(
-        cfg.coefficient(), zeta, cfg["cell_resolution"], tol=cfg["cg_tol"]))
+        cfg.coefficient(), zeta, cfg["cell_resolution"]))
     with run.csv("corrector.csv", "y1,y2,z1,z2\n") as f:
         f.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
             *field.grid.node_coords().T.tolist(), *field.z.tolist()))

@@ -399,13 +399,14 @@ class CGResult:
     ``r = rhs - K x`` it ended on (projected to zero mean on singular
     systems), its relative norm ``residual`` and the relative norm
     ``start_residual`` of the residual the start left (1 for a zero
-    start, to rounding)."""
+    start, to rounding), and its ``stop`` ``measure`` (0 if none was taken)."""
 
     x: np.ndarray
     iterations: int
     residual: float
     r: np.ndarray
     start_residual: float
+    measure: float = 0.0
 
 
 def spectral_preconditioner(
@@ -531,6 +532,17 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _check_positive(name: str, value: float, factor: np.ndarray, breakdown: str,
+                    iterations: int, residual: float) -> None:
+    """Raise the ``breakdown`` when the CG product ``name`` is not positive,
+    or an overflow when it is not finite while its ``factor`` is."""
+    overflow = not math.isfinite(value) and np.all(np.isfinite(factor))
+    if overflow or value <= 0.0:
+        reason = f"a product overflowed ({name} = {value})" if overflow else breakdown
+        raise SolverError(f"conjugate gradient breakdown: {reason} (relative residual "
+                          f"{residual:.3e})", iterations, residual)
+
+
 def cg_solve(
     system: SparseSystem,
     rhs: np.ndarray,
@@ -539,6 +551,7 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
+    stop: Callable[[np.ndarray], float] | None = None,
 ) -> CGResult:
     """Preconditioned conjugate gradients.
 
@@ -547,7 +560,10 @@ def cg_solve(
     lie strictly between 0 and 1. Systems
     flagged singular are solved on the zero-mean subspace: the right-hand
     side and every iterate have their mean subtracted, which selects the
-    zero-mean representative of the solution family.
+    zero-mean representative of the solution family. ``stop`` replaces
+    ``tol`` by a measure of the true residual, quadratic in it, that must
+    reach 1: the start is measured, and after a miss of ``q`` the next
+    true residual once the recurrence residual has fallen by ``sqrt(q)``.
 
     ``preconditioner`` maps a residual to a search direction; the cell and
     Dirichlet solvers pass :func:`spectral_preconditioner`.
@@ -590,42 +606,43 @@ def cg_solve(
         r -= r.mean()
     start_residual = math.sqrt(inner(r, r)) / bnorm
 
+    # the recurrence residual norm at which the true residual is tested
+    gate = tol * bnorm if stop is None else math.inf
     iterations = 0
     while True:
         res = math.sqrt(inner(r, r))
-        if not np.isfinite(res):
-            raise SolverError(
-                f"conjugate gradient residual is not finite after {iterations} "
-                f"iterations (relative residual {res / bnorm:.3e})",
-                iterations, res / bnorm)
-        if res <= tol * bnorm and iterations > 0:
+        if res <= gate and iterations > 0:
             # guard against recurrence drift before declaring victory
             r = b - A @ x
             if system.singular:
                 r -= r.mean()
             res = math.sqrt(inner(r, r))
-        if res <= tol * bnorm:
-            return CGResult(x, iterations, res / bnorm, r, start_residual)
+        if not np.isfinite(res):
+            raise SolverError(
+                f"conjugate gradient residual is not finite after {iterations} "
+                f"iterations (relative residual {res / bnorm:.3e})",
+                iterations, res / bnorm)
+        if res <= gate:
+            q = 0.0 if stop is None else stop(r)
+            if q <= 1.0:
+                return CGResult(x, iterations, res / bnorm, r, start_residual, q)
+            # a measure that overflows shuts the gate
+            gate = res / math.sqrt(q)
         if iterations == max_iter:
             raise SolverError(
                 f"conjugate gradient did not converge in {max_iter} iterations "
                 f"(relative residual {res / bnorm:.3e})", iterations, res / bnorm)
         z = preconditioner(r)
         rz_new = inner(r, z)
-        if rz_new <= 0.0:
-            raise SolverError(
-                "conjugate gradient breakdown: the preconditioned residual is "
-                f"orthogonal to the residual (relative residual {res / bnorm:.3e})",
-                iterations, res / bnorm)
+        _check_positive("r . z", rz_new, z, "the preconditioned residual is orthogonal to "
+                        "the residual", iterations, res / bnorm)
         p = z.copy() if iterations == 0 else z + (rz_new / rz) * p
         rz = rz_new
         iterations += 1
         Ap = A @ p
         pAp = inner(p, Ap)
-        if pAp <= 0.0:
-            raise SolverError(
-                "conjugate gradient breakdown: operator is not positive definite "
-                "on the search space", iterations, res / bnorm)
+        _check_positive("p . Ap", pAp, p, "operator is not positive definite on the "
+                        "search space", iterations, res / bnorm)
         alpha = rz / pAp
         x += alpha * p
         if system.singular:

@@ -578,6 +578,12 @@ def test_a_huge_warm_scaling_fails_as_a_cold_one(sine_coeff, z2, named):
         problem.solve((1.0, z2), start=start)
 
 
+@pytest.mark.parametrize("target", [0.0, -1e-13, math.nan])
+def test_a_certified_solve_needs_a_positive_target(sine_coeff, target):
+    with pytest.raises(ValueError, match="target must be positive"):
+        CellProblem(sine_coeff, 16).solve((1.0, 1.0), target=target)
+
+
 def _galerkin_energy(system, loads, x):
     """Per component j, x_j . K x_j / 2 - rhs_j . x_j."""
     x = np.asarray(x)
