@@ -51,8 +51,10 @@ class CorrectorField:
     zero-mean periodic correctors and the true residuals ``rhs_j - K z_j``
     the solves ended on; ``zeta`` is the diagonal scaling they were solved
     with, ``residual`` the residuals' relative norms and ``start_residual``
-    the relative residuals the solves' starts left, and ``bound`` the
-    bound a certified solve stopped on (None for any other field).
+    the relative residuals the solves' starts left. ``bound`` is the
+    pair's certificate ``max_j eta_j / |Y|`` (see :class:`CellProblem`),
+    set by ``CellProblem.reduced`` and ``CellProblem.solve(target=)``;
+    None for a problem with no bound and for a plain ``tol`` solve.
     """
 
     z: np.ndarray
@@ -151,8 +153,9 @@ class CellProblem:
     every quadrature point from below (Gershgorin over all points:
     min(min a11, min a22) - max |a12|).
     So |e_j|_K^2 <= eta_j = r_j . K0^+ r_j / alpha and each entry errs by
-    at most sqrt(eta_i eta_j) / |Y| (``error_bound``). A non-symmetric A,
-    or one whose lambda is not positive, has no such bound.
+    at most sqrt(eta_i eta_j) / |Y|, so by at most the field's ``bound``,
+    max_j eta_j / |Y|. A non-symmetric A, or one whose lambda is not
+    positive, has no such bound.
     """
 
     def __init__(self, coefficient, grid: UniformCellGrid | int):
@@ -312,11 +315,13 @@ class CellProblem:
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
         span of the correctors this problem kept, with its true
-        residuals, as a field of 0 iterations whose residuals are its
-        start residuals. None when the problem has kept none, or when
-        the projected system is singular or the projection or its
-        residuals are not finite, as at a huge scaling, where a solve
-        fails on its own system."""
+        residuals and their ``bound``, as a field of 0 iterations whose
+        residuals are its start residuals. None when the problem has kept
+        none, or when the projected system is singular or the projection
+        or its residuals are not finite, as at a huge scaling, where a
+        solve fails on its own system. The bound is None when the problem
+        has none or a scaled mean is not finite and positive, where a
+        solve raises ``SolverError``."""
         zeta = _scaling(zeta)
         k = self._size
         if k == 0:
@@ -343,24 +348,17 @@ class CellProblem:
                 residual.append(math.sqrt(inner(r[j], r[j])) / bnorm if bnorm else 0.0)
         if not np.all(np.isfinite(residual)):
             return None
+        bound = None
+        if self._alpha is not None:
+            try:
+                k1, k2 = self._scaled_means(zeta)
+            except SolverError:
+                pass
+            else:
+                bound = max(self._certificate(k1, k2, rj) for rj in r)
         return CorrectorField(
             z=x, zeta=zeta, grid=self.grid, iterations=(0, 0),
-            residual=tuple(residual), r=r, start_residual=tuple(residual))
-
-    def error_bound(self, field: CorrectorField) -> float | None:
-        """A bound on every entry's error in ``effective_matrix(field)``,
-        ``max_j eta_j / |Y|`` (see the class): the stationary form's
-        error at any pair, solved or projected. None when A has no such
-        bound or the scaled means are not finite and positive."""
-        if field.grid is not self.grid:
-            raise ValueError("corrector was solved on a different grid")
-        if self._alpha is None:
-            return None
-        try:
-            k1, k2 = self._scaled_means(field.zeta)
-        except SolverError:
-            return None
-        return max(self._certificate(k1, k2, r) for r in field.r)
+            residual=tuple(residual), r=r, start_residual=tuple(residual), bound=bound)
 
     def _certificate(self, k1: float, k2: float, r: np.ndarray) -> float:
         """``eta / |Y|`` of one residual at the scaled means ``k1``, ``k2``."""

@@ -90,12 +90,10 @@ class HomogenizedTensor:
 
 
 # a sample's matrix is read off the reduced basis once its error bound is
-# at most this fraction of the largest mean diagonal entry <a_ii>: a
-# decade below the 1e-12 to which sweeps are checked
+# at most this fraction of the largest mean diagonal entry <a_ii>, and a
+# truth solve stops there too: a decade below the 1e-12 to which sweeps
+# are checked
 BOUND_TARGET = 1e-13
-# a truth solve stops at the target over this margin: a pair stopped right
-# at the target is a weaker basis vector and costs truth scalings
-MARGIN = 300
 
 
 def tensor_field(
@@ -123,11 +121,11 @@ def tensor_field(
     ascending; for 2^m + 1 scalings this is bisection from both ends. At
     each, the Galerkin projection onto the correctors kept so far
     (:meth:`CellProblem.reduced`) is returned when its rigorous error
-    bound (:meth:`CellProblem.error_bound`) is at most ``BOUND_TARGET``
+    bound, the field's ``bound``, is at most the target, ``BOUND_TARGET``
     times the largest mean diagonal entry. Otherwise the scaling is a
     truth solve started from the projection: CG stops each corrector on
-    its own bound, at the target over ``MARGIN``, so the recorded bound
-    meets the target by construction, and the pair joins the basis
+    its own bound at the same target, so the recorded bound meets the
+    target by construction, and the pair joins the basis
     (:meth:`CellProblem.keep`). A coefficient with no bound, as a
     non-symmetric one, makes every scaling a truth solve, CG to
     :meth:`CellProblem.solve`'s default residual.
@@ -135,8 +133,8 @@ def tensor_field(
     The bound covers the pair's algebraic error, not the rounding of the
     stationary form: for ``1/a`` (``a`` the sine product at 0.9) on 128^2
     cells, cold solves at x2 = 95.39 with bounds below 6e-17 spread by
-    1.5e-12, and a sweep to x2 = 100 lies within 3.9e-12 of them. Compare
-    such sweeps to 5e-12, not to their bound.
+    1.5e-12, and a sweep to x2 = 100 lies within 2.4e-12 of three of them.
+    Compare such sweeps to 5e-12, not to their bound.
 
     The metadata's ``scalings`` holds one record per scaling, ascending
     in ``zeta2``: its ``iterations`` (0 for a returned projection), its
@@ -167,15 +165,13 @@ def tensor_field(
     for i in sorted(range(len(unique)), key=lambda i: -(i & -i or len(unique))):
         zeta = (1.0, float(unique[i]))
         field = problem.reduced(zeta)
-        bound = None if field is None else problem.error_bound(field)
-        if bound is None or not bound <= target:
-            field = problem.solve(zeta, start=field, target=target / MARGIN)
-            bound = field.bound
+        if field is None or field.bound is None or not field.bound <= target:
+            field = problem.solve(zeta, start=field, target=target)
             problem.keep(field)
             truth.append(zeta[1])
         matrices[i] = problem.effective_matrix(field)
         scalings[i] = {"zeta2": zeta[1], "iterations": list(field.iterations),
-                       "bound": bound, "residuals": list(field.residual),
+                       "bound": field.bound, "residuals": list(field.residual),
                        "start_residuals": list(field.start_residual)}
         sup_norm = max(sup_norm, field.sup_norm())
 

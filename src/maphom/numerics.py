@@ -549,7 +549,6 @@ def cg_solve(
     preconditioner: Callable[[np.ndarray], np.ndarray],
     *,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     x0: np.ndarray | None = None,
     stop: Callable[[np.ndarray], float] | None = None,
 ) -> CGResult:
@@ -570,9 +569,8 @@ def cg_solve(
 
     Raises:
         SolverError: a non-finite residual, a breakdown, or no convergence
-            within ``max_iter`` iterations (default 10 * dimension); the
-            exception carries the iteration count and the relative
-            residual.
+            within 10 * dimension iterations; the exception carries the
+            iteration count and the relative residual.
         ValueError: a tolerance outside (0, 1), or a dimension mismatch
             between system and vectors.
     """
@@ -583,8 +581,7 @@ def cg_solve(
     b = np.asarray(rhs, dtype=float).ravel().copy()
     if b.size != n:
         raise ValueError("right-hand side length does not match system dimension")
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
 
     if system.singular:
         b -= b.mean()

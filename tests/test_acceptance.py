@@ -6,14 +6,17 @@ not just sampled.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import maphom
 from maphom.cell import solve_corrector, solve_rescaled_corrector, stretched
 from maphom.finescale import DirichletProblem, l2_error
 from maphom.homogenize import (
@@ -197,13 +200,14 @@ def test_08_oscillatory_integral_finds_the_mean():
 
 def test_09_repeated_cli_runs_are_identical(tmp_path):
     """The field sweep command is replayed; its data must not drift."""
+    env = dict(os.environ, PYTHONPATH=str(Path(maphom.__file__).resolve().parents[1]))
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "maphom.cli", "--out", str(out),
              "homogenize"],
-            capture_output=True, text=True, timeout=300)
+            env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "tensor.csv").read_bytes())
         assert (out / "manifest.json").is_file()

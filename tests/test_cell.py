@@ -432,15 +432,14 @@ def test_a_coefficient_without_a_bound_truth_solves_every_scaling(coeff):
     assert sorted(meta["truth_scalings"]) == [row["zeta2"] for row in meta["scalings"]]
     assert all(row["bound"] is None for row in meta["scalings"])
     problem = CellProblem(coeff, 16)
-    assert problem.error_bound(problem.solve(ZETA)) is None
+    problem.keep(problem.solve(ZETA))
+    assert problem.reduced(ZETA).bound is None
 
 
 def test_effective_matrix_needs_the_problem_grid(sine_coeff):
     field = solve_corrector(sine_coeff, ZETA, 16)
     with pytest.raises(ValueError):
         CellProblem(sine_coeff, 16).effective_matrix(field)
-    with pytest.raises(ValueError):
-        CellProblem(sine_coeff, 16).error_bound(field)
     with pytest.raises(ValueError):
         CellProblem(sine_coeff, 16).keep(field)
 
@@ -582,6 +581,26 @@ def test_a_huge_warm_scaling_fails_as_a_cold_one(sine_coeff, z2, named):
 def test_a_certified_solve_needs_a_positive_target(sine_coeff, target):
     with pytest.raises(ValueError, match="target must be positive"):
         CellProblem(sine_coeff, 16).solve((1.0, 1.0), target=target)
+
+
+def test_a_projection_carries_the_certificate_of_its_residuals(sine_coeff):
+    """With two pairs kept, a projection's ``bound`` is
+    max_j r_j . K0^+ r_j / (alpha |Y|), recomputed from its own residuals:
+    K0 the spectral operator at the scaled means zeta_i^2 <a_ii>, alpha
+    the Gershgorin bound over the quadrature points over max <a_ii>."""
+    problem = CellProblem(sine_coeff, 16)
+    for z2 in (2.0, 3.0):
+        problem.keep(problem.solve((ZETA[0], z2)))
+    field = problem.reduced(ZETA)
+    grid = problem.grid
+    A = grid.coefficient(sine_coeff)
+    a11, a22 = problem.means[0, 0], problem.means[1, 1]
+    least = min(A[..., 0, 0].min(), A[..., 1, 1].min()) - np.abs(A[..., 0, 1]).max()
+    alpha = least / max(a11, a22)
+    k1, k2 = ZETA[0] ** 2 * a11, ZETA[1] ** 2 * a22
+    expected = max(numerics.dual_norm(grid, k1, k2, r) for r in field.r) / (alpha * grid.area)
+    assert expected > 0
+    assert field.bound == pytest.approx(expected, rel=1e-12)
 
 
 def _galerkin_energy(system, loads, x):

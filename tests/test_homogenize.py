@@ -15,7 +15,6 @@ from maphom import coefficients
 from maphom.cell import CellProblem, solve_corrector, solve_rescaled_corrector, stretched
 from maphom.homogenize import (
     BOUND_TARGET,
-    MARGIN,
     HomogenizedTensor,
     classical_homogenized_matrix,
     default_x2_samples,
@@ -255,8 +254,8 @@ def test_truth_solves_stop_on_their_certificate_above_the_euclidean_floor():
     assert sum(sum(row["iterations"]) for row in rows) <= 200
     problem = CellProblem(inverse, 16)
     far = (1.0, 2.0 * float(samples[-1]))
-    certified = problem.solve(far, target=target / MARGIN)
-    assert certified.bound <= target / MARGIN
+    certified = problem.solve(far, target=target)
+    assert certified.bound <= target
     assert min(certified.residual) > 1e-9
     with pytest.raises(SolverError, match="did not converge in 2560 iterations"):
         problem.solve(far, tol=1e-12)

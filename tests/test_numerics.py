@@ -348,12 +348,13 @@ def test_cg_refuses_a_tolerance_outside_zero_one(tol):
 
 
 def test_cg_raises_when_starved_of_iterations(rng):
-    system = _periodic_laplacian_1d(64)
+    """A tolerance below rounding runs CG on a positive definite system
+    to its cap, 10 * dimension."""
+    system = SparseSystem(_periodic_laplacian_1d(64).matrix + sp.identity(64, format="csr"))
     b = rng.standard_normal(64)
-    b -= b.mean()
-    with pytest.raises(SolverError) as info:
-        cg_solve(system, b, jacobi(system), tol=1e-14, max_iter=2)
-    assert info.value.iterations == 2
+    with pytest.raises(SolverError, match="did not converge in 640 iterations") as info:
+        cg_solve(system, b, jacobi(system), tol=1e-300)
+    assert info.value.iterations == 640
     assert info.value.residual > 0
 
 

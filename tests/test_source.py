@@ -79,6 +79,14 @@ def test_modules_take_no_private_names_from_each_other(path):
     assert private_imports(path.read_text()) == []
 
 
+def assigned_names(node: ast.AST) -> set[str]:
+    """The names an assignment statement binds; none for any other node."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def stale_exports(source: str) -> list[str]:
     """The names in a module's ``__all__`` that no module-level def,
     class, assignment or import binds."""
@@ -88,9 +96,7 @@ def stale_exports(source: str) -> list[str]:
             bound.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif names := assigned_names(node):
             bound |= names
             if "__all__" in names:
                 exported = ast.literal_eval(node.value)
@@ -187,24 +193,28 @@ def test_no_module_scatters(path):
 
 
 def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
-    """The functions, classes, methods and properties that the ``package``
-    modules (file name to source) define and no source names elsewhere.
+    """The functions, classes, methods, properties and module-level
+    assigned names that the ``package`` modules (file name to source)
+    define and no source names elsewhere.
 
-    A name counts where it is read as a name or an attribute, imported or
-    spelled as an identifier string (the benchmark's tracer patches call
-    sites by name); a module's ``__all__`` and the re-exports of
-    ``__init__.py`` do not. Dunders are exempt."""
+    A name counts where it is read (loaded) as a name or an attribute,
+    imported or spelled as an identifier string (the benchmark's tracer
+    patches call sites by name); an assignment, a module's ``__all__`` and
+    the re-exports of ``__init__.py`` do not. Dunders are exempt."""
     defined, named = set(), set()
     for file, source in [*package.items(), *((None, s) for s in others)]:
         tree = ast.parse(source)
         exported = {id(n) for node in tree.body if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", "") == "__all__" for t in node.targets)
                     for n in ast.walk(node.value)}
+        if file is not None:
+            defined.update(*map(assigned_names, tree.body))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if file is not None:
                     defined.add(node.name)
-            elif id(node) in exported:
+            elif id(node) in exported or isinstance(getattr(node, "ctx", None),
+                                                    (ast.Store, ast.Del)):
                 continue
             elif isinstance(node, ast.Name):
                 named.add(node.id)
@@ -220,18 +230,20 @@ def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
 def test_the_scan_finds_dead_definitions():
     package = {
         "__init__.py": "from .core import Shape, helper\n__all__ = ['Shape', 'helper']\n",
-        "core.py": ("__all__ = ['Shape', 'exported', 'helper']\n"
-                    "def helper():\n    return _inner()\n"
+        "core.py": ("__all__ = ['Shape', 'exported', 'helper']\n__version__ = '1'\n"
+                    "LIMIT = 3\nWIDTH, DEPTH = 1, 2\nscale: float = 0.5\nTABLE = {}\n"
+                    "def helper():\n    TABLE[0] = WIDTH\n    return _inner()\n"
                     "def _inner():\n    pass\n"
                     "def exported():\n    pass\n"
                     "def traced():\n    pass\n"
-                    "class Shape:\n    def __init__(self):\n        self.n = 1\n"
+                    "class Shape:\n    SIDES = 4\n    def __init__(self):\n        self.n = 1\n"
                     "    @property\n    def area(self):\n        return 0\n"
                     "    def grow(self):\n        pass\n"),
     }
     others = ["from core import Shape, helper\nhelper()\nShape().grow()\n",
+              "import core\nprint(core.LIMIT)\ncore.scale = 2.0\n",
               "TARGETS = [('core', 'traced')]\n"]
-    assert dead_definitions(package, others) == ["area", "exported"]
+    assert dead_definitions(package, others) == ["DEPTH", "area", "exported", "scale"]
 
 
 def test_every_definition_is_named_somewhere_else():
