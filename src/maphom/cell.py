@@ -30,6 +30,7 @@ from .numerics import (
     UniformCellGrid,
     cg_solve,
     dual_norm,
+    entries_present,
     inner,
     spectral_preconditioner,
 )
@@ -51,10 +52,11 @@ class CorrectorField:
     zero-mean periodic correctors and the true residuals ``rhs_j - K z_j``
     the solves ended on; ``zeta`` is the diagonal scaling they were solved
     with, ``residual`` the residuals' relative norms and ``start_residual``
-    the relative residuals the solves' starts left. ``bound`` is the
-    pair's certificate ``max_j eta_j / |Y|`` (see :class:`CellProblem`),
-    set by ``CellProblem.reduced`` and ``CellProblem.solve(target=)``;
-    None for a problem with no bound and for a plain ``tol`` solve.
+    the relative residuals the solves' starts left. ``certificates`` are
+    the correctors' ``eta_j / |Y|`` (see :class:`CellProblem`), set by
+    ``CellProblem.reduced`` and ``CellProblem.solve(target=)``, and
+    ``bound``, the larger, is the pair's certificate; both are None for a
+    problem with no bound and for a plain ``tol`` solve.
     """
 
     z: np.ndarray
@@ -64,7 +66,11 @@ class CorrectorField:
     residual: tuple[float, float]
     r: np.ndarray
     start_residual: tuple[float, float]
-    bound: float | None = None
+    certificates: tuple[float, float] | None = None
+
+    @property
+    def bound(self) -> float | None:
+        return None if self.certificates is None else max(self.certificates)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.z).max())
@@ -122,11 +128,14 @@ class CellProblem:
     is evaluated once, and the stiffness pieces are assembled once by the
     grid as data arrays on its nine-point CSR layout, together with the
     four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|.
-    Pieces that are exactly zero, as K12 + K21 of an isotropic A, are
-    left out, and loads that are rounding noise (``LOAD_NOISE``) are set
-    to zero. A scaling then costs the combinations of the pieces and the
-    two CG solves, and the effective matrix is read off dot products. The
-    correctors the problem kept (``keep``) span an orthonormal basis V,
+    The pieces and loads of an entry a_ik that is zero at every point, as
+    K12 + K21, L_12 and L_21 of an isotropic A, are never assembled, and a
+    symmetric A reads its fluxes off its loads; a piece whose terms
+    cancel exactly is left out, and loads that are rounding noise
+    (``LOAD_NOISE``) are set to zero. A scaling then costs the
+    combinations of the pieces and the two CG solves, and the effective
+    matrix is read off dot products. The correctors the problem kept
+    (``keep``) span an orthonormal basis V,
     with per piece p the Gram matrix ``V K_p V^T`` and the load products
     ``L_ij . v``; the Galerkin projection onto it (``reduced``) combines
     these cached numbers at its scaling. The flux form
@@ -168,18 +177,22 @@ class CellProblem:
         self.means = grid.mean(A)
         self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
         G, w = grid.gradients, grid.weights
-        # a piece that is exactly zero is left out, as K12 + K21 of every
-        # isotropic A
-        pieces = {ik: grid.stiffness_data(A, np.array(entries)) for ik, entries in PIECES.items()}
+        # the pieces and loads of an entry that is zero at every point, as
+        # a_12 and a_21 of every isotropic A, are never assembled; a piece
+        # whose terms cancel exactly is left out too
+        present = entries_present(A)
+        pieces = {ik: grid.stiffness_data(A, np.array(entries))
+                  for ik, entries in PIECES.items() if np.any(present * entries)}
         self._stiffness = {ik: d for ik, d in pieces.items() if np.any(d)}
         # _loads[i, j] = L_ij and _fluxes[i][k] = M_ik, which is -L_ki / |Y|
         # when a_ik = a_ki
-        self._loads = np.empty((2, 2, grid.n_nodes))
-        for i, j in np.ndindex(2, 2):
+        self._loads = np.zeros((2, 2, grid.n_nodes))
+        for i, j in zip(*np.nonzero(present)):
             self._loads[i, j] = grid.load(A[:, :, i, j], -w[:, None] * G[:, :, i])
         # max|a_ij| entry by entry: one reduction over the leading axes of
         # A is several times slower
-        reach = np.array([[np.abs(A[:, :, i, j]).max() for j in range(2)] for i in range(2)])
+        reach = np.array([[np.abs(A[:, :, i, j]).max() if present[i, j] else 0.0
+                           for j in range(2)] for i in range(2)])
         terms = reach * np.sum(w[:, None, None] * np.abs(G), axis=(0, 1))[:, None]
         noise = np.abs(self._loads).max(axis=2) <= LOAD_NOISE * np.finfo(float).eps * terms
         self._loads[noise] = 0.0
@@ -242,10 +255,12 @@ class CellProblem:
         target: float | None = None,
     ) -> CorrectorField:
         """Both correctors at ``zeta`` by spectrally preconditioned CG,
-        started from ``start``, a pair at the same scaling, or from zero,
-        to the relative residual ``tol``. Given a ``target``, a problem with
-        a bound stops each corrector once its own ``eta_j / |Y|`` is at
-        most ``target``, and records the larger as the field's ``bound``.
+        started from ``start``, a pair this problem solved or projected at
+        the same scaling, or from zero, to the relative residual
+        ``tol``. Given a ``target``, a problem with a bound stops each
+        corrector once its own ``eta_j / |Y|`` is at most ``target``, and
+        records them as the field's ``certificates``; a start's own are
+        taken as those of its residuals, which are not measured again.
         The solutions are made zero-mean once more after the solve. A
         scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not finite or
         underflows to 0 raises ``SolverError`` before the system is
@@ -255,14 +270,22 @@ class CellProblem:
         k1, k2 = self._scaled_means(zeta)
         if start is not None and start.zeta != zeta:
             raise ValueError("start was projected at a different scaling")
+        if start is not None and start.grid is not self.grid:
+            raise ValueError("start was solved on a different grid")
         if target is not None and not target > 0:
             raise ValueError(f"target must be positive, got {target}")
         system, loads = self.system(zeta)
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
         stop = (None if target is None or self._alpha is None else
                 lambda r: self._certificate(k1, k2, r) / target)
+        # a start's certificates, in the stop's units, are not measured
+        # again; its residuals are formed again, since ones formed another
+        # way move the solve, and B, by rounding
+        known = (0.0, 0.0)
+        if stop is not None and start is not None and start.certificates is not None:
+            known = tuple(c / target for c in start.certificates)
         results = [cg_solve(system, loads[j], precondition, tol=tol, stop=stop,
-                            x0=None if start is None else start.z[j])
+                            x0=None if start is None else start.z[j], start_measure=known[j])
                    for j in range(2)]
         return CorrectorField(
             z=np.array([res.x - res.x.mean() for res in results]), zeta=zeta, grid=self.grid,
@@ -270,7 +293,7 @@ class CellProblem:
             residual=tuple(res.residual for res in results),
             r=np.array([res.r for res in results]),
             start_residual=tuple(res.start_residual for res in results),
-            bound=None if stop is None else max(res.measure for res in results) * target,
+            certificates=None if stop is None else tuple(res.measure * target for res in results),
         )
 
     def keep(self, field: CorrectorField) -> None:
@@ -315,13 +338,13 @@ class CellProblem:
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
         span of the correctors this problem kept, with its true
-        residuals and their ``bound``, as a field of 0 iterations whose
+        residuals and their ``certificates``, as a field of 0 iterations whose
         residuals are its start residuals. None when the problem has kept
         none, or when the projected system is singular or the projection
         or its residuals are not finite, as at a huge scaling, where a
-        solve fails on its own system. The bound is None when the problem
-        has none or a scaled mean is not finite and positive, where a
-        solve raises ``SolverError``."""
+        solve fails on its own system. The certificates are None when the
+        problem has no bound or a scaled mean is not finite and positive,
+        where a solve raises ``SolverError``."""
         zeta = _scaling(zeta)
         k = self._size
         if k == 0:
@@ -348,17 +371,17 @@ class CellProblem:
                 residual.append(math.sqrt(inner(r[j], r[j])) / bnorm if bnorm else 0.0)
         if not np.all(np.isfinite(residual)):
             return None
-        bound = None
+        certificates = None
         if self._alpha is not None:
             try:
                 k1, k2 = self._scaled_means(zeta)
             except SolverError:
                 pass
             else:
-                bound = max(self._certificate(k1, k2, rj) for rj in r)
+                certificates = tuple(self._certificate(k1, k2, rj) for rj in r)
         return CorrectorField(
-            z=x, zeta=zeta, grid=self.grid, iterations=(0, 0),
-            residual=tuple(residual), r=r, start_residual=tuple(residual), bound=bound)
+            z=x, zeta=zeta, grid=self.grid, iterations=(0, 0), residual=tuple(residual),
+            r=r, start_residual=tuple(residual), certificates=certificates)
 
     def _certificate(self, k1: float, k2: float, r: np.ndarray) -> float:
         """``eta / |Y|`` of one residual at the scaled means ``k1``, ``k2``."""

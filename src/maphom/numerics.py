@@ -29,6 +29,7 @@ __all__ = [
     "UniformCellGrid",
     "cg_solve",
     "dual_norm",
+    "entries_present",
     "inner",
     "nine_point_layout",
     "spectral_preconditioner",
@@ -280,7 +281,8 @@ class UniformCellGrid:
         to refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
             # one contiguous (16, 16) by (16, n_elements) product, in which
-            # the entries left out multiply zero rows of the tables
+            # the entries left out multiply zero rows of the tables: a
+            # gather of the picked entries' columns costs what it saves
             return self.assemble((self.tables * entries).reshape(16, -1)
                                  @ D.reshape(self.n_elements, -1).T)
 
@@ -526,6 +528,13 @@ def dual_norm(grid: UniformCellGrid, k1: float, k2: float, r: np.ndarray) -> flo
     return float(np.sum(power / symbol)) / grid.n_nodes
 
 
+def entries_present(D: np.ndarray) -> np.ndarray:
+    """The (2, 2) mask of the entries (i, k) of coefficient values
+    ``D[..., i, k]`` that are not zero at every point: one ``np.any`` per
+    entry, several times faster than one over the leading axes."""
+    return np.array([[np.any(D[..., i, k]) for k in range(2)] for i in range(2)])
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two vectors in numpy's own single-threaded loop, so
     that its bits, unlike BLAS ``ddot``'s, do not depend on the thread count."""
@@ -551,6 +560,7 @@ def cg_solve(
     tol: float = 1e-10,
     x0: np.ndarray | None = None,
     stop: Callable[[np.ndarray], float] | None = None,
+    start_measure: float = 0.0,
 ) -> CGResult:
     """Preconditioned conjugate gradients.
 
@@ -563,6 +573,9 @@ def cg_solve(
     ``tol`` by a measure of the true residual, quadratic in it, that must
     reach 1: the start is measured, and after a miss of ``q`` the next
     true residual once the recurrence residual has fallen by ``sqrt(q)``.
+    A positive ``start_measure`` is taken as the measure of the start,
+    which is then not measured: a caller that measured the residual of
+    ``x0`` already passes its value.
 
     ``preconditioner`` maps a residual to a search direction; the cell and
     Dirichlet solvers pass :func:`spectral_preconditioner`.
@@ -620,7 +633,12 @@ def cg_solve(
                 f"iterations (relative residual {res / bnorm:.3e})",
                 iterations, res / bnorm)
         if res <= gate:
-            q = 0.0 if stop is None else stop(r)
+            if stop is None:
+                q = 0.0
+            elif iterations == 0 and start_measure > 0:
+                q = start_measure
+            else:
+                q = stop(r)
             if q <= 1.0:
                 return CGResult(x, iterations, res / bnorm, r, start_residual, q)
             # a measure that overflows shuts the gate

@@ -336,6 +336,79 @@ def test_fluxes_match_a_direct_assembly(coeff):
     assert gap <= 1e-14 * np.abs(expect).max()
 
 
+def _counting(monkeypatch, owner, names) -> dict:
+    """Calls of the methods ``names`` of ``owner``, counted as they come."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("coeff, pieces, loads", [
+    (coefficients.sine_product(), 2, 2), (tilted_values, 3, 4), (skew_values, 3, 8)],
+    ids=["isotropic", "tilted", "skew"])
+def test_a_problem_assembles_only_the_entries_its_coefficient_has(monkeypatch, coeff,
+                                                                  pieces, loads):
+    """An isotropic A assembles K11 and K22 and the loads L_11 and L_22:
+    its K12 + K21, L_12 and L_21 are never assembled, and its fluxes are
+    read off the loads. A full symmetric A assembles all three pieces and
+    four loads, a full non-symmetric one its four fluxes besides."""
+    counts = _counting(monkeypatch, UniformCellGrid, ["stiffness_data", "load"])
+    CellProblem(coeff, 16)
+    assert counts == {"stiffness_data": pieces, "load": loads}
+
+
+def test_a_cold_cell_point_evaluates_its_coefficient_twice(sine_coeff):
+    """Once for its cell problem and once for the quadrature oracle."""
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return sine_coeff(pts)
+
+    homogenized_matrix_at(counted, ZETA, solve_corrector(counted, ZETA, 16))
+    assert calls == [16 * 16 * 4] * 2
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["a12-and-a21", "a12-alone"])
+def test_an_entry_nonzero_at_one_point_is_assembled(coo_stiffness, symmetric):
+    """An off-diagonal entry that is zero at all quadrature points but
+    one is present: its K12 + K21 piece, the four loads and the four
+    fluxes match a direct assembly by scatter."""
+    grid = UniformCellGrid(6, ny=4, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
+
+    def values(pts):
+        out = np.zeros((pts.shape[0], 2, 2))
+        out[:, 0, 0] = 1.5 + 0.5 * np.sin(2 * np.pi * pts[:, 0])
+        out[:, 1, 1] = 1.2 + 0.4 * np.cos(2 * np.pi * pts[:, 1])
+        out[37, 0, 1] = 0.3
+        if symmetric:
+            out[37, 1, 0] = 0.3
+        return out
+
+    problem = CellProblem(values, grid)
+    assert problem.symmetric == symmetric
+    A = values(grid.points).reshape(grid.n_elements, -1, 2, 2)
+    expect = coo_stiffness(grid, A * np.array([[0, 1], [1, 0]]))
+    piece = grid.matrix(problem._stiffness[(0, 1)])
+    assert abs(piece - expect).max() <= 1e-14 * abs(expect).max()
+    G = q1_tables()[1] / np.array([grid.hx, grid.hy])
+    w = GAUSS_WEIGHTS * grid.hx * grid.hy
+    loads, fluxes = np.zeros((2, 2, grid.n_nodes)), np.zeros((2, 2, grid.n_nodes))
+    for i, k in np.ndindex(2, 2):
+        np.add.at(loads[i, k], grid.connectivity.ravel(),
+                  -np.einsum("eq,qa,q->ea", A[:, :, i, k], G[:, :, i], w).ravel())
+        np.add.at(fluxes[i, k], grid.connectivity.ravel(),
+                  np.einsum("eq,qa,q->ea", A[:, :, i, k], G[:, :, k], w).ravel() / grid.area)
+    assert np.any(loads[0, 1]) and np.any(loads[1, 0]) == symmetric
+    assert np.abs(problem._loads - loads).max() <= 1e-14 * np.abs(loads).max()
+    assert np.abs(np.array(problem._fluxes) - fluxes).max() <= 1e-14 * np.abs(fluxes).max()
+
+
 def test_zero_pieces_keep_the_pattern(sine_coeff):
     """K12 + K21 vanishes for a diagonal coefficient; the pattern stays
     the full nine-point one at every scaling."""
@@ -442,6 +515,8 @@ def test_effective_matrix_needs_the_problem_grid(sine_coeff):
         CellProblem(sine_coeff, 16).effective_matrix(field)
     with pytest.raises(ValueError):
         CellProblem(sine_coeff, 16).keep(field)
+    with pytest.raises(ValueError, match="different grid"):
+        CellProblem(sine_coeff, 16).solve(ZETA, start=field)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +770,23 @@ def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatc
     assert products[False] == 0 and products[True] > 0
     assert len(problem._stiffness) == 2
     assert "_matrices" not in vars(problem)
+
+
+def test_a_truth_solve_takes_its_starts_certificates(sine_coeff, monkeypatch):
+    """Started from a projection under a target, a solve takes the
+    projection's certificates as those of its start: a start that
+    already meets the target is returned with them, its residuals formed
+    once more (one CSR product per corrector) but no dual norm taken."""
+    problem = CellProblem(sine_coeff, 16)
+    for z2 in (1.0, 1.4):
+        problem.keep(problem.solve((1.0, z2), tol=1e-12))
+    start = problem.reduced((1.0, 1.2))
+    assert 0.0 < start.bound
+    products = _counting(monkeypatch, sp.csr_matrix, ["__matmul__"])
+    norms = _counting(monkeypatch, cell, ["dual_norm"])
+    field = problem.solve((1.0, 1.2), start=start, target=2.0 * start.bound)
+    assert products == {"__matmul__": 2} and norms == {"dual_norm": 0}
+    assert field.iterations == (0, 0) and field.certificates == start.certificates
 
 
 def test_rounding_noise_loads_are_zero(sine_coeff, laminate_coeff):

@@ -248,6 +248,19 @@ def test_stiffness_of_a_non_symmetric_coefficient_matches_triplets(coo_stiffness
         assert abs(K - reference).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_a_mask_assembles_like_the_values_it_keeps(grid):
+    """For each of the 16 masks, the stiffness of the entries it picks
+    equals the stiffness of the values with the others set to zero, to
+    1e-15 relative."""
+    D = _skew_values(grid)
+    for bits in np.ndindex(2, 2, 2, 2):
+        mask = np.reshape(bits, (2, 2))
+        expect = grid.stiffness_data(D * mask)
+        gap = np.abs(grid.stiffness_data(D, mask) - expect).max()
+        assert gap <= 1e-15 * np.abs(expect).max(), mask
+
+
 @pytest.mark.parametrize("grid", GRIDS + [UniformCellGrid(1)], ids=GRID_IDS + ["periodic-1x1"])
 def test_load_matches_a_scatter_over_the_connectivity(rng, grid):
     values = rng.standard_normal((grid.n_elements, len(GAUSS_WEIGHTS)))
