@@ -52,11 +52,10 @@ class CorrectorField:
     zero-mean periodic correctors and the true residuals ``rhs_j - K z_j``
     the solves ended on; ``zeta`` is the diagonal scaling they were solved
     with, ``residual`` the residuals' relative norms and ``start_residual``
-    the relative residuals the solves' starts left. ``certificates`` are
-    the correctors' ``eta_j / |Y|`` (see :class:`CellProblem`), set by
-    ``CellProblem.reduced`` and ``CellProblem.solve(target=)``, and
-    ``bound``, the larger, is the pair's certificate; both are None for a
-    problem with no bound and for a plain ``tol`` solve.
+    the relative residuals the solves' starts left. ``bound`` is the
+    pair's certificate ``max_j eta_j / |Y|`` (see :class:`CellProblem`),
+    set by ``CellProblem.reduced`` and ``CellProblem.solve(target=)``;
+    None for a problem with no bound and for a plain ``tol`` solve.
     """
 
     z: np.ndarray
@@ -66,11 +65,7 @@ class CorrectorField:
     residual: tuple[float, float]
     r: np.ndarray
     start_residual: tuple[float, float]
-    certificates: tuple[float, float] | None = None
-
-    @property
-    def bound(self) -> float | None:
-        return None if self.certificates is None else max(self.certificates)
+    bound: float | None = None
 
     def sup_norm(self) -> float:
         return float(np.abs(self.z).max())
@@ -259,12 +254,10 @@ class CellProblem:
         the same scaling, or from zero, to the relative residual
         ``tol``. Given a ``target``, a problem with a bound stops each
         corrector once its own ``eta_j / |Y|`` is at most ``target``, and
-        records them as the field's ``certificates``; a start's own are
-        taken as those of its residuals, which are not measured again.
-        The solutions are made zero-mean once more after the solve. A
-        scaling or a scaled mean ``zeta_i^2 <a_ii>`` that is not finite or
-        underflows to 0 raises ``SolverError`` before the system is
-        formed.
+        records the larger as the field's ``bound``. The solutions are
+        made zero-mean once more after the solve. A scaling or a scaled
+        mean ``zeta_i^2 <a_ii>`` that is not finite or underflows to 0
+        raises ``SolverError`` before the system is formed.
         """
         zeta = _scaling(zeta)
         k1, k2 = self._scaled_means(zeta)
@@ -278,14 +271,8 @@ class CellProblem:
         precondition = spectral_preconditioner(self.grid, k1, k2, system.matrix.diagonal())
         stop = (None if target is None or self._alpha is None else
                 lambda r: self._certificate(k1, k2, r) / target)
-        # a start's certificates, in the stop's units, are not measured
-        # again; its residuals are formed again, since ones formed another
-        # way move the solve, and B, by rounding
-        known = (0.0, 0.0)
-        if stop is not None and start is not None and start.certificates is not None:
-            known = tuple(c / target for c in start.certificates)
         results = [cg_solve(system, loads[j], precondition, tol=tol, stop=stop,
-                            x0=None if start is None else start.z[j], start_measure=known[j])
+                            x0=None if start is None else start.z[j])
                    for j in range(2)]
         return CorrectorField(
             z=np.array([res.x - res.x.mean() for res in results]), zeta=zeta, grid=self.grid,
@@ -293,7 +280,7 @@ class CellProblem:
             residual=tuple(res.residual for res in results),
             r=np.array([res.r for res in results]),
             start_residual=tuple(res.start_residual for res in results),
-            certificates=None if stop is None else tuple(res.measure * target for res in results),
+            bound=None if stop is None else max(res.measure for res in results) * target,
         )
 
     def keep(self, field: CorrectorField) -> None:
@@ -338,13 +325,13 @@ class CellProblem:
     def reduced(self, zeta: tuple[float, float]) -> CorrectorField | None:
         """The Galerkin projection of both systems at ``zeta`` onto the
         span of the correctors this problem kept, with its true
-        residuals and their ``certificates``, as a field of 0 iterations whose
+        residuals and their ``bound``, as a field of 0 iterations whose
         residuals are its start residuals. None when the problem has kept
         none, or when the projected system is singular or the projection
         or its residuals are not finite, as at a huge scaling, where a
-        solve fails on its own system. The certificates are None when the
-        problem has no bound or a scaled mean is not finite and positive,
-        where a solve raises ``SolverError``."""
+        solve fails on its own system. The bound is None when the problem
+        has none or a scaled mean is not finite and positive, where a
+        solve raises ``SolverError``."""
         zeta = _scaling(zeta)
         k = self._size
         if k == 0:
@@ -371,17 +358,17 @@ class CellProblem:
                 residual.append(math.sqrt(inner(r[j], r[j])) / bnorm if bnorm else 0.0)
         if not np.all(np.isfinite(residual)):
             return None
-        certificates = None
+        bound = None
         if self._alpha is not None:
             try:
                 k1, k2 = self._scaled_means(zeta)
             except SolverError:
                 pass
             else:
-                certificates = tuple(self._certificate(k1, k2, rj) for rj in r)
+                bound = max(self._certificate(k1, k2, rj) for rj in r)
         return CorrectorField(
             z=x, zeta=zeta, grid=self.grid, iterations=(0, 0), residual=tuple(residual),
-            r=r, start_residual=tuple(residual), certificates=certificates)
+            r=r, start_residual=tuple(residual), bound=bound)
 
     def _certificate(self, k1: float, k2: float, r: np.ndarray) -> float:
         """``eta / |Y|`` of one residual at the scaled means ``k1``, ``k2``."""

@@ -430,7 +430,7 @@ def spectral_preconditioner(
     with ``diagonal`` that of the system matrix K, gives ``s K s`` the
     diagonal of ``K0``; this keeps the iteration count low at high
     coefficient contrast while each period of the coefficient spans many
-    elements. ``diagonal=None`` takes ``s = 1`` exactly, with no multiply:
+    elements. ``diagonal=None`` takes ``s = 1``, which changes no bit:
     the plain inverse ``K0^-1``, whose condition number on K is bounded by
     the coefficient's contrast however fast it oscillates.
 
@@ -465,14 +465,13 @@ def spectral_preconditioner(
     inverse = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
     # diag(K0) combines the centre weights 2/h of S and 4h/6 of M
-    scale = (None if diagonal is None else
+    scale = (1.0 if diagonal is None else
              np.sqrt(4.0 / 3.0 * (k1 * hy / hx + k2 * hx / hy) / diagonal).reshape(shape))
 
     if grid.periodic:
         def apply(r: np.ndarray) -> np.ndarray:
-            u = r.reshape(shape) if scale is None else scale * r.reshape(shape)
-            u = np.fft.irfft2(np.fft.rfft2(u) * inverse, s=shape)
-            return (u if scale is None else scale * u).ravel()
+            u = np.fft.irfft2(np.fft.rfft2(scale * r.reshape(shape)) * inverse, s=shape)
+            return (scale * u).ravel()
 
         return apply
 
@@ -494,16 +493,14 @@ def spectral_preconditioner(
         return spec.imag[:, 1:n + 1]
 
     def apply(r: np.ndarray) -> np.ndarray:
-        if scale is None:
-            np.copyto(ext_x[:, 1:mx + 1], r.reshape(shape))
-        else:
-            np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
+        np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
         np.copyto(ext_y[:, 1:my + 1], sine_pass(ext_x, spec_x).T)
         np.multiply(sine_pass(ext_y, spec_y), inverse_t, out=ext_y[:, 1:my + 1])
         np.copyto(ext_x[:, 1:mx + 1], sine_pass(ext_y, spec_y).T)
         u = sine_pass(ext_x, spec_x)
-        # the pass is a view of the reused spectrum buffer: copy it out
-        return u.flatten() if scale is None else (scale * u).ravel()
+        # the pass is a view of the reused spectrum buffer: the product
+        # copies it out
+        return (scale * u).ravel()
 
     return apply
 
@@ -560,7 +557,6 @@ def cg_solve(
     tol: float = 1e-10,
     x0: np.ndarray | None = None,
     stop: Callable[[np.ndarray], float] | None = None,
-    start_measure: float = 0.0,
 ) -> CGResult:
     """Preconditioned conjugate gradients.
 
@@ -573,9 +569,6 @@ def cg_solve(
     ``tol`` by a measure of the true residual, quadratic in it, that must
     reach 1: the start is measured, and after a miss of ``q`` the next
     true residual once the recurrence residual has fallen by ``sqrt(q)``.
-    A positive ``start_measure`` is taken as the measure of the start,
-    which is then not measured: a caller that measured the residual of
-    ``x0`` already passes its value.
 
     ``preconditioner`` maps a residual to a search direction; the cell and
     Dirichlet solvers pass :func:`spectral_preconditioner`.
@@ -633,12 +626,7 @@ def cg_solve(
                 f"iterations (relative residual {res / bnorm:.3e})",
                 iterations, res / bnorm)
         if res <= gate:
-            if stop is None:
-                q = 0.0
-            elif iterations == 0 and start_measure > 0:
-                q = start_measure
-            else:
-                q = stop(r)
+            q = 0.0 if stop is None else stop(r)
             if q <= 1.0:
                 return CGResult(x, iterations, res / bnorm, r, start_residual, q)
             # a measure that overflows shuts the gate

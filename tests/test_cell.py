@@ -772,21 +772,24 @@ def test_starts_project_each_new_corrector_once_per_piece(sine_coeff, monkeypatc
     assert "_matrices" not in vars(problem)
 
 
-def test_a_truth_solve_takes_its_starts_certificates(sine_coeff, monkeypatch):
-    """Started from a projection under a target, a solve takes the
-    projection's certificates as those of its start: a start that
-    already meets the target is returned with them, its residuals formed
-    once more (one CSR product per corrector) but no dual norm taken."""
+def test_a_truth_solve_measures_its_own_start(sine_coeff, monkeypatch):
+    """Started from a projection that meets the target, a solve forms
+    each corrector's residual once more (one CSR product) and measures
+    it (one dual norm), and returns the start without iterating, with a
+    bound under the target that is the projection's own to rounding."""
     problem = CellProblem(sine_coeff, 16)
     for z2 in (1.0, 1.4):
         problem.keep(problem.solve((1.0, z2), tol=1e-12))
     start = problem.reduced((1.0, 1.2))
-    assert 0.0 < start.bound
+    target = 2.0 * start.bound
+    assert 0.0 < start.bound <= target
     products = _counting(monkeypatch, sp.csr_matrix, ["__matmul__"])
     norms = _counting(monkeypatch, cell, ["dual_norm"])
-    field = problem.solve((1.0, 1.2), start=start, target=2.0 * start.bound)
-    assert products == {"__matmul__": 2} and norms == {"dual_norm": 0}
-    assert field.iterations == (0, 0) and field.certificates == start.certificates
+    field = problem.solve((1.0, 1.2), start=start, target=target)
+    assert products == {"__matmul__": 2} and norms == {"dual_norm": 2}
+    assert field.iterations == (0, 0)
+    assert field.bound <= target
+    assert field.bound == pytest.approx(start.bound, rel=1e-8)
 
 
 def test_rounding_noise_loads_are_zero(sine_coeff, laminate_coeff):

@@ -511,6 +511,21 @@ def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
                         b - b.mean(), atol=1e-10)
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "clamped"])
+def test_the_plain_preconditioner_is_the_scaled_one_at_the_constant_diagonal(rng, periodic):
+    """``diagonal=None`` applies bit for bit like a build whose diagonal is
+    that of K0 itself, 4/3 (k1 hy/hx + k2 hx/hy) at every unknown, where
+    the nodal scale is exactly 1."""
+    grid = UniformCellGrid(10, periodic=periodic, ny=7, rectangle=Rectangle(0.0, 1.0, 0.0, 0.7))
+    k1, k2 = 0.3, 2.5
+    n = grid.n_nodes if periodic else (grid.nx - 1) * (grid.ny - 1)
+    diagonal = np.full(n, 4.0 / 3.0 * (k1 * grid.hy / grid.hx + k2 * grid.hx / grid.hy))
+    plain = spectral_preconditioner(grid, k1, k2, None)
+    scaled = spectral_preconditioner(grid, k1, k2, diagonal)
+    for r in rng.standard_normal((3, n)):
+        npt.assert_array_equal(plain(r), scaled(r))
+
+
 @pytest.mark.parametrize("nx, ny", [(16, 12), (15, 9)])
 def test_dual_norm_reads_the_plain_inverse_off_one_transform(rng, nx, ny):
     """r . K0^+ r by Parseval over the half spectrum, for even and odd

@@ -192,16 +192,29 @@ def test_no_module_scatters(path):
     assert scatters(path.read_text()) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated ``dataclass``, called or not, bare or
+    as ``dataclasses.dataclass``."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
     """The functions, classes, methods, properties and module-level
     assigned names that the ``package`` modules (file name to source)
-    define and no source names elsewhere.
+    define and no source names elsewhere, and the dataclass fields they
+    define that no source reads as an attribute.
 
     A name counts where it is read (loaded) as a name or an attribute,
     imported or spelled as an identifier string (the benchmark's tracer
     patches call sites by name); an assignment, a module's ``__all__`` and
-    the re-exports of ``__init__.py`` do not. Dunders are exempt."""
-    defined, named = set(), set()
+    the re-exports of ``__init__.py`` do not. A field counts only where it
+    is loaded as an attribute: being passed to the constructor by keyword
+    or stored is no read. Dunders are exempt."""
+    defined, named, fields, attributes = set(), set(), set(), set()
     for file, source in [*package.items(), *((None, s) for s in others)]:
         tree = ast.parse(source)
         exported = {id(n) for node in tree.body if isinstance(node, ast.Assign)
@@ -213,6 +226,10 @@ def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if file is not None:
                     defined.add(node.name)
+                if file is not None and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                    fields.update(n.target.id for n in node.body
+                                  if isinstance(n, ast.AnnAssign)
+                                  and isinstance(n.target, ast.Name))
             elif id(node) in exported or isinstance(getattr(node, "ctx", None),
                                                     (ast.Store, ast.Del)):
                 continue
@@ -220,11 +237,13 @@ def dead_definitions(package: dict[str, str], others: list[str]) -> list[str]:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias) and file != "__init__.py":
                 named.update({node.name.split(".")[-1], node.asname})
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
-    return sorted(n for n in defined - named if not (n.startswith("__") and n.endswith("__")))
+    dead = (defined - named) | (fields - attributes)
+    return sorted(n for n in dead if not (n.startswith("__") and n.endswith("__")))
 
 
 def test_the_scan_finds_dead_definitions():
@@ -244,6 +263,21 @@ def test_the_scan_finds_dead_definitions():
               "import core\nprint(core.LIMIT)\ncore.scale = 2.0\n",
               "TARGETS = [('core', 'traced')]\n"]
     assert dead_definitions(package, others) == ["DEPTH", "area", "exported", "scale"]
+
+
+def test_the_scan_finds_dead_dataclass_fields():
+    package = {"core.py": ("import dataclasses\nfrom dataclasses import dataclass\n"
+                           "@dataclasses.dataclass(frozen=True)\n"
+                           "class Field:\n    z: float\n    r: float\n    bound: float = 0.0\n"
+                           "    certificates: tuple = ()\n    spelled: int = 0\n"
+                           "@dataclass\nclass Pair:\n    left: int\n    stored: int\n"
+                           "class Plain:\n    hint: int\n"
+                           "def make(p):\n    p.stored = 1\n"
+                           "    return Field(z=1.0, r=2.0, certificates=(1,)), p.left\n")}
+    others = ["from core import Field, Pair, Plain, make\n"
+              "f = make(Pair(1, 2))\nprint(f.z, getattr(f, 'spelled'), Plain)\n",
+              "def g(field):\n    return max(field.bound, field.r)\n"]
+    assert dead_definitions(package, others) == ["certificates", "spelled", "stored"]
 
 
 def test_every_definition_is_named_somewhere_else():
