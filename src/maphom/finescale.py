@@ -41,9 +41,10 @@ class SolutionField:
     ``source_work`` the load functional int f u; the two agree to solver
     accuracy by the Galerkin identity. ``assemble_s`` is the wall time
     from the coefficient evaluation to the built preconditioner and
-    ``solve_s`` that of the CG solve. ``preconditioner`` is ``"scaled"``
-    or ``"unscaled"``, as :class:`DirichletProblem` chose it from the
-    ``periods`` across the domain and the coefficient's ``contrast``.
+    ``solve_s`` that of the CG solve. ``preconditioner`` is ``"scaled"``,
+    ``"half"`` or ``"unscaled"``, the nodal scale :class:`DirichletProblem`
+    chose from the ``periods`` across the domain and the coefficient's
+    ``contrast``.
     """
 
     values: np.ndarray
@@ -90,15 +91,18 @@ class DirichletProblem:
     gradients with the DST-I spectral preconditioner of the mean diagonal
     coefficient.
 
-    The preconditioner keeps the nodal scale by the system's diagonal iff
-    ``P ln c <= 4 sqrt(c)``. ``P`` is the number of coefficient periods
-    across the domain, the longer side of the image of its corners under
-    the scale map (0 for the homogenized solve), and ``c`` the contrast,
-    the larger of max / min of D11 and of D22 at the quadrature points.
-    With the scale, the condition number grows like ``(P ln c)^2`` as its
-    log-gradient varies across the periods; without it, it is bounded by
-    ``c``. A constant coefficient (``c = 1``) and a single period keep
-    the scale.
+    The preconditioner's nodal scale ``s = sqrt(diag K0 / diag K)`` is
+    picked from three bands of the spread ``P ln c`` against ``sqrt(c)``:
+    the full scale ``s`` up to ``2 sqrt(c)``, the half scale ``s^1/2`` up
+    to ``8 sqrt(c)`` and no scale beyond. ``P`` is the number of
+    coefficient periods across the domain, the longer side of the image
+    of its corners under the scale map (0 for the homogenized solve), and
+    ``c`` the contrast, the larger of max / min of D11 and of D22 at the
+    quadrature points. With the full scale, the condition number grows
+    like ``(P ln c)^2`` as its log-gradient varies across the periods;
+    without it, it is bounded by ``c``; the half scale halves that
+    log-gradient. A constant coefficient (``c = 1``) and a single period
+    keep the full scale.
     """
 
     def __init__(self, grid: UniformCellGrid, f):
@@ -153,15 +157,29 @@ class DirichletProblem:
         contrast = max(hi / lo if lo > 0 else math.inf for hi, lo in extremes)
         return K, (float(mean[0, 0]), float(mean[1, 1])), contrast
 
+    def _preconditioner(self, K: sp.csr_matrix, k1: float, k2: float, periods: float,
+                        contrast: float) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
+        """The spectral preconditioner of the band ``P ln c`` falls in, and
+        its name. A NaN spread, from a domain the map overflows on or 0
+        periods times an infinite contrast, keeps the full scale. The
+        diagonal lives only until the preconditioner is built."""
+        spread, root = periods * math.log(contrast), math.sqrt(contrast)
+        if spread > 8.0 * root:
+            return spectral_preconditioner(self.grid, k1, k2, None), "unscaled"
+        diagonal = K.diagonal()
+        if not spread > 2.0 * root:
+            return spectral_preconditioner(self.grid, k1, k2, diagonal), "scaled"
+        # sqrt(diag K0 diag K) in place; the preconditioner refuses what
+        # is not positive
+        np.sqrt(diagonal, out=diagonal, where=diagonal > 0.0)
+        diagonal *= math.sqrt(self.grid.spectral_diagonal(k1, k2))
+        return spectral_preconditioner(self.grid, k1, k2, diagonal), "half"
+
     def _solve(self, coeff_eval, tol: float, label: str, warn: bool,
                periods: float) -> SolutionField:
         start = time.perf_counter()
         K, (k1, k2), contrast = self.stiffness(coeff_eval)
-        # NaN, from a domain the map overflows on or 0 periods times an
-        # infinite contrast, keeps the scale
-        scaled = not periods * math.log(contrast) > 4.0 * math.sqrt(contrast)
-        precondition = spectral_preconditioner(self.grid, k1, k2,
-                                               K.diagonal() if scaled else None)
+        precondition, scale = self._preconditioner(K, k1, k2, periods, contrast)
         assembled = time.perf_counter()
         res = cg_solve(SparseSystem(K), self.load, precondition, tol=tol)
         solved = time.perf_counter()
@@ -172,7 +190,7 @@ class DirichletProblem:
                              residual=res.residual, energy=inner(res.x, K @ res.x),
                              source_work=inner(self.load, res.x),
                              assemble_s=assembled - start, solve_s=solved - assembled,
-                             preconditioner="scaled" if scaled else "unscaled",
+                             preconditioner=scale,
                              periods=periods, contrast=contrast)
 
 

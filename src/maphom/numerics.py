@@ -353,6 +353,12 @@ class UniformCellGrid:
         (sx, my), (mx, sy) = self.spectral_factors
         return (k1 * sx)[None, :] * my[:, None] + (k2 * mx)[None, :] * sy[:, None]
 
+    def spectral_diagonal(self, k1: float, k2: float) -> float:
+        """The diagonal entry of the Q1 stiffness of the constant
+        coefficient diag(k1, k2), the same at every unknown: the centre
+        weights 2/h of S and 4h/6 of M combined."""
+        return 4.0 / 3.0 * (k1 * self.hy / self.hx + k2 * self.hx / self.hy)
+
 
 def q1_tables() -> tuple[np.ndarray, np.ndarray]:
     """Bilinear shape values and reference gradients at the Gauss points.
@@ -427,25 +433,29 @@ def spectral_preconditioner(
     through ``rfft2`` with the constant mode sent to zero; other grids act
     on the interior nodes, where DST-I diagonalizes ``K0`` at
     ``t = k pi / n``. The nodal scale ``s = sqrt(diag(K0) / diagonal)``,
-    with ``diagonal`` that of the system matrix K, gives ``s K s`` the
-    diagonal of ``K0``; this keeps the iteration count low at high
-    coefficient contrast while each period of the coefficient spans many
-    elements. ``diagonal=None`` takes ``s = 1``, which changes no bit:
-    the plain inverse ``K0^-1``, whose condition number on K is bounded by
-    the coefficient's contrast however fast it oscillates.
+    with ``diag(K0)`` the grid's ``spectral_diagonal`` and ``diagonal``
+    that of the system matrix K, gives ``s K s`` the diagonal of ``K0``;
+    this keeps the iteration count low at high coefficient contrast while
+    each period of the coefficient spans many elements. The diagonal
+    ``sqrt(diag(K0) diag(K))`` gives the half scale ``s^1/2``, which
+    Dirichlet solves take between the two. ``diagonal=None`` takes
+    ``s = 1``, which changes no bit: the plain inverse ``K0^-1``, whose
+    condition number on K is bounded by the coefficient's contrast however
+    fast it oscillates.
 
     The grid forms the symbol from the factors it keeps
-    (``UniformCellGrid.spectral_symbol``). The preconditioner keeps the inverse symbol and the nodal scale; on
-    Dirichlet grids also one odd-extension and one spectrum buffer per
-    axis, which every apply reuses, so one preconditioner must not be
-    applied from two threads at once.
+    (``UniformCellGrid.spectral_symbol``). The preconditioner keeps the
+    inverse symbol and the nodal scale; on Dirichlet grids also one
+    zero-padded row buffer and one spectrum buffer per axis, which every
+    apply reuses, so one preconditioner must not be applied from two
+    threads at once.
 
     Raises:
         SolverError: ``k1``, ``k2`` or a diagonal entry is not finite, as
             when a scaled stiffness overflows (0 iterations, residual nan).
         ValueError: a non-positive one, or a diagonal of the wrong size.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    nx, ny = grid.nx, grid.ny
     shape = (ny, nx) if grid.periodic else (ny - 1, nx - 1)
     bad = [f"{name} = {value}" for name, value in (("k1", k1), ("k2", k2))
            if not np.isfinite(value)]
@@ -464,9 +474,8 @@ def spectral_preconditioner(
     symbol = grid.spectral_symbol(k1, k2)
     inverse = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
-    # diag(K0) combines the centre weights 2/h of S and 4h/6 of M
     scale = (1.0 if diagonal is None else
-             np.sqrt(4.0 / 3.0 * (k1 * hy / hx + k2 * hx / hy) / diagonal).reshape(shape))
+             np.sqrt(grid.spectral_diagonal(k1, k2) / diagonal).reshape(shape))
 
     if grid.periodic:
         def apply(r: np.ndarray) -> np.ndarray:
@@ -475,22 +484,19 @@ def spectral_preconditioner(
 
         return apply
 
-    # DST-I of a length-n axis is -1/2 the imaginary part of the rfft of
-    # its odd extension [0, a, 0, -reversed a]; the extension buffers'
-    # two zero columns are never written. A pass below keeps the
-    # imaginary part, which is -2 DST-I, and two DST-I per axis multiply
-    # by nx ny / 4, so the four passes multiply by 4 nx ny; the transposed
-    # inverse symbol divides that out.
+    # DST-I of a length-n axis is minus the imaginary part of the rfft of
+    # the zero-padded row [0, a, 0, ..., 0] of length 2n + 2; the buffers'
+    # padding is never written. Two DST-I per axis multiply by nx ny / 4,
+    # and so do the four passes below, as the signs cancel; the
+    # transposed inverse symbol divides that out.
     my, mx = shape
-    inverse_t = (inverse / (4.0 * nx * ny)).T.copy()
+    inverse_t = (inverse / (nx * ny / 4.0)).T.copy()
     ext_x, spec_x = np.zeros((my, 2 * mx + 2)), np.empty((my, mx + 2), dtype=complex)
     ext_y, spec_y = np.zeros((mx, 2 * my + 2)), np.empty((mx, my + 2), dtype=complex)
 
     def sine_pass(ext: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        n = spec.shape[1] - 2
-        np.negative(ext[:, n:0:-1], out=ext[:, n + 2:])
         np.fft.rfft(ext, out=spec)
-        return spec.imag[:, 1:n + 1]
+        return spec.imag[:, 1:spec.shape[1] - 1]
 
     def apply(r: np.ndarray) -> np.ndarray:
         np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
@@ -539,14 +545,17 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_positive(name: str, value: float, factor: np.ndarray, breakdown: str,
-                    iterations: int, residual: float) -> None:
+                    iterations: int, residual: float, least: tuple[float, int]) -> None:
     """Raise the ``breakdown`` when the CG product ``name`` is not positive,
-    or an overflow when it is not finite while its ``factor`` is."""
+    or an overflow when it is not finite while its ``factor`` is. The
+    message names the ``residual`` and the ``least`` relative residual
+    the run reached, with its iteration."""
     overflow = not math.isfinite(value) and np.all(np.isfinite(factor))
     if overflow or value <= 0.0:
         reason = f"a product overflowed ({name} = {value})" if overflow else breakdown
         raise SolverError(f"conjugate gradient breakdown: {reason} (relative residual "
-                          f"{residual:.3e})", iterations, residual)
+                          f"{residual:.3e}; smallest {least[0]:.3e} at iteration "
+                          f"{least[1]})", iterations, residual)
 
 
 def cg_solve(
@@ -576,7 +585,8 @@ def cg_solve(
     Raises:
         SolverError: a non-finite residual, a breakdown, or no convergence
             within 10 * dimension iterations; the exception carries the
-            iteration count and the relative residual.
+            iteration count and the relative residual, and a breakdown's
+            message also the smallest one the run reached and its iteration.
         ValueError: a tolerance outside (0, 1), or a dimension mismatch
             between system and vectors.
     """
@@ -612,6 +622,7 @@ def cg_solve(
     # the recurrence residual norm at which the true residual is tested
     gate = tol * bnorm if stop is None else math.inf
     iterations = 0
+    least = (math.inf, 0)
     while True:
         res = math.sqrt(inner(r, r))
         if res <= gate and iterations > 0:
@@ -625,6 +636,7 @@ def cg_solve(
                 f"conjugate gradient residual is not finite after {iterations} "
                 f"iterations (relative residual {res / bnorm:.3e})",
                 iterations, res / bnorm)
+        least = min(least, (res / bnorm, iterations))
         if res <= gate:
             q = 0.0 if stop is None else stop(r)
             if q <= 1.0:
@@ -638,14 +650,14 @@ def cg_solve(
         z = preconditioner(r)
         rz_new = inner(r, z)
         _check_positive("r . z", rz_new, z, "the preconditioned residual is orthogonal to "
-                        "the residual", iterations, res / bnorm)
+                        "the residual", iterations, res / bnorm, least)
         p = z.copy() if iterations == 0 else z + (rz_new / rz) * p
         rz = rz_new
         iterations += 1
         Ap = A @ p
         pAp = inner(p, Ap)
         _check_positive("p . Ap", pAp, p, "operator is not positive definite on the "
-                        "search space", iterations, res / bnorm)
+                        "search space", iterations, res / bnorm, least)
         alpha = rz / pAp
         x += alpha * p
         if system.singular:

@@ -427,7 +427,8 @@ def test_manifest_records_the_cell_solver(tmp_path):
 
 def test_manifest_records_the_dirichlet_preconditioner(tmp_path):
     """On a 64^2 mesh over (0.05, 2)^2 the stretch puts about 4 h periods
-    across the domain: h = 1 keeps the nodal scale, h = 8 drops it."""
+    across the domain: h = 1, whose spread P ln c = 11.8 lies above
+    2 sqrt(19), takes the half scale, and h = 8 drops it."""
     code, out = run(tmp_path,
                     "--override", "cell_resolution=16",
                     "--override", "domain_resolution=64",
@@ -437,7 +438,7 @@ def test_manifest_records_the_dirichlet_preconditioner(tmp_path):
     assert code == 0
     dirichlet = json.loads((out / "manifest.json").read_text())["solver"]["dirichlet"]
     assert [(d["label"], d["preconditioner"]) for d in dirichlet] == [
-        ("homogenized", "scaled"), ("oscillatory h=1", "scaled"),
+        ("homogenized", "scaled"), ("oscillatory h=1", "half"),
         ("oscillatory h=8", "unscaled")]
     assert [d["periods"] for d in dirichlet] == pytest.approx([0.0, 3.9975, 31.98])
     assert all(1.0 < d["contrast"] <= 19.0 for d in dirichlet)

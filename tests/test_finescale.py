@@ -241,6 +241,20 @@ def test_dirichlet_iterations_stay_bounded_as_the_scale_grows(amplitude):
     assert counts[8] <= 2 * counts[2]
 
 
+SCALES = ("scaled", "half", "unscaled")
+
+
+def three_scales(problem, K, means):
+    """CG iterations of a problem's oscillatory system ``K`` under the
+    full, the half and no nodal scale, in the order of ``SCALES``."""
+    k1, k2 = means
+    root = np.sqrt(problem.grid.spectral_diagonal(k1, k2))
+    return [cg_solve(SparseSystem(K), problem.load,
+                     spectral_preconditioner(problem.grid, k1, k2, diagonal),
+                     tol=1e-8).iterations
+            for diagonal in (K.diagonal(), np.sqrt(K.diagonal()) * root, None)]
+
+
 @pytest.mark.parametrize("scale_map", [QuadraticStretchMap, LinearScaleMap],
                          ids=["stretch", "linear"])
 @pytest.mark.parametrize("coeff", [
@@ -249,23 +263,57 @@ def test_dirichlet_iterations_stay_bounded_as_the_scale_grows(amplitude):
     coefficients.laminate(1.01, 1.0)],
     ids=["sine-0.9", "sine-0.99", "sine-0.5", "laminate-2", "laminate-1.01"])
 def test_the_preconditioner_rule_is_within_twice_the_better_scale(coeff, scale_map):
-    """Each oscillatory solve takes at most twice the iterations of the
-    better of the scaled and the unscaled preconditioner, both built
-    here. The largest ratio measured is 84 against 53, laminate-1.01 on
-    the linear map at h = 8."""
+    """Each oscillatory solve takes the iterations of the scale the rule
+    picked and at most twice those of the best of the full, the half and
+    no scale, all three built here. Over h = 1..8 the three bands take
+    no more iterations than the two-way rule they replace, the full
+    scale iff P ln c <= 4 sqrt(c)."""
     problem = DirichletProblem(clamped(64, 64), ones)
+    taken = two_way = 0
     for h in range(1, 9):
         u = problem.oscillatory(coeff, scale_map(h))
         K, (k1, k2), contrast = problem.stiffness(lambda pts: coeff(scale_map(h)(pts)))
         # the stretch maps (0.5, 1.5) to h (0.25, 2.25) in x2
         periods = 2 * h if scale_map is QuadraticStretchMap else h
         assert (u.periods, u.contrast) == (periods, contrast)
-        columns = [cg_solve(SparseSystem(K), problem.load,
-                            spectral_preconditioner(problem.grid, k1, k2, diagonal),
-                            tol=1e-8).iterations
-                   for diagonal in (K.diagonal(), None)]
-        assert u.iterations == columns[u.preconditioner == "unscaled"]
+        columns = three_scales(problem, K, (k1, k2))
+        assert u.iterations == columns[SCALES.index(u.preconditioner)]
         assert u.iterations <= 2 * min(columns), (h, u.preconditioner, columns)
+        taken += u.iterations
+        two_way += columns[0 if periods * np.log(contrast) <= 4 * np.sqrt(contrast) else 2]
+    assert taken <= two_way
+
+
+def test_the_rule_drops_the_full_scale_where_elements_per_period_are_few():
+    """laminate(1.01, 1) under the linear map at h = 5 on a 64^2 mesh
+    over (0.05, 2)^2: with the full scale it took 121 iterations against
+    53 with none."""
+    problem = DirichletProblem(clamped(64, 64, Rectangle(0.05, 2.0, 0.05, 2.0)), ones)
+    coeff, scale_map = coefficients.laminate(1.01, 1.0), LinearScaleMap(5)
+    u = problem.oscillatory(coeff, scale_map)
+    K, means, _ = problem.stiffness(lambda pts: coeff(scale_map(pts)))
+    columns = three_scales(problem, K, means)
+    assert u.iterations <= 1.6 * min(columns), (u.preconditioner, columns)
+
+
+def test_the_half_scale_refuses_a_negative_diagonal_like_the_full_one():
+    """A coefficient whose checkerboard D12 outweighs D11 = D22 is not
+    elliptic and its stiffness has negative diagonal entries. At h = 2 the
+    rule keeps the full scale and at h = 3 it takes the half; both are
+    refused with the same ValueError, with no RuntimeWarning."""
+
+    def coeff(y):
+        wave = np.sin(2 * np.pi * y[:, 0])
+        out = np.zeros((len(y), 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1 + 0.9 * wave
+        out[:, 0, 1] = out[:, 1, 0] = 40 * np.sign(wave * np.sin(2 * np.pi * y[:, 1]))
+        return out
+
+    problem = DirichletProblem(clamped(16, 16), ones)
+    for h in (2, 3):
+        assert problem.stiffness(lambda pts: coeff(LinearScaleMap(h)(pts)))[0].diagonal().min() < 0
+        with pytest.raises(ValueError, match="positive coefficient means and diagonal"):
+            problem.oscillatory(coeff, LinearScaleMap(h))
 
 
 def test_resolution_warning_tracks_the_map(sine_coeff):

@@ -3,6 +3,7 @@ its spectral preconditioner."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -383,6 +384,23 @@ def test_cg_raises_when_the_preconditioned_residual_is_orthogonal():
     with pytest.raises(SolverError) as info:
         cg_solve(system, np.array([1.0, 1.0]), rotating, tol=1e-12)
     assert info.value.residual > 1e-12
+
+
+def test_a_breakdown_names_the_smallest_residual_the_run_reached(rng):
+    """Below its rounding floor, CG on the singular ring breaks down after
+    the residual has jumped back up (to 7.2e-2 after 68 iterations); the
+    message also names the smallest relative residual, reached at
+    iteration 32, and the exception keeps the residual at the breakdown."""
+    system = _periodic_laplacian_1d(64)
+    with pytest.raises(SolverError, match="breakdown") as info:
+        cg_solve(system, rng.standard_normal(64), jacobi(system), tol=1e-300)
+    found = re.search(r"relative residual (\S+); smallest (\S+) at iteration (\d+)\)",
+                      str(info.value))
+    residual, smallest, at = float(found[1]), float(found[2]), int(found[3])
+    assert residual == pytest.approx(info.value.residual, rel=1e-3)
+    assert info.value.residual > 1e-3
+    assert smallest <= 1e-14
+    assert 0 < at < info.value.iterations
 
 
 @pytest.mark.parametrize("singular", [False, True])
