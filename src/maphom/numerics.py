@@ -431,12 +431,13 @@ def spectral_preconditioner(
     ``S(t) = (2 - 2 cos t) / h`` and ``M(t) = h (4 + 2 cos t) / 6`` are the
     1-D stiffness and mass symbols. Periodic grids act on all nodes
     through ``rfft2`` with the constant mode sent to zero; other grids act
-    on the interior nodes, where DST-I diagonalizes ``K0`` at
-    ``t = k pi / n``. The nodal scale ``s = sqrt(diag(K0) / diagonal)``,
-    with ``diag(K0)`` the grid's ``spectral_diagonal`` and ``diagonal``
-    that of the system matrix K, gives ``s K s`` the diagonal of ``K0``;
-    this keeps the iteration count low at high coefficient contrast while
-    each period of the coefficient spans many elements. The diagonal
+    on the interior nodes, where DST-I (``scipy.fft.dstn``) diagonalizes
+    ``K0`` at ``t = k pi / n``. The nodal scale
+    ``s = sqrt(diag(K0) / diagonal)``, with ``diag(K0)`` the grid's
+    ``spectral_diagonal`` and ``diagonal`` that of the system matrix K,
+    gives ``s K s`` the diagonal of ``K0``; this keeps the iteration
+    count low at high coefficient contrast while each period of the
+    coefficient spans many elements. The diagonal
     ``sqrt(diag(K0) diag(K))`` gives the half scale ``s^1/2``, which
     Dirichlet solves take between the two. ``diagonal=None`` takes
     ``s = 1``, which changes no bit: the plain inverse ``K0^-1``, whose
@@ -444,11 +445,9 @@ def spectral_preconditioner(
     fast it oscillates.
 
     The grid forms the symbol from the factors it keeps
-    (``UniformCellGrid.spectral_symbol``). The preconditioner keeps the
-    inverse symbol and the nodal scale; on Dirichlet grids also one
-    zero-padded row buffer and one spectrum buffer per axis, which every
-    apply reuses, so one preconditioner must not be applied from two
-    threads at once.
+    (``UniformCellGrid.spectral_symbol``). The preconditioner keeps only
+    the inverse symbol and the nodal scale, and each apply returns an
+    array of its own.
 
     Raises:
         SolverError: ``k1``, ``k2`` or a diagonal entry is not finite, as
@@ -484,29 +483,19 @@ def spectral_preconditioner(
 
         return apply
 
-    # DST-I of a length-n axis is minus the imaginary part of the rfft of
-    # the zero-padded row [0, a, 0, ..., 0] of length 2n + 2; the buffers'
-    # padding is never written. Two DST-I per axis multiply by nx ny / 4,
-    # and so do the four passes below, as the signs cancel; the
-    # transposed inverse symbol divides that out.
-    my, mx = shape
-    inverse_t = (inverse / (nx * ny / 4.0)).T.copy()
-    ext_x, spec_x = np.zeros((my, 2 * mx + 2)), np.empty((my, mx + 2), dtype=complex)
-    ext_y, spec_y = np.zeros((mx, 2 * my + 2)), np.empty((mx, my + 2), dtype=complex)
+    # imported here: scipy.fft loads scipy.special, which only Dirichlet
+    # solves pay for. The unnormalized DST-I applied twice along an axis
+    # of n - 1 interior nodes multiplies by 2n.
+    import scipy.fft
 
-    def sine_pass(ext: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        np.fft.rfft(ext, out=spec)
-        return spec.imag[:, 1:spec.shape[1] - 1]
+    inverse /= 4.0 * nx * ny
 
     def apply(r: np.ndarray) -> np.ndarray:
-        np.multiply(scale, r.reshape(shape), out=ext_x[:, 1:mx + 1])
-        np.copyto(ext_y[:, 1:my + 1], sine_pass(ext_x, spec_x).T)
-        np.multiply(sine_pass(ext_y, spec_y), inverse_t, out=ext_y[:, 1:my + 1])
-        np.copyto(ext_x[:, 1:mx + 1], sine_pass(ext_y, spec_y).T)
-        u = sine_pass(ext_x, spec_x)
-        # the pass is a view of the reused spectrum buffer: the product
-        # copies it out
-        return (scale * u).ravel()
+        u = scipy.fft.dstn(scale * r.reshape(shape), type=1, overwrite_x=True)
+        u *= inverse
+        u = scipy.fft.dstn(u, type=1, overwrite_x=True)
+        u *= scale
+        return u.ravel()
 
     return apply
 

@@ -377,6 +377,26 @@ def test_sweeps_have_the_same_bits_under_one_and_two_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+def test_periodic_sweeps_leave_scipy_fft_unimported():
+    """Importing the package and its CLI and running a 4-sample 16^2 sweep
+    in a fresh process loads no ``scipy.fft``, whose import (mostly
+    ``scipy.special``) only Dirichlet preconditioners pay for."""
+    script = ("import sys\n"
+              "import maphom, maphom.cli\n"
+              "from maphom import coefficients\n"
+              "from maphom.homogenize import tensor_field\n"
+              "tensor_field(coefficients.sine_product(), [0.1, 0.5, 1.0, 2.0],\n"
+              "             cell_resolution=16)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # the sine product at amplitude 0.9 and its reciprocal, a test-local
 # coefficient with the reciprocal bounds
 RECIPROCAL = coefficients.isotropic(

@@ -4,6 +4,7 @@ its spectral preconditioner."""
 import dataclasses
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -497,16 +498,18 @@ def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
     return s[:, None] * np.linalg.inv(K0) * s[None, :]
 
 
-@pytest.mark.parametrize("nx,ny", [(9, 6), (5, 12)])
+@pytest.mark.parametrize("nx,ny", [(9, 6), (5, 12), (2, 2), (2, 7), (7, 2), (10, 13)])
 def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
+    """With the nodal scale and without, also with one interior row or
+    column, one interior node, and odd interior lengths."""
     grid = UniformCellGrid(nx, periodic=False, ny=ny,
                            rectangle=Rectangle(0.0, 1.0, 0.0, 0.7))
-    diagonal = rng.uniform(0.5, 2.0, (nx - 1) * (ny - 1))
-    precondition = spectral_preconditioner(grid, 0.3, 2.5, diagonal)
-    dense = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, diagonal)
-    for r in rng.standard_normal((3, diagonal.size)):
-        npt.assert_allclose(precondition(r), dense @ r, rtol=1e-12,
-                            atol=1e-12 * np.abs(dense @ r).max())
+    for diagonal in (rng.uniform(0.5, 2.0, (nx - 1) * (ny - 1)), None):
+        precondition = spectral_preconditioner(grid, 0.3, 2.5, diagonal)
+        dense = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, diagonal)
+        for r in rng.standard_normal((3, dense.shape[0])):
+            npt.assert_allclose(precondition(r), dense @ r, rtol=1e-12,
+                                atol=1e-12 * np.abs(dense @ r).max())
 
 
 def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
@@ -561,7 +564,7 @@ def test_dual_norm_reads_the_plain_inverse_off_one_transform(rng, nx, ny):
         dual_norm(UniformCellGrid(8, periodic=False), 1.0, 1.0, np.ones(49))
 
 
-def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
+def test_dirichlet_preconditioner_applies_keep_no_state(rng):
     """Repeated and interleaved applies of preconditioners on two grids
     give what fresh preconditioners give."""
     grids = [UniformCellGrid(9, periodic=False, ny=6,
@@ -578,6 +581,21 @@ def test_dirichlet_preconditioner_buffers_keep_no_state(rng):
             npt.assert_array_equal(out, expect)
             out[:] = np.nan  # a caller may overwrite what it got back
     npt.assert_array_equal(shared[0](np.zeros(40)), np.zeros(40))
+
+
+def test_a_dirichlet_preconditioner_applies_alike_from_two_threads(rng):
+    """48 applies of one 255^2 preconditioner shared by two threads give
+    the serial applies' results bit for bit: an apply keeps nothing
+    between calls."""
+    grid = UniformCellGrid(256, periodic=False)
+    n = (grid.nx - 1) * (grid.ny - 1)
+    precondition = spectral_preconditioner(grid, 1.5, 0.5, rng.uniform(0.5, 2.0, n))
+    vectors = rng.standard_normal((48, n))
+    serial = [precondition(v) for v in vectors]
+    with ThreadPoolExecutor(2) as pool:
+        threaded = list(pool.map(precondition, vectors))
+    for out, expect in zip(threaded, serial):
+        npt.assert_array_equal(out, expect)
 
 
 def test_spectral_preconditioner_checks_its_inputs():
