@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.sparse.linalg import spsolve
 
 from maphom import coefficients
@@ -218,7 +219,8 @@ def test_identity_oscillation_is_no_oscillation(identity_coeff):
 
 @pytest.mark.parametrize("amplitude,ceiling", [(0.9, 20), (0.99, 25)])
 def test_dirichlet_iterations_stay_flat_across_resolution(amplitude, ceiling):
-    """Measured: 17 at every grid for amplitude 0.9, 20 to 22 at 0.99."""
+    """Measured: 18 to 19 for amplitude 0.9 and 23 to 24 at 0.99 (17 and
+    20 to 22 with float64 sine transforms)."""
     coeff = coefficients.sine_product(amplitude)
     counts = [DirichletProblem(clamped(n, n), ones)
               .oscillatory(coeff, QuadraticStretchMap(1)).iterations
@@ -230,9 +232,10 @@ def test_dirichlet_iterations_stay_flat_across_resolution(amplitude, ceiling):
 
 @pytest.mark.parametrize("amplitude", [0.9, 0.99])
 def test_dirichlet_iterations_stay_bounded_as_the_scale_grows(amplitude):
-    """Measured: 17, 33 and 37 iterations at h = 1, 2 and 8 for amplitude
-    0.9 and 21, 43 and 61 at 0.99; with the nodal scale kept at every h,
-    h = 8 took 112 and 145."""
+    """Measured: 19, 25 and 37 iterations at h = 1, 2 and 8 for amplitude
+    0.9 and 24, 48 and 62 at 0.99 (17, 24, 37 and 22, 43, 55 with float64
+    sine transforms); with the nodal scale kept at every h, h = 8 took 112
+    and 145."""
     problem = DirichletProblem(clamped(128, 128), ones)
     coeff = coefficients.sine_product(amplitude)
     counts = {h: problem.oscillatory(coeff, QuadraticStretchMap(h)).iterations
@@ -244,15 +247,54 @@ def test_dirichlet_iterations_stay_bounded_as_the_scale_grows(amplitude):
 SCALES = ("scaled", "half", "unscaled")
 
 
-def three_scales(problem, K, means):
+def three_scales(problem, K, means, build=spectral_preconditioner):
     """CG iterations of a problem's oscillatory system ``K`` under the
-    full, the half and no nodal scale, in the order of ``SCALES``."""
+    full, the half and no nodal scale, in the order of ``SCALES``, with
+    the preconditioners ``build`` makes."""
     k1, k2 = means
     root = np.sqrt(problem.grid.spectral_diagonal(k1, k2))
-    return [cg_solve(SparseSystem(K), problem.load,
-                     spectral_preconditioner(problem.grid, k1, k2, diagonal),
+    return [cg_solve(SparseSystem(K), problem.load, build(problem.grid, k1, k2, diagonal),
                      tol=1e-8).iterations
             for diagonal in (K.diagonal(), np.sqrt(K.diagonal()) * root, None)]
+
+
+def double_precision_preconditioner(grid, k1, k2, diagonal):
+    """The Dirichlet apply ``r -> s K0^-1 s r`` with its two DST-I passes
+    in float64."""
+    shape = (grid.ny - 1, grid.nx - 1)
+    inverse = 1.0 / (4.0 * grid.nx * grid.ny * grid.spectral_symbol(k1, k2))
+    s = (1.0 if diagonal is None else
+         np.sqrt(grid.spectral_diagonal(k1, k2) / diagonal).reshape(shape))
+    return lambda r: (s * dstn(dstn(s * r.reshape(shape), type=1) * inverse, type=1)).ravel()
+
+
+@pytest.mark.parametrize("amplitude", [0.9, 0.99])
+def test_single_precision_transforms_add_few_iterations(amplitude):
+    """On a 64^2 mesh, under the stretch at h = 1, 2, 4, 8 and each of the
+    full, the half and no scale, the float32 sine transforms take at most
+    1.3 times the CG iterations of the same apply in float64."""
+    problem = DirichletProblem(clamped(64, 64), ones)
+    coeff = coefficients.sine_product(amplitude)
+    for h in (1, 2, 4, 8):
+        K, means, _ = problem.stiffness(lambda pts: coeff(QuadraticStretchMap(h)(pts)))
+        single = three_scales(problem, K, means)
+        double = three_scales(problem, K, means, double_precision_preconditioner)
+        print(f"amplitude {amplitude}, h = {h}: {single} against {double}")
+        assert all(a <= 1.3 * b for a, b in zip(single, double)), (h, single, double)
+
+
+def test_a_dirichlet_solve_does_not_depend_on_the_coefficient_magnitude():
+    """c A takes the iterations of A and gives u / c, for c from 1e-200 to
+    1e200: the float32 transforms see a residual and an inverse symbol
+    normalized to a unit maximum, so neither overflows nor underflows."""
+    problem = DirichletProblem(clamped(32, 32), ones)
+    coeff, scale_map = coefficients.sine_product(0.99), QuadraticStretchMap(2)
+    solves = {c: problem.oscillatory(lambda y, c=c: c * coeff(y), scale_map)
+              for c in (1e-200, 1.0, 1e200)}
+    reference = solves[1.0].values
+    for c, u in solves.items():
+        assert u.iterations == solves[1.0].iterations, (c, u.iterations)
+        assert np.linalg.norm(c * u.values - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("scale_map", [QuadraticStretchMap, LinearScaleMap],

@@ -422,6 +422,11 @@ def test_cg_stops_on_the_first_non_finite_residual(where, singular):
     with pytest.raises(SolverError, match="residual is not finite") as info:
         cg_solve(system, b, precondition, tol=1e-12)
     assert info.value.iterations <= 1
+    # the message names the smallest residual before it: none for a NaN
+    # right-hand side, the start's for a NaN direction
+    found = re.search(r"relative residual nan; smallest (\S+) at iteration 0\)",
+                      str(info.value))
+    assert float(found[1]) == (math.inf if where == "rhs" else pytest.approx(1.0))
 
 
 def test_a_system_is_its_matrix_and_a_flag():
@@ -498,6 +503,13 @@ def _dense_dirichlet_preconditioner(grid, k1, k2, diagonal):
     return s[:, None] * np.linalg.inv(K0) * s[None, :]
 
 
+def assert_single_precision(out, expect):
+    """A Dirichlet apply runs its sine transforms in float32: it matches
+    the float64 definition to 1e-5 normwise (about 2e-7 in practice)."""
+    assert out.dtype == np.float64
+    assert np.linalg.norm(out - expect) <= 1e-5 * np.linalg.norm(expect)
+
+
 @pytest.mark.parametrize("nx,ny", [(9, 6), (5, 12), (2, 2), (2, 7), (7, 2), (10, 13)])
 def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
     """With the nodal scale and without, also with one interior row or
@@ -508,8 +520,7 @@ def test_dirichlet_preconditioner_matches_its_dense_definition(rng, nx, ny):
         precondition = spectral_preconditioner(grid, 0.3, 2.5, diagonal)
         dense = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, diagonal)
         for r in rng.standard_normal((3, dense.shape[0])):
-            npt.assert_allclose(precondition(r), dense @ r, rtol=1e-12,
-                                atol=1e-12 * np.abs(dense @ r).max())
+            assert_single_precision(precondition(r), dense @ r)
 
 
 def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
@@ -521,15 +532,39 @@ def test_an_absent_diagonal_applies_the_plain_inverse(rng, coo_stiffness):
     r = rng.standard_normal(40)
     expect = _dense_dirichlet_preconditioner(grid, 0.3, 2.5, None) @ r
     out = precondition(r)
-    npt.assert_allclose(out, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    assert_single_precision(out, expect)
     out[:] = np.nan
-    npt.assert_allclose(precondition(r), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    assert_single_precision(precondition(r), expect)
 
     periodic = UniformCellGrid(16, ny=12, rectangle=Rectangle(0.0, 1.0, 0.0, 0.5))
     K = _constant_operator(periodic, 3.0, 0.5, coo_stiffness)
     b = rng.standard_normal(periodic.n_nodes)
     npt.assert_allclose(K @ spectral_preconditioner(periodic, 3.0, 0.5, None)(b),
                         b - b.mean(), atol=1e-10)
+
+
+@pytest.mark.parametrize("scaled", [True, False], ids=["scaled", "plain"])
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "clamped"])
+def test_an_apply_returns_a_float64_array_of_its_own(rng, periodic, scaled):
+    """Whatever precision its transforms run in, an apply hands CG a new
+    float64 array and leaves the residual as it was: a float32 direction
+    would keep CG's search direction in float32, and a view would change
+    under CG's updates. The Dirichlet apply normalizes the residual before
+    its float32 cast, so a zero, a subnormal or a huge one passes without
+    a RuntimeWarning and scales the result with it."""
+    grid = UniformCellGrid(10, periodic=periodic, ny=7, rectangle=Rectangle(0.0, 1.0, 0.0, 0.7))
+    n = grid.n_nodes if periodic else (grid.nx - 1) * (grid.ny - 1)
+    precondition = spectral_preconditioner(grid, 0.3, 2.5,
+                                           rng.uniform(0.5, 2.0, n) if scaled else None)
+    r = rng.standard_normal(n)
+    expect = precondition(r)
+    for t in (1.0, 0.0, 2.0 ** -1030, 2.0 ** 1000):
+        v = t * r
+        out = precondition(v)
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert not np.shares_memory(out, v)
+        npt.assert_array_equal(v, t * r)
+        assert np.linalg.norm(out - t * expect) <= 1e-6 * t * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "clamped"])

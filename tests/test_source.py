@@ -366,3 +366,56 @@ def test_the_scan_finds_blas_reductions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_vector_reductions_go_through_inner(path):
     assert blas_reductions(path.read_text()) == []
+
+
+SINGLE = {"float32", "single", "f4"}
+
+
+def single_precision(source: str, exempt: str | None = None) -> list[str]:
+    """The float32 spellings a module holds outside its function ``exempt``:
+    ``np.float32``, ``np.single``, ``float32`` or ``single`` imported from
+    numpy, and the dtype strings ``"float32"``, ``"single"`` and ``"f4"``.
+    Only ``spectral_preconditioner``, whose Dirichlet apply runs in single
+    precision, is exempt: the dual norm, the certificate, the cell
+    preconditioner and CG stay in float64, or the certificate's bound is
+    no longer rigorous."""
+    tree = ast.parse(source)
+    skipped = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == exempt
+               for n in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in SINGLE:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.update({a.name for a in node.names} & SINGLE)
+        elif isinstance(node, ast.Name) and node.id == "float32":
+            found.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.lstrip("<>=|") in SINGLE:
+            found.add(repr(node.value))
+    return sorted(found)
+
+
+def test_the_scan_finds_single_precision():
+    source = ("import numpy as np\nfrom numpy import single as s32\n"
+              "def dual_norm(r):\n    return np.fft.rfft2(r.astype(np.float32))\n"
+              "def cast(r, float32):\n"
+              "    return r.astype('<f4'), np.zeros(3, dtype='float32'), float32\n"
+              "def spectral_preconditioner(r):\n"
+              "    def apply(v):\n        return v.astype(np.float32)\n    return apply\n")
+    assert single_precision(source, "spectral_preconditioner") == [
+        "'<f4'", "'float32'", "float32", "single"]
+    assert single_precision("def f(x, single):\n    return x.single if single else 'f8'\n"
+                            ) == ["single"]
+    assert single_precision("def f(x, single):\n    return single, 'f8', 'f44'\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_dirichlet_apply_runs_in_single_precision(path):
+    exempt = "spectral_preconditioner" if path.name == "numerics.py" else None
+    assert single_precision(path.read_text(), exempt) == []
+    if exempt:
+        assert single_precision(path.read_text()) == ["float32"]
