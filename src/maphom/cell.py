@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .coefficients import PeriodicCoefficient
 from .numerics import (
     Rectangle,
     SolverError,
@@ -120,7 +121,8 @@ class CellProblem:
         rhs_j(zeta) = zeta_1 L_1j + zeta_2 L_2j,   L_ij = -int a_ij d_i phi,
 
     where K_ik is the stiffness of the single entry a_ik. The coefficient
-    is evaluated once, and the stiffness pieces are assembled once by the
+    is evaluated once and checked against a ``PeriodicCoefficient``'s
+    declared bounds, and the stiffness pieces are assembled once by the
     grid as data arrays on its nine-point CSR layout, together with the
     four loads and the four flux vectors M_ik = int a_ik d_k phi / |Y|.
     The pieces and loads of an entry a_ik that is zero at every point, as
@@ -169,6 +171,8 @@ class CellProblem:
             raise ValueError("corrector problems need a periodic grid")
         self.grid = grid
         A = grid.coefficient(coefficient)
+        if isinstance(coefficient, PeriodicCoefficient):
+            coefficient.check(A, grid.points)
         self.means = grid.mean(A)
         self.symmetric = bool(np.array_equal(A[..., 0, 1], A[..., 1, 0]))
         G, w = grid.gradients, grid.weights

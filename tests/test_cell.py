@@ -58,7 +58,7 @@ def skew_values(pts):
 
 
 def skew_coefficient() -> PeriodicCoefficient:
-    return PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2, symmetric=False)
+    return PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -66,40 +66,115 @@ def skew_coefficient() -> PeriodicCoefficient:
 # ---------------------------------------------------------------------------
 
 
-def test_builtin_coefficients_pass_their_own_audit(sine_coeff, laminate_coeff,
-                                                   identity_coeff):
-    for coeff in (sine_coeff, laminate_coeff, identity_coeff):
-        coeff.check_structure()
+FACTORIES = {
+    "sine-0": coefficients.sine_product(0.0),
+    "sine-0.5": coefficients.sine_product(0.5),
+    "sine-0.99": coefficients.sine_product(0.99),
+    "laminate": coefficients.laminate(),
+    "laminate-negative": coefficients.laminate(2.0, -0.5),
+    "identity": coefficients.identity(),
+    "constant": coefficients.constant([[2.0, 0.5], [0.5, 1.0]]),
+    "isotropic": coefficients.isotropic(lambda pts: 2.0 + np.cos(2 * np.pi * pts[:, 0]),
+                                        bound=3.0, coercivity=1.0),
+}
 
 
-def test_audit_catches_an_understated_bound(sine_coeff):
-    lying = PeriodicCoefficient(sine_coeff.evaluate, bound=1.5, coercivity=0.1)
-    with pytest.raises(ValueError):
-        lying.check_structure()
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("coeff", FACTORIES.values(), ids=FACTORIES.keys())
+def test_a_cell_problem_checks_the_declared_bounds(coeff, n):
+    """Every factory's values at the quadrature points meet its own
+    declaration; a bound or a coercivity tightened by 1% of the bound is
+    caught as the problem is built."""
+    CellProblem(coeff, n)
+    r, s = coeff.bound, coeff.coercivity
+    with pytest.raises(ValueError, match=f"declares bound {0.99 * r:.6g}, but"):
+        CellProblem(PeriodicCoefficient(coeff, 0.99 * r, min(s, 0.99 * r)), n)
+    tight = s + 0.01 * r
+    with pytest.raises(ValueError, match=f"declares coercivity {tight:.6g}, but"):
+        CellProblem(PeriodicCoefficient(coeff, max(r, tight), tight), n)
 
 
-def test_audit_catches_aperiodic_fields():
-    drifting = PeriodicCoefficient(
-        lambda pts: np.eye(2)[None] * (1.0 + pts[:, 0])[:, None, None],
-        bound=5.0, coercivity=0.5)
-    with pytest.raises(ValueError):
-        drifting.check_structure()
+@pytest.mark.parametrize("coeff", FACTORIES.values(), ids=FACTORIES.keys())
+def test_factories_are_unit_cell_periodic(coeff):
+    t = np.linspace(0.0, 1.0, 33)
+    pts = np.column_stack([np.tile(t, 33), np.repeat(t, 33)])
+    A = coeff(pts)
+    for shift in ((1.0, 0.0), (0.0, 1.0)):
+        npt.assert_allclose(coeff(pts + np.array(shift)), A, rtol=0, atol=1e-12)
 
 
-def test_audit_catches_asymmetry():
-    def skew(pts):
-        out = np.tile(np.array([[1.0, 0.3], [0.0, 1.0]]), (pts.shape[0], 1, 1))
-        return out
+def test_a_cell_problem_refuses_an_understated_bound(sine_coeff):
+    lying = PeriodicCoefficient(sine_coeff, bound=1.5, coercivity=0.1)
+    with pytest.raises(ValueError, match=r"declares bound 1.5, but its values reach 1.8\d+ at y"):
+        CellProblem(lying, 16)
 
-    with pytest.raises(ValueError):
-        PeriodicCoefficient(skew, bound=2.0, coercivity=0.5).check_structure()
+
+def test_a_constant_above_its_declared_bound_is_refused():
+    """Its values lie outside the declared [0.5, 1] everywhere."""
+    lying = coefficients.isotropic(lambda p: 3 + 0 * p[:, 0], bound=1.0, coercivity=0.5)
+    with pytest.raises(ValueError, match="declares bound 1, but its values reach 3 at y"):
+        CellProblem(lying, 8)
+
+
+def test_a_negative_diagonal_entry_is_refused():
+    """Its modulus 5 breaks the bound too, but the coercivity is read first."""
+    A = np.diag([-5.0, 1.0])
+    negative = PeriodicCoefficient(lambda p: np.broadcast_to(A, (len(p), 2, 2)).copy(),
+                                   bound=2.0, coercivity=0.5)
+    with pytest.raises(ValueError, match="declares coercivity 0.5, but its values reach -5 "):
+        CellProblem(negative, 8)
+
+
+def test_the_check_reads_the_eigenvalues_of_a_full_matrix():
+    """The least eigenvalue of [[2, .5], [.5, 1]] is about 0.79, below a
+    declared 0.9, though both diagonal entries are at least 1."""
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="declares coercivity 0.9, but its values reach 0.79"):
+        CellProblem(PeriodicCoefficient(coefficients.constant(M), 2.3, 0.9), 8)
+    for scale in (1e6, 1e-6):
+        CellProblem(coefficients.constant(scale * M), 8)
+
+
+def test_the_check_holds_at_high_contrast():
+    """At a contrast of 1e9 a full matrix passes its own declaration and a
+    coercivity 1% too high is refused; at 1e10 a negative entry of -5e-6
+    is refused, which an allowance of 1e-9 of the bound (1e-5) would pass."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    M = Q @ np.diag([1e9, 1.0]) @ Q.T
+    M[1, 0] = M[0, 1]
+    CellProblem(coefficients.constant(M), 8)
+    with pytest.raises(ValueError, match="declares coercivity 1.01, but its values reach 1 "):
+        CellProblem(PeriodicCoefficient(coefficients.constant(M), 1e9, 1.01), 8)
+    A = np.diag([1e4, -5e-6])
+    negative = PeriodicCoefficient(lambda p: np.broadcast_to(A, (len(p), 2, 2)).copy(),
+                                   bound=1e4, coercivity=1e-6)
+    with pytest.raises(ValueError, match="declares coercivity 1e-06, but its values reach -5e-06"):
+        CellProblem(negative, 8)
+
+
+def test_the_check_reads_a_non_symmetric_matrix():
+    """skew_values reaches |A xi| = 2.14 |xi| (2.139 at the points of a 16^2
+    cell) and its symmetric part falls to 0.72."""
+    CellProblem(PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.2), 16)
+    with pytest.raises(ValueError, match="declares bound 2, but its values reach 2.1"):
+        CellProblem(PeriodicCoefficient(skew_values, bound=2.0, coercivity=0.2), 16)
+    with pytest.raises(ValueError, match="declares coercivity 0.75, but its values reach 0.72"):
+        CellProblem(PeriodicCoefficient(skew_values, bound=3.0, coercivity=0.75), 16)
+
+
+def test_a_laminate_takes_a_negative_amplitude():
+    coeff = coefficients.laminate(2.0, -0.5)
+    assert (coeff.bound, coeff.coercivity) == (2.5, 1.5)
+    with pytest.raises(ValueError, match=r"base 0.5 must exceed \|amplitude\| 1.0"):
+        coefficients.laminate(0.5, -1.0)
 
 
 @pytest.mark.parametrize("bound,coercivity", [
     (math.nan, 0.5), (math.inf, 0.5), (5.0, math.nan), (math.inf, math.inf),
 ])
 def test_declared_bounds_must_be_finite(bound, coercivity):
-    """Every comparison with a NaN bound is false, so the audit of ``5 I``
+    """Every comparison with a NaN bound is false, so the check of ``5 I``
     would pass against it; an infinite bound declares nothing."""
     with pytest.raises(ValueError, match="finite"):
         PeriodicCoefficient(lambda pts: 5.0 * np.eye(2)[None].repeat(len(pts), 0),

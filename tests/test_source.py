@@ -368,6 +368,15 @@ def test_vector_reductions_go_through_inner(path):
     assert blas_reductions(path.read_text()) == []
 
 
+def nodes_outside(source: str, exempt: str | None) -> list[ast.AST]:
+    """Every node of a module but those inside its function ``exempt``."""
+    tree = ast.parse(source)
+    skipped = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == exempt
+               for n in ast.walk(node)}
+    return [node for node in ast.walk(tree) if id(node) not in skipped]
+
+
 SINGLE = {"float32", "single", "f4"}
 
 
@@ -379,14 +388,8 @@ def single_precision(source: str, exempt: str | None = None) -> list[str]:
     precision, is exempt: the dual norm, the certificate, the cell
     preconditioner and CG stay in float64, or the certificate's bound is
     no longer rigorous."""
-    tree = ast.parse(source)
-    skipped = {id(n) for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name == exempt
-               for n in ast.walk(node)}
     found = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in nodes_outside(source, exempt):
         if isinstance(node, ast.Attribute) and node.attr in SINGLE:
             found.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
@@ -419,3 +422,43 @@ def test_only_the_dirichlet_apply_runs_in_single_precision(path):
     assert single_precision(path.read_text(), exempt) == []
     if exempt:
         assert single_precision(path.read_text()) == ["float32"]
+
+
+EIGEN = {"eig", "eigh", "eigvals", "eigvalsh", "eigs", "eigsh", "svd", "svds", "svdvals"}
+
+
+def eigen_solves(source: str, exempt: str | None = None) -> list[str]:
+    """The eigen-solvers and singular value decompositions a module names
+    outside its function ``exempt``, as attributes or imported names:
+    ``eig``, ``eigh``, ``eigvals``, ``eigvalsh``, ``svd`` and their sparse
+    kin. A coefficient's declared bounds are checked at every quadrature
+    point by the closed-form eigenvalues of a 2x2, about ten times cheaper
+    than an eigen-solve per point; only ``coefficients.constant``, which
+    solves one 2x2, is exempt."""
+    found = set()
+    for node in nodes_outside(source, exempt):
+        if isinstance(node, ast.Attribute):
+            found.update({node.attr} & EIGEN)
+        elif isinstance(node, ast.ImportFrom):
+            found.update({a.name for a in node.names} & EIGEN)
+    return sorted(found)
+
+
+def test_the_scan_finds_eigen_solves():
+    source = ("import numpy as np\nimport scipy.linalg as sl\n"
+              "from numpy.linalg import svd as decompose\n"
+              "from scipy.sparse.linalg import eigsh\n"
+              "def check(A):\n    return np.linalg.eigvalsh(A), sl.eigh(A), np.linalg.eig(A)\n"
+              "def constant(m):\n    return np.linalg.eigvalsh(m)\n")
+    assert eigen_solves(source, "constant") == ["eig", "eigh", "eigsh", "eigvalsh", "svd"]
+    assert eigen_solves("def constant(m, eigs):\n    return eigs, m.eigen\n") == []
+    assert eigen_solves("import numpy as np\ndef f(m):\n    return np.linalg.svd(m)\n",
+                        "constant") == ["svd"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_eigen_solve_outside_a_constant_coefficient(path):
+    exempt = "constant" if path.name == "coefficients.py" else None
+    assert eigen_solves(path.read_text(), exempt) == []
+    if exempt:
+        assert eigen_solves(path.read_text()) == ["eigvalsh"]
